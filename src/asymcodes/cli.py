@@ -46,6 +46,7 @@ from .words import (
     DecodeAmbiguity,
     DecodeFailure,
     EnumerationCapExceeded,
+    _min_asym_pair,
     decode_asymmetric,
     is_lm_code,
     is_t_code,
@@ -190,16 +191,25 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     code = _read_code(args.infile)
+    witness = None
     if args.model == "asym":
         ok = is_t_code(code, args.t)
         detail = {"model": "asym", "t": args.t}
+        if not ok:
+            d, i, j = _min_asym_pair(code, stop_at=args.t)
+            witness = {"x": str(code.words[i]), "y": str(code.words[j]), "distance": d}
+            print(f"witness: {witness['x']} and {witness['y']} at asymmetric distance {d}",
+                  file=sys.stderr)
     else:
         ok = is_lm_code(code, args.t, args.l, wrap=args.wrap)
         detail = {"model": "limited", "t": args.t, "l": args.l, "wrap": args.wrap}
+    results = {"size": len(code), "n": code.n, "verified": ok}
+    if witness:
+        results["witness"] = witness
     report = ReportDocument(
         command=["verify"],
         parameters={"in": args.infile, **detail},
-        results={"size": len(code), "n": code.n, "verified": ok},
+        results=results,
     )
     _emit_json(report, args.json)
     print("VERIFIED" if ok else "NOT VERIFIED")

@@ -100,6 +100,28 @@ class TestCliExitCodes:
         assert main(["verify", "--in", str(bad), "--model", "asym", "--t", "1"]) == 1
         assert "NOT VERIFIED" in capsys.readouterr().out
 
+    def test_verify_failure_names_witness(self, tmp_path, capsys):
+        bad = tmp_path / "bad.code"
+        bad.write_text("q=2 n=2\n00\n01\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(bad), "--model", "asym", "--t", "1",
+                     "--json", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "witness: 00 and 01 at asymmetric distance 1"
+        results = json.loads(rep.read_text())["results"]
+        assert results["verified"] is False
+        assert results["witness"] == {"x": "00", "y": "01", "distance": 1}
+
+    def test_verify_success_has_no_witness(self, tmp_path, capsys):
+        good = tmp_path / "good.code"
+        good.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(good), "--model", "asym", "--t", "1",
+                     "--json", str(rep)]) == 0
+        assert "witness" not in capsys.readouterr().err
+        results = json.loads(rep.read_text())["results"]
+        assert results["verified"] is True and "witness" not in results
+
     def test_verify_limited_model(self, tmp_path):
         f = tmp_path / "c0.code"
         f.write_text("q=5 n=2\n00\n11\n22\n33\n44\n")

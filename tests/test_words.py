@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from asymcodes import (
     AlphabetSpec,
@@ -20,6 +20,7 @@ from asymcodes import (
     weight_enumerator,
     weight_w,
 )
+from asymcodes import words as words_mod
 from asymcodes.words import (
     AlphabetMismatch,
     DecodeAmbiguity,
@@ -116,6 +117,80 @@ class TestWeightAndDistance:
                 for x, y in itertools.combinations(rows, 2)
             )
             assert min_asym_distance(c) == brute
+
+
+@st.composite
+def codebooks(draw):
+    """Small codes over uniform, mixed, wide (> 64 thermometer bits) and
+    single-weight alphabet profiles, q up to 9."""
+    kind = draw(st.sampled_from(["uniform", "mixed", "wide", "one-weight"]))
+    if kind == "mixed":
+        sizes = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=6)))
+    elif kind == "wide":
+        sizes = (5,) * 20
+    else:
+        sizes = (draw(st.integers(2, 9)),) * draw(st.integers(1, 6))
+    word = st.tuples(*[st.integers(0, q - 1) for q in sizes])
+    rows = draw(st.lists(word, min_size=2, max_size=30, unique=True))
+    if kind == "one-weight":
+        # a last coordinate tops every word up to the same symbol sum
+        top = sum(q - 1 for q in sizes)
+        sizes += (top + 1,)
+        rows = [r + (top - sum(r),) for r in rows]
+    return CodeBook.from_symbols(AlphabetSpec(sizes), rows)
+
+
+def brute_min(c):
+    return min(asym_distance(x, y) for x, y in itertools.combinations(c.words, 2))
+
+
+# The real row block, and one small enough that these codes span many blocks.
+BLOCKS = pytest.mark.parametrize("block", [words_mod._PAIR_BLOCK, 5])
+
+
+class TestMinDistanceKernel:
+    @BLOCKS
+    @settings(max_examples=400)
+    @given(codebooks())
+    def test_equals_brute_force(self, block, c):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words_mod, "_PAIR_BLOCK", block)
+            assert min_asym_distance(c) == brute_min(c)
+            d, i, j = words_mod._min_asym_pair(c)
+        assert i < j and asym_distance(c.words[i], c.words[j]) == d
+
+    @BLOCKS
+    @given(codebooks(), st.integers(1, 6))
+    def test_is_t_code_equals_all_pairs_above_t(self, block, c, t):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words_mod, "_PAIR_BLOCK", block)
+            got = is_t_code(c, t)
+        assert got == all(
+            asym_distance(x, y) > t for x, y in itertools.combinations(c.words, 2)
+        )
+
+    @BLOCKS
+    @given(codebooks(), st.integers(0, 6))
+    def test_stop_at(self, block, c, stop_at):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words_mod, "_PAIR_BLOCK", block)
+            got = min_asym_distance(c, stop_at=stop_at)
+            d, i, j = words_mod._min_asym_pair(c, stop_at=stop_at)
+        true = brute_min(c)
+        if true <= stop_at:
+            assert got <= stop_at
+        else:
+            assert got == true
+        assert got == d == asym_distance(c.words[i], c.words[j])
+
+    def test_wide_lee_profile_needs_two_columns(self):
+        # [20,18]_5 Lee profile: 80 thermometer bits, two uint64 columns
+        a = AlphabetSpec.uniform(5, 20)
+        x, y = (4,) * 20, (4,) * 19 + (0,)
+        c = CodeBook.from_symbols(a, [x, y, (0,) * 20])
+        assert words_mod._thermometer(c.matrix(), a.sizes).shape == (3, 2)
+        assert min_asym_distance(c) == 4
+        assert words_mod._min_asym_pair(c)[1:] == (1, 2)
 
 
 @st.composite
@@ -241,6 +316,12 @@ class TestLimitedMagnitude:
     def test_wrap(self):
         x, y = w((2, 0), q=5), w((1, 4), q=5)
         assert d_ell_distance(x, y, 1, wrap=True) == 2
+
+    def test_wrap_needs_a_word_for_q(self):
+        with pytest.raises(ValueError):
+            d_ell_distance((2, 0), (1, 4), 1, wrap=True)
+        assert d_ell_distance(w((2, 0), q=5), (1, 4), 1, wrap=True) == 2
+        assert d_ell_distance((2, 0), w((1, 4), q=5), 1, wrap=True) == 2
 
     def test_wrap_needs_headroom(self):
         x, y = w((0, 0), q=2), w((1, 1), q=2)
