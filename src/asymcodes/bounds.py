@@ -15,7 +15,7 @@ from math import comb, log2
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
 from .linearq import MatrixModZq, hamming_parity_check
-from .words import CodeBook, hamming_weight, is_lm_code
+from .words import CodeBook, hamming_weight, is_lm_code, weight_enumerator
 
 
 def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
@@ -170,11 +170,6 @@ PARTITION_PROVENANCE = "partition-method constructions, literature values"
 KNOWN_BOUNDS_PROVENANCE = "best known size bounds, literature values"
 
 
-def _binary_image_size(code: CodeBook) -> int:
-    m = code.n
-    return sum(2 ** (m - hamming_weight(w)) for w in code.symbol_rows)
-
-
 def table2_report() -> dict:
     """Group-checksum sizes and bundled-generator image sizes for lengths
     6..16, next to the stored literature constants; mismatches against the
@@ -185,10 +180,10 @@ def table2_report() -> dict:
         cr_size = len(cr_code(group, None, 2))
         if n % 2 == 0:
             closure = builtin_table_generators(n // 2)
-            cyclic_size = _binary_image_size(closure)
+            cyclic_size = weight_enumerator(closure).evaluate(2, 1)
         else:
             part0, part1 = builtin_table_generators(n // 2, extended=True)
-            cyclic_size = _binary_image_size(part0) + _binary_image_size(part1)
+            cyclic_size = sum(weight_enumerator(part).evaluate(2, 1) for part in (part0, part1))
         ref = TABLE2_REFERENCE[n]
         rows.append(
             {

@@ -22,8 +22,6 @@ from .words import (
     CodeBook,
     EnumerationCapExceeded,
     Word,
-    decode_asymmetric,
-    DecodingError,
 )
 
 CHANNEL_KINDS = ("Z", "T", "Rq", "chain", "L1-wrap")
@@ -141,58 +139,37 @@ def _ball_symbols(
     coord_radius: int,
     cap: int,
 ) -> set[tuple[int, ...]]:
+    if counting not in ("magnitude", "coordinates"):
+        raise ValueError("counting must be 'magnitude' or 'coordinates'")
+    # Each coordinate offers (symbol, cost) options; a word is in the ball iff
+    # its per-coordinate costs sum to <= radius.
+    options = []
+    for a, g in zip(x, ch.coordinates):
+        dist = g.step_distances[a]
+        if counting == "magnitude":
+            # Steps commute across coordinates, so a symbol costs its BFS distance.
+            options.append([(s, d) for s, d in enumerate(dist) if d is not None and d <= radius])
+        else:
+            # Staying is free; a move of up to coord_radius steps costs one.
+            options.append([(a, 0)] + [
+                (s, 1) for s, d in enumerate(dist) if d is not None and 0 < d <= coord_radius
+            ])
     n = len(x)
     out: set[tuple[int, ...]] = set()
 
-    if counting == "magnitude":
-        # Steps commute across coordinates, so a word is reachable within
-        # `radius` steps iff the per-coordinate BFS distances sum to <= radius.
-        options = []
-        for i, g in enumerate(ch.coordinates):
-            dist = g.step_distances[x[i]]
-            options.append(
-                [(s, d) for s, d in enumerate(dist) if d is not None and d <= radius]
-            )
+    def rec(i, budget, prefix):
+        if len(out) > cap:
+            raise EnumerationCapExceeded(f"error ball exceeds cap {cap}")
+        if i == n:
+            out.add(tuple(prefix))
+            return
+        for s, d in options[i]:
+            if d <= budget:
+                prefix.append(s)
+                rec(i + 1, budget - d, prefix)
+                prefix.pop()
 
-        def rec(i, budget, prefix):
-            if len(out) > cap:
-                raise EnumerationCapExceeded(f"error ball exceeds cap {cap}")
-            if i == n:
-                out.add(tuple(prefix))
-                return
-            for s, d in options[i]:
-                if d <= budget:
-                    prefix.append(s)
-                    rec(i + 1, budget - d, prefix)
-                    prefix.pop()
-
-        rec(0, radius, [])
-    elif counting == "coordinates":
-        reach = []
-        for i, g in enumerate(ch.coordinates):
-            dist = g.step_distances[x[i]]
-            reach.append(
-                [s for s, d in enumerate(dist) if d is not None and 0 < d <= coord_radius]
-            )
-
-        def rec(i, budget, prefix):
-            if len(out) > cap:
-                raise EnumerationCapExceeded(f"error ball exceeds cap {cap}")
-            if i == n:
-                out.add(tuple(prefix))
-                return
-            prefix.append(x[i])
-            rec(i + 1, budget, prefix)
-            prefix.pop()
-            if budget > 0:
-                for s in reach[i]:
-                    prefix.append(s)
-                    rec(i + 1, budget - 1, prefix)
-                    prefix.pop()
-
-        rec(0, radius, [])
-    else:
-        raise ValueError("counting must be 'magnitude' or 'coordinates'")
+    rec(0, radius, [])
     return out
 
 
@@ -239,10 +216,6 @@ def corrects_t_errors(
     return True
 
 
-def _is_pure_z(ch: ProductChannel) -> bool:
-    return all(g.q == 2 and g.edges == frozenset({(1, 0)}) for g in ch.coordinates)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     trials: int
@@ -270,59 +243,55 @@ def simulate_channel(
 ) -> SimulationResult:
     """Monte Carlo exercise of the channel model.
 
-    Each trial sends a uniformly random codeword.  With p set, every
-    coordinate independently takes one outgoing step with probability p (at
-    most one step per coordinate); with force_errors set, exactly that many
-    distinct coordinates (among those that can err) take one step.  Decoding
-    uses the exhaustive decrement decoder on pure-Z products and a
-    radius-t ball decoder otherwise; any wrong or undecodable outcome
-    counts as a failure.  Deterministic for a fixed seed.
+    Each trial sends a uniformly random codeword.  Give exactly one of p and
+    force_errors.  With p, every coordinate independently takes one outgoing
+    step with probability p (at most one step per coordinate); with
+    force_errors, exactly that many distinct coordinates (among those that
+    can err) take one step.  Every channel decodes through one coverage
+    table built from the radius-t balls (magnitude counting): a received
+    word decodes to the codeword whose ball alone contains it.  On pure-Z
+    products this is the decrement decoder's rule, the unique codeword at
+    or above the received word within t decrements.  A word in no ball or
+    in several counts as a failure, as does a wrong codeword.
+    Deterministic for a fixed seed.
     """
-    if p is None and force_errors is None:
-        raise ValueError("provide p or force_errors")
+    if (p is None) == (force_errors is None):
+        raise ValueError("provide exactly one of p and force_errors")
     if p is not None and not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if force_errors is not None and force_errors < 0:
+        raise ValueError("force_errors must be >= 0")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     _check_compatible(c.alphabet, ch)
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
-    rng = random.Random(seed)
-    pure_z = _is_pure_z(ch)
-    coverage: dict[tuple[int, ...], int] | None = None
-    if not pure_z:
-        # word -> codeword index, or -1 where two balls overlap
-        coverage = {}
-        for idx, word in enumerate(c.symbol_rows):
-            for y in _ball_symbols(word, ch, t, "magnitude", 1, cap):
-                if y in coverage and coverage[y] != idx:
-                    coverage[y] = -1
-                else:
-                    coverage[y] = idx
-
     rows = c.symbol_rows
+    # word -> codeword index, or -1 where two balls overlap
+    coverage: dict[tuple[int, ...], int] = {}
+    for idx, word in enumerate(rows):
+        for y in _ball_symbols(word, ch, t, "magnitude", 1, cap):
+            coverage[y] = idx if coverage.get(y, idx) == idx else -1
+        if len(coverage) > cap:
+            raise EnumerationCapExceeded(f"coverage map exceeds cap {cap}")
+
+    rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        sent = rows[rng.randrange(len(rows))]
-        received = list(sent)
+        sent = rng.randrange(len(rows))
+        received = list(rows[sent])
         if force_errors is not None:
-            errable = [i for i in range(len(sent)) if ch.coordinates[i].out_map[received[i]]]
+            errable = [i for i in range(len(received)) if ch.coordinates[i].out_map[received[i]]]
             rng.shuffle(errable)
             for i in errable[:force_errors]:
                 received[i] = rng.choice(ch.coordinates[i].out_map[received[i]])
         else:
-            for i in range(len(sent)):
+            for i in range(len(received)):
                 outs = ch.coordinates[i].out_map[received[i]]
                 if outs and rng.random() < p:
                     received[i] = rng.choice(outs)
-        got = None
-        if pure_z:
-            try:
-                got = decode_asymmetric(c, tuple(received), t).symbols
-            except DecodingError:
-                got = None
-        else:
-            idx = coverage.get(tuple(received), -1)
-            got = rows[idx] if idx >= 0 else None
-        if got != sent:
+        if coverage.get(tuple(received), -1) != sent:
             failures += 1
-    decoder = "asymmetric-exhaustive" if pure_z else "ball-lookup"
-    return SimulationResult(trials, failures, seed, t, p, force_errors, decoder)
+    return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

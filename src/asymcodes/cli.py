@@ -42,6 +42,7 @@ from .linearq import (
 )
 from .ternary import construct_even, construct_extended, construct_odd_mixed
 from .words import (
+    AlphabetSpec,
     CodeBook,
     DecodeAmbiguity,
     DecodeFailure,
@@ -51,6 +52,7 @@ from .words import (
     is_lm_code,
     is_t_code,
     min_asym_distance,
+    Word,
 )
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
@@ -73,10 +75,10 @@ def _emit_json(report: ReportDocument, path: str | None):
         Path(path).write_text(report.to_json())
 
 
-def _parse_word(text: str, alphabet) -> tuple[int, ...]:
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(ch) for ch in text)
+def _parse_word(text: str, alphabet: AlphabetSpec) -> Word:
+    """Digits, or comma-separated integers; Word rejects symbols outside the alphabet."""
+    parts = text.split(",") if "," in text else text
+    return Word(tuple(int(s) for s in parts), alphabet)
 
 
 def _default_oracle_channel(c: CodeBook) -> ProductChannel:

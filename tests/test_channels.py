@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asymcodes import (
     AlphabetSpec,
@@ -11,13 +12,15 @@ from asymcodes import (
     ProductChannel,
     Word,
     corrects_t_errors,
+    decode_asymmetric,
     error_ball,
     is_lm_code,
     is_t_code,
     make_channel,
     simulate_channel,
+    vt_code,
 )
-from asymcodes.words import AlphabetMismatch
+from asymcodes.words import AlphabetMismatch, DecodingError
 
 from conftest import book_from_strings
 
@@ -116,6 +119,65 @@ class TestErrorBall:
             error_ball(x, ch, 1)
 
 
+def _brute_force_ball(x, ch, radius, counting, coord_radius):
+    """Words reached from x by sequences of single steps.
+
+    magnitude: at most `radius` steps in total, on any coordinates.
+    coordinates: at most `radius` coordinates, each taking 1..coord_radius
+    steps of its own.
+    """
+    def walks(a, g, steps):
+        reached, frontier = {a}, {a}
+        for _ in range(steps):
+            frontier = {b for s in frontier for b in g.out_map[s]}
+            reached |= frontier
+        return reached
+
+    if counting == "magnitude":
+        reached, frontier = {x}, {x}
+        for _ in range(radius):
+            frontier = {
+                w[:i] + (b,) + w[i + 1:]
+                for w in frontier
+                for i, g in enumerate(ch.coordinates)
+                for b in g.out_map[w[i]]
+            }
+            reached |= frontier
+        return reached
+    reached = set()
+    for k in range(min(radius, len(x)) + 1):
+        for moved in itertools.combinations(range(len(x)), k):
+            choices = [
+                walks(a, ch.coordinates[i], coord_radius) if i in moved else {a}
+                for i, a in enumerate(x)
+            ]
+            reached.update(itertools.product(*choices))
+    return reached
+
+
+@st.composite
+def small_products(draw):
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["Z", "T", "chain", "Rq", "L1-wrap"]))
+        q = {"Z": 2, "T": 3}.get(kind) or draw(st.integers(2 if kind == "chain" else 3, 5))
+        graphs.append(make_channel(kind, q))
+    ch = ProductChannel.mixed(graphs)
+    x = tuple(draw(st.integers(0, g.q - 1)) for g in graphs)
+    return ch, Word(x, ch.alphabet)
+
+
+class TestErrorBallBruteForce:
+    @settings(max_examples=300)
+    @given(small_products(), st.integers(0, 3), st.sampled_from(["magnitude", "coordinates"]),
+           st.sampled_from([1, 2]))
+    def test_equals_step_sequences(self, case, radius, counting, coord_radius):
+        ch, x = case
+        ball = error_ball(x, ch, radius, counting=counting, coord_radius=coord_radius)
+        expected = _brute_force_ball(x.symbols, ch, radius, counting, coord_radius)
+        assert {w.symbols for w in ball} == expected
+
+
 class TestOracle:
     def test_decodable_pair(self):
         ch = ProductChannel.power(make_channel("T", 3), 2)
@@ -199,3 +261,72 @@ class TestSimulate:
         res = simulate_channel(book, ch, trials=10_000, seed=4, t=1, force_errors=1)
         assert res.failures == 0
         assert res.decoder == "ball-lookup"
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p": 0.1, "force_errors": 1}, "exactly one"),
+            ({"trials": -5, "p": 0.1}, "trials"),
+            ({"t": -1, "p": 0.1}, "t must"),
+            ({"force_errors": -3}, "force_errors"),
+        ],
+    )
+    def test_rejects_bad_inputs(self, kwargs, message):
+        c = book_from_strings(["0000", "1100", "0011", "1111"])
+        ch = ProductChannel.power(make_channel("Z", 2), 4)
+        args = {"trials": 10, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            simulate_channel(c, ch, **args)
+
+
+def _replay_pure_z(c, ch, trials, seed, t, p=None, force_errors=None):
+    """Failure count of the former pure-Z simulation: the same random draws,
+    decoded by the exhaustive decrement decoder."""
+    rng = random.Random(seed)
+    rows = c.symbol_rows
+    failures = 0
+    for _ in range(trials):
+        sent = rows[rng.randrange(len(rows))]
+        received = list(sent)
+        if force_errors is not None:
+            errable = [i for i in range(len(sent)) if ch.coordinates[i].out_map[received[i]]]
+            rng.shuffle(errable)
+            for i in errable[:force_errors]:
+                received[i] = rng.choice(ch.coordinates[i].out_map[received[i]])
+        else:
+            for i in range(len(sent)):
+                outs = ch.coordinates[i].out_map[received[i]]
+                if outs and rng.random() < p:
+                    received[i] = rng.choice(outs)
+        try:
+            got = decode_asymmetric(c, tuple(received), t).symbols
+        except DecodingError:
+            got = None
+        if got != sent:
+            failures += 1
+    return failures
+
+
+# Not a 1-code: at t=1, 00000 lies in the balls of both 00000 and 00001.
+OVERLAPPING_Z = ["00000", "00001", "00111", "01111", "11000"]
+
+
+class TestPureZMatchesDecrementDecoder:
+    @pytest.mark.parametrize(
+        "c", [vt_code(8, 0, 2), book_from_strings(OVERLAPPING_Z)],
+        ids=["vt n=8", "overlapping non-code"],
+    )
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("noise", [{"p": 0.1}, {"force_errors": 1}], ids=["p", "force"])
+    def test_failures_equal_replay(self, c, t, noise):
+        ch = ProductChannel.power(make_channel("Z", 2), c.n)
+        res = simulate_channel(c, ch, trials=400, seed=17, t=t, **noise)
+        assert res.failures == _replay_pure_z(c, ch, 400, 17, t, **noise)
+        assert res.decoder == "ball-lookup"
+
+    def test_overlapping_balls_fail(self):
+        c = book_from_strings(OVERLAPPING_Z)
+        ch = ProductChannel.power(make_channel("Z", 2), c.n)
+        assert not corrects_t_errors(c, ch, 1)
+        res = simulate_channel(c, ch, trials=400, seed=17, t=1, force_errors=1)
+        assert res.failures > 0

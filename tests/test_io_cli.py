@@ -135,6 +135,33 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.strip() == "1100"
         assert main(["decode", "--code", str(f), "--received", "0000", "--t", "2"]) == 1
 
+    @pytest.mark.parametrize("received", ["0102", "1,1,0,2", "010"])
+    def test_decode_rejects_word_outside_code_alphabet(self, tmp_path, capsys, received):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["decode", "--code", str(f), "--received", received, "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--p", "0.1", "--force-errors", "1", "--trials", "10"],
+            ["--p", "0.1", "--trials", "-5"],
+            ["--p", "0.1", "--trials", "10", "--t", "-1"],
+            ["--force-errors", "-3", "--trials", "10"],
+        ],
+        ids=["p-and-force", "negative-trials", "negative-t", "negative-force"],
+    )
+    def test_simulate_rejects_bad_inputs(self, tmp_path, capsys, flags):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["simulate", "--code", str(f), "--seed", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bound(self, capsys):
         assert main(["bound", "sphere", "--q", "3", "--n", "8", "--t", "1",
                      "--l", "1"]) == 0
