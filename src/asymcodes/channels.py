@@ -203,6 +203,8 @@ def corrects_t_errors(
     cap: int = DEFAULT_BALL_CAP,
 ) -> bool:
     """True iff radius-t error balls around distinct codewords are disjoint."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     _check_compatible(c.alphabet, ch)
     covered: dict[tuple[int, ...], int] = {}
     for idx, word in enumerate(c.symbol_rows):

@@ -412,10 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("what", choices=["cyclic", "extended"])
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--budget", type=float, default=60.0)
+    s.add_argument("--budget", type=float, default=60.0,
+                   help="node budget: the exact strategy expands at most 50 000 "
+                        "nodes per unit (default 60)")
     s.add_argument("--strategy", default="exact-clique",
                    choices=["exact-clique", "greedy", "randomized-restart"])
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="split the top-level branches into this many groups, "
+                        "run one after another (reorders, does not parallelise)")
     s.add_argument("--out", default=None)
     s.add_argument("--out1", default=None)
     s.add_argument("--json", default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import AlphabetSpec, CodeBook
+from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, EnumerationCapExceeded
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
@@ -47,6 +47,16 @@ class Orbit:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Options of `search_cyclic` and `search_extended`.
+
+    `time_budget` is a node budget, not seconds: the exact strategy expands
+    at most 50 000 branch-and-bound nodes per unit (and at least 10 000),
+    and randomized-restart runs budget * 2000 / V greedy restarts on V
+    vertices.  `worker_count` only reorders the top-level branches, which
+    still run one after another in this process; the answer does not
+    depend on it unless the node budget runs out.
+    """
+
     seed: int = 0
     time_budget: float = 60.0
     strategy: str = "exact-clique"
@@ -70,11 +80,13 @@ def orbit_of(w: tuple[int, ...]) -> Orbit:
     return Orbit(members[0], members)
 
 
-def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
+def enumerate_orbits(m: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Orbit, ...]:
     """All rotation classes of ternary length-m words, representatives in
     lexicographic order."""
     if not 1 <= m <= 13:
         raise ValueError("orbit enumeration supports 1 <= m <= 13")
+    if 3**m > cap:
+        raise EnumerationCapExceeded(f"3^{m} words exceed enumeration cap {cap}")
     reps = []
     seen = set()
     for v in range(3**m):
@@ -93,14 +105,6 @@ def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
         for b in _T_STEPS[s]:
             out.add(w[:i] + (b,) + w[i + 1 :])
     return out
-
-
-def _orbit_cover(orbit: Orbit) -> tuple[set, set]:
-    """(union of members' radius-1 balls, member set); None-free helper."""
-    balls = set()
-    for w in orbit.members:
-        balls |= _ball1(w)
-    return balls, set(orbit.members)
 
 
 def _self_compatible(orbit: Orbit) -> bool:
@@ -132,22 +136,81 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+def _ball1_indices(x: int, m: int) -> list[int]:
+    """Radius-1 ball of the word whose base-3 value is x, as base-3 values."""
+    out = [x]
+    place = 1
+    for _ in range(m):
+        s = x // place % 3
+        for b in _T_STEPS[s]:
+            out.append(x + (b - s) * place)
+        place *= 3
+    return out
+
+
+def _orbit_index(m: int):
+    """Inverted index of the self-compatible orbits over word indices.
+
+    A word's index is its base-3 value.  Returns (orbits, members, balls,
+    covering): members[i] and balls[i] list the indices of orbit i's words
+    and of the union of their radius-1 balls, and covering[y] is the
+    bitmask of the orbits whose ball holds word y.
+    """
+    orbits, members, balls = [], [], []
+    for o in enumerate_orbits(m):
+        idx = [int("".join(map(str, w)), 3) for w in o.members]
+        ball = [y for x in idx for y in _ball1_indices(x, m)]
+        # each member's own ball has distinct words, so a repeat means two
+        # members' balls meet
+        if len(set(ball)) == len(ball):
+            orbits.append(o)
+            members.append(idx)
+            balls.append(ball)
+    covering = [0] * 3**m
+    for i, ball in enumerate(balls):
+        bit = 1 << i
+        for y in ball:
+            covering[y] |= bit
+    return orbits, members, balls, covering
+
+
+def _adjacency(balls, covering) -> tuple[int, ...]:
+    """Distinct orbits conflict iff their ball unions meet, i.e. one orbit's
+    ball holds a word that the other's covers."""
+    full = (1 << len(balls)) - 1
+    adj = []
+    for ball in balls:
+        conflicts = 0
+        for y in ball:
+            conflicts |= covering[y]
+        adj.append(full & ~conflicts)
+    return tuple(adj)
+
+
+@lru_cache(maxsize=4)
 def _plain_graph(m: int):
     """Self-compatible orbits plus pairwise-compatibility bitmasks."""
-    orbits = [o for o in enumerate_orbits(m) if _self_compatible(o)]
-    covers = [_orbit_cover(o) for o in orbits]
-    V = len(orbits)
-    adj = [0] * V
-    for i in range(V):
-        balls_i = covers[i][0]
-        for j in range(i + 1, V):
-            # distinct orbits conflict iff some ball from one meets some
-            # ball from the other, i.e. the ball unions intersect
-            if balls_i.isdisjoint(covers[j][0]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return tuple(orbits), tuple(adj)
+    orbits, _, balls, covering = _orbit_index(m)
+    return tuple(orbits), _adjacency(balls, covering)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _relabel(mask: int, label: list[int]) -> int:
+    """Move bit i of mask to bit label[i]; label permutes range(len(label))."""
+    full = (1 << len(label)) - 1
+    if 2 * mask.bit_count() > len(label):
+        # the search graphs are dense: walk the fewer clear bits
+        return full ^ _relabel(full ^ mask, label)
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << label[i]
+    return out
 
 
 def _max_weight_clique(
@@ -158,80 +221,83 @@ def _max_weight_clique(
     worker_count: int,
     seed_solution: tuple[int, int] | None = None,
 ):
-    """Deterministic branch-and-bound over adjacency bitsets.
+    """Deterministic branch-and-bound over adjacency bitsets (no self-loops).
 
-    Returns (best_weight, best_mask, proven_optimal).  Vertices are
-    explored in the given order; `keys` breaks weight ties so merged
-    results are order-independent.  The node budget makes the budget
-    deterministic rather than wall-clock based; seeding with a known
-    clique keeps budget-exhausted results at least that good.
+    Returns (best_weight, best_mask, proven_optimal, nodes), where nodes
+    counts the expanded nodes.  Vertices are branched on in (-weight, key)
+    order; `keys` breaks weight ties so merged results are order-independent.
+    The node budget makes the budget deterministic rather than wall-clock
+    based; seeding with a known clique keeps budget-exhausted results at
+    least that good.
+
+    Internally bit p stands for the p-th vertex in branch order, so a
+    node's candidates are walked from the lowest set bit up and the bound
+    (the candidates' total weight) is a popcount per weight class; masks go
+    back to the caller's labels only on return.
     """
     V = len(weights)
     order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+    rank = [0] * V
+    for p, v in enumerate(order):
+        rank[v] = p
+    w = [weights[v] for v in order]
+    nbr = [_relabel(adj[v], rank) for v in order]
+    sorted_keys = [keys[v] for v in order]
+    # one weight class is one run of positions in branch order
+    classes = []
+    start = 0
+    for p in range(1, V + 1):
+        if p == V or w[p] != w[start]:
+            classes.append((w[start], (1 << p) - (1 << start)))
+            start = p
 
-    best = {"w": -1, "mask": 0, "key": None}
-    nodes = {"n": 0, "exhausted": False}
+    best_w, best_mask, best_key = -1, 0, None
+    nodes = 0
+    exhausted = False
 
-    def consider(w, mask):
-        if w < best["w"]:
+    def consider(cur_w, mask):
+        nonlocal best_w, best_mask, best_key
+        if cur_w < best_w:
             return
-        key = tuple(sorted(keys[i] for i in _bits(mask)))
-        if w > best["w"] or best["key"] is None or key < best["key"]:
-            best["w"], best["mask"], best["key"] = w, mask, key
+        key = tuple(sorted(sorted_keys[p] for p in _bits(mask)))
+        if cur_w > best_w or best_key is None or key < best_key:
+            best_w, best_mask, best_key = cur_w, mask, key
 
-    def _bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def expand(pos, cand_mask, cur_w, cur_mask):
-        nodes["n"] += 1
-        if nodes["n"] > node_budget:
-            nodes["exhausted"] = True
+    def expand(cand, cur_w, cur_mask):
+        nonlocal nodes, exhausted
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
             return
-        if not cand_mask:
-            consider(cur_w, cur_mask)
-            return
-        remaining = sum(weights[i] for i in _bits(cand_mask))
-        if cur_w + remaining < best["w"]:
-            return
-        progressed = False
-        for p in range(pos, V):
-            v = order[p]
-            bit = 1 << v
-            if not cand_mask & bit:
-                continue
-            if cur_w + remaining < best["w"]:
-                break
-            progressed = True
-            expand(p + 1, cand_mask & adj[v], cur_w + weights[v], cur_mask | bit)
-            if nodes["exhausted"]:
+        remaining = 0
+        for cw, cm in classes:
+            remaining += cw * (cand & cm).bit_count()
+        while cand:
+            if cur_w + remaining < best_w:
                 return
-            cand_mask &= ~bit
-            remaining -= weights[v]
-        if not progressed or not cand_mask:
-            consider(cur_w, cur_mask)
+            low = cand & -cand
+            p = low.bit_length() - 1
+            expand(cand & nbr[p], cur_w + w[p], cur_mask | low)
+            if exhausted:
+                return
+            cand ^= low
+            remaining -= w[p]
+        consider(cur_w, cur_mask)
 
-    # Partition the top-level branches across (virtual) workers and merge
-    # deterministically; workers share the best bound via `best`.
-    top = [p for p in range(V)]
-    buckets = [top[w::worker_count] for w in range(worker_count)]
+    # Partition the top-level branches across (virtual) workers; they run
+    # one after another and share the best bound.  Branch p excludes every
+    # vertex before p in branch order.  Workers past the V-th get none.
     consider(0, 0)
     if seed_solution is not None:
-        consider(*seed_solution)
-    for bucket in buckets:
-        for p in bucket:
-            v = order[p]
-            cand = adj[v]
-            for earlier in range(p):
-                cand &= ~(1 << order[earlier])
-            expand(p + 1, cand, weights[v], 1 << v)
-            if nodes["exhausted"]:
+        consider(seed_solution[0], _relabel(seed_solution[1], rank))
+    for first in range(min(worker_count, V)):
+        for p in range(first, V, worker_count):
+            expand(nbr[p] & -(1 << p), w[p], 1 << p)
+            if exhausted:
                 break
-        if nodes["exhausted"]:
+        if exhausted:
             break
-    return best["w"], best["mask"], not nodes["exhausted"]
+    return best_w, _relabel(best_mask, order), not exhausted, nodes
 
 
 def _greedy(weights, adj, keys, order):
@@ -249,18 +315,19 @@ def _greedy(weights, adj, keys, order):
 
 
 def _run_search(weights, adj, keys, cfg: SearchConfig):
-    """Dispatch on strategy; returns (score, mask, proven_optimal)."""
+    """Dispatch on strategy; returns the search meta and the chosen mask."""
     V = len(weights)
     base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
     if cfg.strategy == "exact-clique":
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
         seed_solution = _greedy(weights, adj, keys, base_order)
-        return _max_weight_clique(
+        score, mask, optimal, nodes = _max_weight_clique(
             weights, adj, keys, node_budget, cfg.worker_count, seed_solution
         )
+        return _search_meta(cfg, score, optimal, nodes), mask
     if cfg.strategy == "greedy":
         w, mask = _greedy(weights, adj, keys, base_order)
-        return w, mask, False
+        return _search_meta(cfg, w, False), mask
     # randomized-restart: deterministic restart count derived from budget
     import random
 
@@ -274,7 +341,20 @@ def _run_search(weights, adj, keys, cfg: SearchConfig):
         key = tuple(sorted(keys[i] for i in range(V) if mask >> i & 1))
         if w > best_w or (w == best_w and key < best_key):
             best_w, best_mask, best_key = w, mask, key
-    return best_w, best_mask, False
+    return _search_meta(cfg, best_w, False), best_mask
+
+
+def _search_meta(cfg: SearchConfig, score: int, optimal: bool, nodes: int | None = None):
+    meta = {
+        "score": str(score),
+        "strategy": cfg.strategy,
+        "seed": str(cfg.seed),
+        "worker_count": str(cfg.worker_count),
+        "proven_optimal": "yes" if optimal else "no",
+    }
+    if nodes is not None:
+        meta["nodes"] = str(nodes)
+    return meta
 
 
 def _orbits_to_codebook(orbits, mask, m, name, meta) -> CodeBook:
@@ -290,7 +370,8 @@ def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
 
     Deterministic for fixed (seed, worker_count).  The result passes the
     radius-1 channel oracle by construction; metadata records the score and
-    whether the exact strategy proved optimality within its budget.
+    whether the exact strategy proved optimality within its budget, and the
+    exact strategy adds the number of branch-and-bound nodes it expanded.
     """
     cfg = cfg or SearchConfig()
     if cfg.strategy == "exact-clique" and m > 8:
@@ -298,45 +379,43 @@ def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
     orbits, adj = _plain_graph(m)
     weights = [o.weight_score for o in orbits]
     keys = [o.representative for o in orbits]
-    score, mask, optimal = _run_search(weights, list(adj), keys, cfg)
-    meta = {
-        "score": str(score),
-        "strategy": cfg.strategy,
-        "seed": str(cfg.seed),
-        "worker_count": str(cfg.worker_count),
-        "proven_optimal": "yes" if optimal else "no",
-    }
+    meta, mask = _run_search(weights, list(adj), keys, cfg)
     return _orbits_to_codebook(orbits, mask, m, f"cyclic-search-m{m}", meta)
 
 
-@lru_cache(maxsize=None)
+_SPREAD = str.maketrans({"0": "00", "1": "01"})
+
+
+def _spread(mask: int) -> int:
+    """Move bit j of mask to bit 2j."""
+    return int(format(mask, "b").translate(_SPREAD), 2)
+
+
+@lru_cache(maxsize=4)
 def _extended_graph(m: int):
     """Two-layer graph for the split construction behind a literal bit.
 
     Vertex 2i is orbit i used in part 0, vertex 2i+1 the same orbit in
-    part 1.  Same-part edges need plain compatibility; a part-0 / part-1
-    edge additionally forbids part-1 members inside part-0 balls (a fallen
-    prefix bit lands a part-1 word on its bare trits).
+    part 1.  Same-part edges need plain compatibility.  Part-0 orbit i and
+    part-1 orbit j (i != j) are adjacent iff no member of j lies in the
+    ball of i: a fallen prefix bit lands a part-1 word on its bare trits,
+    and the prefix keeps every other pair of balls apart.
     """
-    orbits, adj = _plain_graph(m)
-    covers = [_orbit_cover(o) for o in orbits]
-    V = len(orbits)
-    ext = [0] * (2 * V)
-    for i in range(V):
-        for j in range(V):
-            if i != j and adj[i] >> j & 1:
-                ext[2 * i] |= 1 << (2 * j)
-                ext[2 * i + 1] |= 1 << (2 * j + 1)
-    for i in range(V):
-        balls_i, _ = covers[i]
-        for j in range(V):
-            if i == j:
-                continue
-            _, members_j = covers[j]
-            if balls_i.isdisjoint(members_j):
-                ext[2 * i] |= 1 << (2 * j + 1)
-                ext[2 * j + 1] |= 1 << (2 * i)
-    return orbits, tuple(ext)
+    orbits, members, balls, covering = _orbit_index(m)
+    adj = _adjacency(balls, covering)
+    full = (1 << len(orbits)) - 1
+    ext = []
+    for i, idx in enumerate(members):
+        # Orbits whose ball holds a member of i, i itself included.  The T
+        # steps are symmetric, so these are also the orbits with a member
+        # in ball i: one mask gives both part-0 / part-1 directions.
+        hit = 0
+        for x in idx:
+            hit |= covering[x]
+        same, cross = _spread(adj[i]), _spread(full & ~hit)
+        ext.append(same | cross << 1)
+        ext.append(same << 1 | cross)
+    return tuple(orbits), tuple(ext)
 
 
 def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, CodeBook]:
@@ -353,7 +432,7 @@ def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, 
         weights[2 * i] = weights[2 * i + 1] = o.weight_score
         keys[2 * i] = (0, o.representative)
         keys[2 * i + 1] = (1, o.representative)
-    score, mask, optimal = _run_search(weights, list(ext), keys, cfg)
+    meta, mask = _run_search(weights, list(ext), keys, cfg)
     mask0 = 0
     mask1 = 0
     for i in range(V):
@@ -361,13 +440,6 @@ def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, 
             mask0 |= 1 << i
         if mask >> (2 * i + 1) & 1:
             mask1 |= 1 << i
-    meta = {
-        "score": str(score),
-        "strategy": cfg.strategy,
-        "seed": str(cfg.seed),
-        "worker_count": str(cfg.worker_count),
-        "proven_optimal": "yes" if optimal else "no",
-    }
     part0 = _orbits_to_codebook(orbits, mask0, m, f"extended-search-m{m}-part0", meta)
     part1 = _orbits_to_codebook(orbits, mask1, m, f"extended-search-m{m}-part1", dict(meta))
     return part0, part1

@@ -371,6 +371,8 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     total decrement at most t; raises DecodeAmbiguity / DecodeFailure
     otherwise.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     rs = _as_symbols(received)
     if len(rs) != c.n:
         raise AlphabetMismatch("received word length does not match the code")

@@ -189,6 +189,13 @@ class TestOracle:
         bad = book_from_strings(["11", "12"], q=3)
         assert not corrects_t_errors(bad, ch, 1)
 
+    def test_negative_radius_rejected(self):
+        # with t=-1 every ball is empty, so any code would "pass"
+        ch = ProductChannel.power(make_channel("Z", 2), 2)
+        bad = book_from_strings(["00", "01"])
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            corrects_t_errors(bad, ch, -1)
+
     def test_mixed_example(self):
         rows = [(0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 2),
                 (1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1)]

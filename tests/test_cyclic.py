@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asymcodes import (
     ProductChannel,
@@ -19,7 +20,17 @@ from asymcodes import (
     search_extended,
     weight_enumerator,
 )
-from asymcodes.cyclic import BUILTIN_EXTENDED, BUILTIN_PLAIN, orbit_of
+from asymcodes.cyclic import (
+    BUILTIN_EXTENDED,
+    BUILTIN_PLAIN,
+    _ball1,
+    _extended_graph,
+    _greedy,
+    _max_weight_clique,
+    _plain_graph,
+    orbit_of,
+)
+from asymcodes.words import EnumerationCapExceeded
 
 
 def t_channel(m):
@@ -173,6 +184,195 @@ class TestSearch:
         assert int(part0.meta["score"]) >= 53
         image = construct_extended(part0, part1)
         assert is_t_code(image, 1)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Random simple graphs on at most 10 vertices with tie-prone weights
+    and distinct keys."""
+    V = draw(st.integers(0, 10))
+    weights = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5]), min_size=V, max_size=V))
+    adj = [0] * V
+    for i, j in itertools.combinations(range(V), 2):
+        if draw(st.booleans()):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    keys = draw(st.permutations(range(V)))
+    return weights, adj, keys
+
+
+def brute_force_clique(weights, adj, keys):
+    """(best weight, sorted keys of the lexicographically smallest best
+    clique) over every vertex subset."""
+    V = len(weights)
+    best = None
+    for mask in range(1 << V):
+        chosen = [i for i in range(V) if mask >> i & 1]
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(chosen, 2)):
+            cand = (-sum(weights[i] for i in chosen), tuple(sorted(keys[i] for i in chosen)))
+            if best is None or cand < best:
+                best = cand
+    return -best[0], best[1]
+
+
+def reference_clique(weights, adj, keys, node_budget, worker_count, seed_solution=None):
+    """The branch-and-bound as first written: caller labels, a scan over
+    branch positions and the bound summed vertex by vertex.  The engine
+    must expand exactly the same nodes."""
+    V = len(weights)
+    order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+    best = {"w": -1, "mask": 0, "key": None}
+    nodes = {"n": 0, "exhausted": False}
+
+    def members(mask):
+        return [i for i in range(V) if mask >> i & 1]
+
+    def consider(w, mask):
+        if w < best["w"]:
+            return
+        key = tuple(sorted(keys[i] for i in members(mask)))
+        if w > best["w"] or best["key"] is None or key < best["key"]:
+            best["w"], best["mask"], best["key"] = w, mask, key
+
+    def expand(pos, cand, cur_w, cur_mask):
+        nodes["n"] += 1
+        if nodes["n"] > node_budget:
+            nodes["exhausted"] = True
+            return
+        if not cand:
+            consider(cur_w, cur_mask)
+            return
+        remaining = sum(weights[i] for i in members(cand))
+        if cur_w + remaining < best["w"]:
+            return
+        progressed = False
+        for p in range(pos, V):
+            v = order[p]
+            if not cand >> v & 1:
+                continue
+            if cur_w + remaining < best["w"]:
+                break
+            progressed = True
+            expand(p + 1, cand & adj[v], cur_w + weights[v], cur_mask | 1 << v)
+            if nodes["exhausted"]:
+                return
+            cand &= ~(1 << v)
+            remaining -= weights[v]
+        if not progressed or not cand:
+            consider(cur_w, cur_mask)
+
+    consider(0, 0)
+    if seed_solution is not None:
+        consider(*seed_solution)
+    for first in range(worker_count):
+        for p in range(first, V, worker_count):
+            v = order[p]
+            cand = adj[v]
+            for earlier in range(p):
+                cand &= ~(1 << order[earlier])
+            expand(p + 1, cand, weights[v], 1 << v)
+            if nodes["exhausted"]:
+                break
+        if nodes["exhausted"]:
+            break
+    return best["w"], best["mask"], not nodes["exhausted"], nodes["n"]
+
+
+class TestCliqueEngine:
+    @given(weighted_graphs(), st.integers(1, 3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_subset_enumeration(self, graph, worker_count, seeded):
+        weights, adj, keys = graph
+        V = len(weights)
+        seed = None
+        if seeded:
+            order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+            seed = _greedy(weights, adj, keys, order)
+        w, mask, proven, nodes = _max_weight_clique(weights, adj, keys, 10**6, worker_count, seed)
+        chosen = [i for i in range(V) if mask >> i & 1]
+        assert proven
+        assert (nodes == 0) == (V == 0)
+        assert sum(weights[i] for i in chosen) == w
+        assert (w, tuple(sorted(keys[i] for i in chosen))) == brute_force_clique(weights, adj, keys)
+
+    @given(weighted_graphs(), st.integers(1, 3), st.integers(1, 40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_expands_the_reference_nodes(self, graph, worker_count, budget, seeded):
+        # small budgets make many runs stop early: their partial answers
+        # must match too
+        weights, adj, keys = graph
+        seed = None
+        if seeded:
+            order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
+            seed = _greedy(weights, adj, keys, order)
+        args = (weights, adj, keys, budget, worker_count, seed)
+        assert _max_weight_clique(*args) == reference_clique(*args)
+
+    @pytest.mark.parametrize(
+        "m, worker_count, budget", [(5, 1, 10**6), (5, 2, 300), (6, 3, 2_000)]
+    )
+    def test_search_graphs_expand_the_reference_nodes(self, m, worker_count, budget):
+        orbits, adj = _plain_graph(m)
+        weights = [o.weight_score for o in orbits]
+        keys = [o.representative for o in orbits]
+        order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
+        args = (weights, list(adj), keys, budget, worker_count, _greedy(weights, adj, keys, order))
+        assert _max_weight_clique(*args) == reference_clique(*args)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_plain_graph_equals_pairwise_compatibility(self, m):
+        orbits, adj = _plain_graph(m)
+        assert list(orbits) == [o for o in enumerate_orbits(m) if orbits_compatible(o, o)]
+        V = len(orbits)
+        for i, j in itertools.product(range(V), repeat=2):
+            expected = i != j and orbits_compatible(orbits[i], orbits[j])
+            assert bool(adj[i] >> j & 1) == expected, (m, i, j)
+        assert all(a >> V == 0 for a in adj)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_extended_graph_equals_definition(self, m):
+        orbits, ext = _extended_graph(m)
+        assert orbits == _plain_graph(m)[0]
+        balls = [set().union(*(_ball1(w) for w in o.members)) for o in orbits]
+        members = [set(o.members) for o in orbits]
+        V = len(orbits)
+        assert len(ext) == 2 * V
+        for i, j in itertools.product(range(V), repeat=2):
+            same = i != j and balls[i].isdisjoint(balls[j])
+            # part-0 orbit i next to part-1 orbit j
+            cross = i != j and balls[i].isdisjoint(members[j])
+            assert bool(ext[2 * i] >> (2 * j) & 1) == same
+            assert bool(ext[2 * i + 1] >> (2 * j + 1) & 1) == same
+            assert bool(ext[2 * i] >> (2 * j + 1) & 1) == cross
+            assert bool(ext[2 * j + 1] >> (2 * i) & 1) == cross
+        assert all(e >> (2 * V) == 0 for e in ext)
+
+    def test_budget_exhausted_results_pinned(self):
+        # 5 units of node budget are 250 000 nodes; the node that runs out
+        # is counted too
+        code = search_cyclic(7, SearchConfig(time_budget=5.0))
+        assert code.meta["score"] == "961"
+        assert code.meta["proven_optimal"] == "no"
+        assert code.meta["nodes"] == "250001"
+        part0, part1 = search_extended(6, SearchConfig(time_budget=5.0))
+        assert part0.meta["score"] == "534"
+        assert part0.meta["proven_optimal"] == "no"
+        assert part0.meta["nodes"] == "250001"
+
+    def test_node_count_is_exact_strategy_only(self):
+        nodes = search_cyclic(5).meta["nodes"]
+        assert int(nodes) > 0
+        assert search_cyclic(5).meta["nodes"] == nodes
+        assert "nodes" not in search_cyclic(5, SearchConfig(strategy="greedy")).meta
+
+    def test_enumeration_cap_checked_before_building(self):
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_orbits(6, cap=3**6 - 1)
+        assert len(enumerate_orbits(6, cap=3**6)) == necklace_count(6)
+
+    def test_graph_caches_are_bounded(self):
+        assert _plain_graph.cache_info().maxsize == 4
+        assert _extended_graph.cache_info().maxsize == 4
 
 
 EXPECTED_PLAIN = {3: 12, 4: 29, 5: 98, 6: 336, 7: 1200, 8: 3952}

@@ -135,6 +135,21 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.strip() == "1100"
         assert main(["decode", "--code", str(f), "--received", "0000", "--t", "2"]) == 1
 
+    def test_decode_rejects_negative_t(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["decode", "--code", str(f), "--received", "1100", "--t", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t must be >= 0\n"
+
+    def test_search_over_enumeration_cap_is_usage_error(self, capsys):
+        # 3^13 words exceed the default cap of 10^6
+        assert main(["search", "cyclic", "--m", "13", "--strategy", "greedy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("received", ["0102", "1,1,0,2", "010"])
     def test_decode_rejects_word_outside_code_alphabet(self, tmp_path, capsys, received):
         f = tmp_path / "c.code"

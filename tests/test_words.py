@@ -263,6 +263,10 @@ class TestDecoder:
         with pytest.raises(DecodeAmbiguity):
             decode_asymmetric(self.c, (0, 0, 0, 0), 2)
 
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            decode_asymmetric(self.c, (1, 1, 0, 0), -1)
+
     def test_failure(self):
         c = book_from_strings(["11"])
         with pytest.raises(DecodeFailure):
