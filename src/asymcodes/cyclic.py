@@ -80,13 +80,13 @@ def orbit_of(w: tuple[int, ...]) -> Orbit:
     return Orbit(members[0], members)
 
 
-def enumerate_orbits(m: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Orbit, ...]:
+def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
     """All rotation classes of ternary length-m words, representatives in
     lexicographic order."""
     if not 1 <= m <= 13:
         raise ValueError("orbit enumeration supports 1 <= m <= 13")
-    if 3**m > cap:
-        raise EnumerationCapExceeded(f"3^{m} words exceed enumeration cap {cap}")
+    if 3**m > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded(f"3^{m} words exceed enumeration cap {DEFAULT_ENUM_CAP}")
     reps = []
     seen = set()
     for v in range(3**m):
@@ -203,10 +203,6 @@ def _bits(mask: int):
 
 def _relabel(mask: int, label: list[int]) -> int:
     """Move bit i of mask to bit label[i]; label permutes range(len(label))."""
-    full = (1 << len(label)) - 1
-    if 2 * mask.bit_count() > len(label):
-        # the search graphs are dense: walk the fewer clear bits
-        return full ^ _relabel(full ^ mask, label)
     out = 0
     for i in _bits(mask):
         out |= 1 << label[i]

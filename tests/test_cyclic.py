@@ -20,6 +20,7 @@ from asymcodes import (
     search_extended,
     weight_enumerator,
 )
+from asymcodes import cyclic
 from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
@@ -365,10 +366,12 @@ class TestCliqueEngine:
         assert search_cyclic(5).meta["nodes"] == nodes
         assert "nodes" not in search_cyclic(5, SearchConfig(strategy="greedy")).meta
 
-    def test_enumeration_cap_checked_before_building(self):
+    def test_enumeration_cap_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(cyclic, "DEFAULT_ENUM_CAP", 3**6 - 1)
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_orbits(6, cap=3**6 - 1)
-        assert len(enumerate_orbits(6, cap=3**6)) == necklace_count(6)
+            enumerate_orbits(6)
+        monkeypatch.setattr(cyclic, "DEFAULT_ENUM_CAP", 3**6)
+        assert len(enumerate_orbits(6)) == necklace_count(6)
 
     def test_graph_caches_are_bounded(self):
         assert _plain_graph.cache_info().maxsize == 4
