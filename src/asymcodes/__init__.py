@@ -27,6 +27,7 @@ from .words import (
 from .channels import (
     ChannelGraph,
     ProductChannel,
+    ball_overlap,
     corrects_t_errors,
     error_ball,
     make_channel,

@@ -5,23 +5,30 @@ on one coordinate; a ProductChannel is one graph per coordinate.  The
 generic oracle `corrects_t_errors` checks that error balls of radius t
 around distinct codewords are pairwise disjoint, which is the uniform
 correctability criterion used to validate every construction in this
-package.
+package; `ball_overlap` names a received word two balls share.  One ball
+enumerator lists the balls for the oracle, `error_ball` and the decoding
+table of `simulate_channel`.  It reads only the channel graphs, never the
+distance metrics of `words`, so the oracle and the metric path check each
+other.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .words import (
     AlphabetMismatch,
     AlphabetSpec,
     CodeBook,
-    EnumerationCapExceeded,
     Word,
+    check_cap,
 )
 
 CHANNEL_KINDS = ("Z", "T", "Rq", "chain", "L1-wrap")
@@ -131,45 +138,157 @@ def _check_compatible(alphabet: AlphabetSpec, ch: ProductChannel):
         raise AlphabetMismatch("alphabet profile does not match the channel")
 
 
-def _ball_symbols(
-    x: tuple[int, ...],
+def _coordinate_moves(
+    g: ChannelGraph, radius: int, counting: str, coord_radius: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Slots of (targets, costs), each indexed by the codeword's symbol:
+    what that symbol may turn into and what the move costs out of the error
+    budget.  Staying is free and not listed; unused slots cost radius + 1,
+    which no budget affords."""
+    moves = []
+    for dist in g.step_distances:
+        if counting == "magnitude":
+            # Steps commute across coordinates, so a symbol costs its BFS distance.
+            moves.append([(s, d) for s, d in enumerate(dist) if d and d <= radius])
+        else:
+            # A move of up to coord_radius steps costs one.
+            moves.append([(s, 1) for s, d in enumerate(dist) if d and d <= coord_radius])
+    slots = []
+    for k in range(max(len(m) for m in moves)):
+        targets = np.zeros(g.q, dtype=np.int64)
+        costs = np.full(g.q, radius + 1, dtype=np.int64)
+        for a, m in enumerate(moves):
+            if k < len(m):
+                targets[a], costs[a] = m[k]
+        slots.append((targets, costs))
+    return slots
+
+
+def _limbs_of(sizes: tuple[int, ...]) -> list[range]:
+    """Coordinate ranges of a word's mixed-radix index, one per int64 limb:
+    each limb's digits span fewer than 2^63 values.
+
+    Coordinate 0 is the most significant digit, so sorting words by their
+    limbs, first limb first, sorts them lexicographically.
+    """
+    limbs, start, span = [], 0, 1
+    for i, q in enumerate(sizes):
+        if span * q >= 2**63:
+            limbs.append(range(start, i))
+            start, span = i, 1
+        span *= q
+    limbs.append(range(start, len(sizes)))
+    return limbs
+
+
+def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
+    """Total size of the balls around the codewords, without listing them.
+
+    left[b][r] counts the prefixes of row r's ball that leave budget b.
+    float64 is exact below 2^53 and overflows to inf, which still compares
+    as over any cap.  Every prefix extends to a word (staying is free), so
+    no partial count exceeds the total.
+    """
+    none = np.zeros(cols.shape[1])
+    left = [none] * radius + [np.ones(cols.shape[1])]
+    for col, slots in zip(cols, moves):
+        nxt = list(left)
+        for c in range(1, radius + 1):
+            ways = sum(((costs == c)[col] for _, costs in slots), none)
+            for b in range(c, radius + 1):
+                nxt[b - c] = nxt[b - c] + left[b] * ways
+        left = nxt
+    total = float(sum(x.sum() for x in left))
+    return int(total) if math.isfinite(total) else total
+
+
+def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...]):
+    """Every codeword's ball at once: (owner, limb indices), one entry per word.
+
+    A word of the ball is its codeword with some coordinates moved, at a
+    total cost within the radius.  Each round gives every entry that has
+    budget left one more move, on a coordinate after its last moved one,
+    so each ball lists each of its words once.
+    """
+    limbs = _limbs_of(sizes)
+    weight, limb_of = [0] * len(cols), [0] * len(cols)
+    index = []
+    for j, limb in enumerate(limbs):
+        span, base = 1, np.zeros(cols.shape[1], dtype=np.int64)
+        for i in reversed(limb):
+            weight[i], limb_of[i] = span, j
+            base += cols[i] * span
+            span *= sizes[i]
+        index.append(base)
+    owner = np.arange(cols.shape[1])
+    left = np.full(len(owner), radius, dtype=np.int64)
+    last = np.full(len(owner), -1)
+    found = [(owner, index)]
+    while len(owner):
+        grown = []
+        for i, slots in enumerate(moves):
+            # the frontier is ordered by last moved coordinate
+            m = int(np.searchsorted(last, i))
+            a = cols[i][owner[:m]]
+            for targets, costs in slots:
+                cost = costs[a]
+                keep = np.flatnonzero(cost <= left[:m])
+                step = (targets[a[keep]] - a[keep]) * weight[i]
+                moved = [x[keep] + step if j == limb_of[i] else x[keep] for j, x in enumerate(index)]
+                grown.append((owner[keep], left[keep] - cost[keep], i, moved))
+        if not grown:
+            break
+        owner = np.concatenate([g[0] for g in grown])
+        left = np.concatenate([g[1] for g in grown])
+        last = np.repeat([g[2] for g in grown], [len(g[0]) for g in grown])
+        index = [np.concatenate([g[3][j] for g in grown]) for j in range(len(limbs))]
+        found.append((owner, index))
+        live = np.flatnonzero(left > 0)
+        owner, left, last = owner[live], left[live], last[live]
+        index = [x[live] for x in index]
+    return (np.concatenate([f[0] for f in found]),
+            [np.concatenate([f[1][j] for f in found]) for j in range(len(limbs))])
+
+
+def _balls(
+    rows: np.ndarray,
     ch: ProductChannel,
     radius: int,
     counting: str,
     coord_radius: int,
     cap: int,
-) -> set[tuple[int, ...]]:
+):
+    """The one ball enumerator: owners and limb indices of every word in the
+    radius balls around `rows`, after checking their total size against cap."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
-    # Each coordinate offers (symbol, cost) options; a word is in the ball iff
-    # its per-coordinate costs sum to <= radius.
-    options = []
-    for a, g in zip(x, ch.coordinates):
-        dist = g.step_distances[a]
-        if counting == "magnitude":
-            # Steps commute across coordinates, so a symbol costs its BFS distance.
-            options.append([(s, d) for s, d in enumerate(dist) if d is not None and d <= radius])
-        else:
-            # Staying is free; a move of up to coord_radius steps costs one.
-            options.append([(a, 0)] + [
-                (s, 1) for s, d in enumerate(dist) if d is not None and 0 < d <= coord_radius
-            ])
-    n = len(x)
-    out: set[tuple[int, ...]] = set()
+    per_graph = {g: _coordinate_moves(g, radius, counting, coord_radius)
+                 for g in set(ch.coordinates)}
+    moves = [per_graph[g] for g in ch.coordinates]
+    cols = np.ascontiguousarray(rows.T)
+    check_cap(_ball_count(cols, moves, radius), cap, f"radius-{radius} error balls")
+    return _expand(cols, moves, radius, ch.alphabet.sizes)
 
-    def rec(i, budget, prefix):
-        if len(out) > cap:
-            raise EnumerationCapExceeded(f"error ball exceeds cap {cap}")
-        if i == n:
-            out.add(tuple(prefix))
-            return
-        for s, d in options[i]:
-            if d <= budget:
-                prefix.append(s)
-                rec(i + 1, budget - d, prefix)
-                prefix.pop()
 
-    rec(0, radius, [])
+def _coverage(owner: np.ndarray, limbs: list[np.ndarray]):
+    """The distinct words of the balls in lexicographic order, as limb
+    indices, and the owner of each, or -1 where several balls hold it."""
+    order = np.argsort(limbs[0]) if len(limbs) == 1 else np.lexsort(limbs[::-1])
+    ranked = [index[order] for index in limbs]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([r[1:] != r[:-1] for r in ranked])
+    starts = np.flatnonzero(first)
+    alone = np.diff(starts, append=len(order)) == 1
+    return [r[starts] for r in ranked], np.where(alone, owner[order[starts]], -1)
+
+
+def _symbols_of(limbs: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
+    """Words back from their limb indices, one row per entry."""
+    out = np.empty((len(limbs[0]), len(sizes)), dtype=np.int64)
+    for index, limb in zip(limbs, _limbs_of(sizes)):
+        index = index.copy()
+        for i in reversed(limb):
+            index, out[:, i] = np.divmod(index, sizes[i])
     return out
 
 
@@ -190,8 +309,49 @@ def error_ball(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     _check_compatible(x.alphabet, ch)
-    raw = _ball_symbols(x.symbols, ch, radius, counting, coord_radius, cap)
-    return frozenset(Word(s, x.alphabet) for s in raw)
+    rows = np.array([x.symbols], dtype=np.int64)
+    _, limbs = _balls(rows, ch, radius, counting, coord_radius, cap)
+    found = _symbols_of(limbs, x.alphabet.sizes).tolist()
+    return frozenset(Word(s, x.alphabet) for s in found)
+
+
+class BallOverlap(NamedTuple):
+    """A word lying in the error balls of two distinct codewords x < y."""
+
+    received: Word
+    x: Word
+    y: Word
+
+
+def ball_overlap(
+    c: CodeBook,
+    ch: ProductChannel,
+    t: int,
+    counting: str = "magnitude",
+    coord_radius: int = 1,
+    cap: int = DEFAULT_BALL_CAP,
+) -> BallOverlap | None:
+    """None iff radius-t error balls around distinct codewords are disjoint.
+
+    Otherwise the witness: the lexicographically first received word that
+    two balls share, and the first two codewords whose balls hold it.
+    Every ball is listed once, as mixed-radix word indices; one sort then
+    puts any word that two balls share next to itself.  The total ball
+    size is counted, and checked against cap, before anything is listed.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    _check_compatible(c.alphabet, ch)
+    owner, limbs = _balls(c.matrix(), ch, t, counting, coord_radius, cap)
+    words, holder = _coverage(owner, limbs)
+    shared = np.flatnonzero(holder < 0)
+    if not len(shared):
+        return None
+    word = [w[shared[0]] for w in words]
+    holders = np.logical_and.reduce([index == w for index, w in zip(limbs, word)])
+    x, y = np.sort(owner[holders])[:2]
+    received = _symbols_of([np.array([w]) for w in word], c.alphabet.sizes)[0]
+    return BallOverlap(Word(received.tolist(), c.alphabet), c.words[x], c.words[y])
 
 
 def corrects_t_errors(
@@ -203,19 +363,7 @@ def corrects_t_errors(
     cap: int = DEFAULT_BALL_CAP,
 ) -> bool:
     """True iff radius-t error balls around distinct codewords are disjoint."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    _check_compatible(c.alphabet, ch)
-    covered: dict[tuple[int, ...], int] = {}
-    for idx, word in enumerate(c.symbol_rows):
-        for y in _ball_symbols(word, ch, t, counting, coord_radius, cap):
-            prev = covered.get(y)
-            if prev is not None and prev != idx:
-                return False
-            covered[y] = idx
-        if len(covered) > cap:
-            raise EnumerationCapExceeded(f"coverage map exceeds cap {cap}")
-    return True
+    return ball_overlap(c, ch, t, counting, coord_radius, cap) is None
 
 
 @dataclass(frozen=True)
@@ -271,13 +419,14 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     rows = c.symbol_rows
-    # word -> codeword index, or -1 where two balls overlap
-    coverage: dict[tuple[int, ...], int] = {}
-    for idx, word in enumerate(rows):
-        for y in _ball_symbols(word, ch, t, "magnitude", 1, cap):
-            coverage[y] = idx if coverage.get(y, idx) == idx else -1
-        if len(coverage) > cap:
-            raise EnumerationCapExceeded(f"coverage map exceeds cap {cap}")
+    sizes = c.alphabet.sizes
+    # word index -> codeword index, or -1 where two balls overlap
+    words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1, cap))
+    keys = words[0].tolist()
+    for w, limb in zip(words[1:], _limbs_of(sizes)[1:]):
+        span = math.prod(sizes[i] for i in limb)
+        keys = [k * span + v for k, v in zip(keys, w.tolist())]
+    coverage = dict(zip(keys, holder.tolist()))
 
     rng = random.Random(seed)
     failures = 0
@@ -294,6 +443,9 @@ def simulate_channel(
                 outs = ch.coordinates[i].out_map[received[i]]
                 if outs and rng.random() < p:
                     received[i] = rng.choice(outs)
-        if coverage.get(tuple(received), -1) != sent:
+        key = 0
+        for s, q in zip(received, sizes):
+            key = key * q + s
+        if coverage.get(key, -1) != sent:
             failures += 1
     return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

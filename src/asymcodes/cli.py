@@ -3,7 +3,9 @@
 Exit codes: 0 = success / verified; 1 = a verification answered "no"
 (not a t-code, failed decode, mismatched table); 2 = usage or input error.
 Every construct subcommand re-verifies its output with the channel oracle
-unless --unchecked is passed.
+unless --unchecked is passed.  When the ball oracle answers "no" (verify
+--model ball, and the vt and cr re-check), the received word that two
+error balls share is printed with the two codewords.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from .bounds import (
     table2_report,
     TABLE2_REFERENCE,
 )
-from .channels import ProductChannel, corrects_t_errors, make_channel, simulate_channel
+from .channels import (
+    ProductChannel,
+    ball_overlap,
+    corrects_t_errors,
+    make_channel,
+    simulate_channel,
+)
 from .cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
@@ -86,8 +94,16 @@ def _default_oracle_channel(c: CodeBook) -> ProductChannel:
     return ProductChannel(graphs)
 
 
-def _verify_constructed(c: CodeBook, t: int = 1) -> bool:
-    return corrects_t_errors(c, _default_oracle_channel(c), t)
+def _ball_witness(c: CodeBook, t: int) -> dict | None:
+    """Check c with the ball oracle on the decrement chain.  On "no", print
+    the shared received word and the two codewords, and return them."""
+    overlap = ball_overlap(c, _default_oracle_channel(c), t)
+    if overlap is None:
+        return None
+    received, x, y = (str(w) for w in overlap)
+    print(f"witness: {received} lies in the radius-{t} error balls of {x} and {y}",
+          file=sys.stderr)
+    return {"received": received, "x": x, "y": y}
 
 
 def _cmd_construct(args) -> int:
@@ -183,7 +199,7 @@ def _cmd_construct(args) -> int:
         raise AssertionError(which)
 
     # vt / cr fall through to shared verify-and-write
-    if not args.unchecked and not _verify_constructed(code):
+    if not args.unchecked and _ball_witness(code, 1) is not None:
         print("VERIFICATION FAILED: output is not a 1-code", file=sys.stderr)
         return VERIFY_FAILED
     _emit_code(code, args.out)
@@ -202,6 +218,10 @@ def _cmd_verify(args) -> int:
             witness = {"x": str(code.words[i]), "y": str(code.words[j]), "distance": d}
             print(f"witness: {witness['x']} and {witness['y']} at asymmetric distance {d}",
                   file=sys.stderr)
+    elif args.model == "ball":
+        witness = _ball_witness(code, args.t)
+        ok = witness is None
+        detail = {"model": "ball", "t": args.t}
     else:
         ok = is_lm_code(code, args.t, args.l, wrap=args.wrap)
         detail = {"model": "limited", "t": args.t, "l": args.l, "wrap": args.wrap}
@@ -401,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a code file against a model")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--model", choices=["asym", "limited"], required=True)
+    v.add_argument("--model", choices=["asym", "limited", "ball"], required=True,
+                   help="asym: asymmetric distance > t; limited: limited-magnitude "
+                        "distance; ball: disjoint radius-t error balls on the "
+                        "decrement chain")
     v.add_argument("--t", type=int, required=True)
     v.add_argument("--l", type=int, default=1)
     v.add_argument("--wrap", action="store_true")

@@ -11,10 +11,11 @@ sizes, kept as regression data for the reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, EnumerationCapExceeded
+from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, check_cap
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
@@ -63,8 +64,8 @@ class SearchConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ValueError(f"time budget must be a positive finite number, got {self.time_budget}")
         if self.strategy not in ("exact-clique", "greedy", "randomized-restart"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.worker_count < 1:
@@ -85,8 +86,7 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
     lexicographic order."""
     if not 1 <= m <= 13:
         raise ValueError("orbit enumeration supports 1 <= m <= 13")
-    if 3**m > DEFAULT_ENUM_CAP:
-        raise EnumerationCapExceeded(f"3^{m} words exceed enumeration cap {DEFAULT_ENUM_CAP}")
+    check_cap(3**m, DEFAULT_ENUM_CAP, f"3^{m} words")
     reps = []
     seen = set()
     for v in range(3**m):
@@ -100,6 +100,12 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
 
 
 def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Radius-1 ball of w on the ternary channel, as a set of words.
+
+    Kept on purpose, with `_self_compatible` and `orbits_compatible`: this
+    set-based definition is the reference that the tests check the
+    inverted index (`_orbit_index`, `_adjacency`) against.
+    """
     out = {w}
     for i, s in enumerate(w):
         for b in _T_STEPS[s]:
@@ -108,6 +114,8 @@ def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def _self_compatible(orbit: Orbit) -> bool:
+    """True iff the orbit's members have pairwise disjoint radius-1 balls.
+    Kept on purpose as part of the set-based reference; see `_ball1`."""
     covered = {}
     for w in orbit.members:
         for y in _ball1(w):
@@ -119,7 +127,13 @@ def _self_compatible(orbit: Orbit) -> bool:
 
 def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     """True iff the union of the two orbits still has disjoint radius-1 balls
-    on the ternary channel (o1 == o2 checks the orbit against itself)."""
+    on the ternary channel (o1 == o2 checks the orbit against itself).
+
+    The search builds its graph from an inverted index instead.  This
+    set-based definition is kept on purpose as the independent reference
+    that the tests check that index against, as the ball oracle and the
+    metric path check each other.
+    """
     if o1.m != o2.m:
         raise ValueError("orbits have different lengths")
     if o1 == o2:
@@ -296,7 +310,7 @@ def _max_weight_clique(
     return best_w, _relabel(best_mask, order), not exhausted, nodes
 
 
-def _greedy(weights, adj, keys, order):
+def _greedy(weights, adj, order):
     mask = 0
     total = 0
     allowed = (1 << len(weights)) - 1
@@ -316,24 +330,24 @@ def _run_search(weights, adj, keys, cfg: SearchConfig):
     base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
     if cfg.strategy == "exact-clique":
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
-        seed_solution = _greedy(weights, adj, keys, base_order)
+        seed_solution = _greedy(weights, adj, base_order)
         score, mask, optimal, nodes = _max_weight_clique(
             weights, adj, keys, node_budget, cfg.worker_count, seed_solution
         )
         return _search_meta(cfg, score, optimal, nodes), mask
     if cfg.strategy == "greedy":
-        w, mask = _greedy(weights, adj, keys, base_order)
+        w, mask = _greedy(weights, adj, base_order)
         return _search_meta(cfg, w, False), mask
     # randomized-restart: deterministic restart count derived from budget
     import random
 
     rng = random.Random(cfg.seed)
     restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
-    best_w, best_mask = _greedy(weights, adj, keys, base_order)
+    best_w, best_mask = _greedy(weights, adj, base_order)
     best_key = tuple(sorted(keys[i] for i in range(V) if best_mask >> i & 1))
     for _ in range(restarts):
         order = sorted(range(V), key=lambda i: rng.random() / max(weights[i], 1))
-        w, mask = _greedy(weights, adj, keys, order)
+        w, mask = _greedy(weights, adj, order)
         key = tuple(sorted(keys[i] for i in range(V) if mask >> i & 1))
         if w > best_w or (w == best_w and key < best_key):
             best_w, best_mask, best_key = w, mask, key

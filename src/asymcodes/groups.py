@@ -22,7 +22,7 @@ from .words import (
     DEFAULT_ENUM_CAP,
     AlphabetSpec,
     CodeBook,
-    EnumerationCapExceeded,
+    check_cap,
 )
 
 GroupElement = tuple[int, ...]
@@ -136,8 +136,7 @@ def cr_code(
                 f"group {G} has elements of order < q={q} (e.g. {low[0]}); "
                 "the nonbinary construction requires order >= q"
             )
-    if q**n > cap:
-        raise EnumerationCapExceeded(f"q^n = {q}^{n} exceeds enumeration cap {cap}")
+    check_cap(q**n, cap, f"q^n = {q}^{n} words")
 
     total = q**n
     values = np.arange(total, dtype=np.int64)

@@ -20,8 +20,8 @@ from .words import (
     AlphabetSpec,
     CodeBook,
     DecodeFailure,
-    EnumerationCapExceeded,
     _as_symbols,
+    check_cap,
 )
 
 
@@ -213,8 +213,7 @@ def codewords_of(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP, name: str = "") ->
         gen = M
     q, n = gen.q, gen.ncols
     k = gen.nrows
-    if q**k > cap:
-        raise EnumerationCapExceeded(f"q^k = {q}^{k} exceeds enumeration cap {cap}")
+    check_cap(q**k, cap, f"q^k = {q}^{k} codewords")
     rows = set()
     G = np.array(gen.rows, dtype=np.int64).reshape(k, n)
     for coef in itertools.product(range(q), repeat=k):

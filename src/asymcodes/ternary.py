@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .channels import ProductChannel, corrects_t_errors, make_channel
 from .groups import Pairing
-from .words import AlphabetSpec, CodeBook
+from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, check_cap
 
 SQUEEZE = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}
 EXPANSIONS = {0: ((0, 0), (1, 1)), 1: ((0, 1),), 2: ((1, 0),)}
@@ -67,9 +69,21 @@ def expand_to_binary(c: CodeBook, p: Pairing) -> CodeBook:
     return CodeBook.from_symbols(AlphabetSpec.uniform(2, n), sorted(rows))
 
 
+def _expansion_size(c: CodeBook) -> int:
+    """Words `_expand_in_place` makes: sum over codewords of 2^(zero trits).
+
+    On a pure ternary code this is W(2,1) of `weight_enumerator`.  A zero
+    bit copies through without doubling, so mixed codes count trits only.
+    """
+    trit = np.array(c.alphabet.sizes) == 3
+    zeros = ((c.matrix() == 0) & trit).sum(axis=1)
+    return sum(1 << z for z in zeros.tolist())
+
+
 def _expand_in_place(c: CodeBook, name: str) -> CodeBook:
     """Expand each ternary coordinate into an adjacent bit pair; binary
     coordinates pass through in position order."""
+    check_cap(_expansion_size(c), DEFAULT_ENUM_CAP, "binary image words")
     n_out = sum(2 if q == 3 else 1 for q in c.alphabet.sizes)
     rows = set()
     for w in c.symbol_rows:

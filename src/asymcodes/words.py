@@ -9,13 +9,31 @@ ordered set of words over one alphabet profile.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_ENUM_CAP = int(os.environ.get("ASYMCODES_ENUM_CAP", 10**6))
+
+def _enum_cap_from_environment() -> int:
+    """ASYMCODES_ENUM_CAP, or 10^6 when unset.  A value that is not a
+    positive integer is a usage error: one line on stderr, exit code 2."""
+    raw = os.environ.get("ASYMCODES_ENUM_CAP")
+    if raw is None:
+        return 10**6
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        print(f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return cap
+
+
+DEFAULT_ENUM_CAP = _enum_cap_from_environment()
 
 
 class AlphabetMismatch(ValueError):
@@ -24,6 +42,13 @@ class AlphabetMismatch(ValueError):
 
 class EnumerationCapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""
+
+
+def check_cap(size: int, cap: int, what: str) -> None:
+    """Raise EnumerationCapExceeded if an enumeration of `size` items would
+    exceed cap.  Every exhaustive operation calls this before it allocates."""
+    if size > cap:
+        raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {cap}")
 
 
 class DecodingError(Exception):

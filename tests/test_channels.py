@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from asymcodes import (
     AlphabetSpec,
+    ChannelGraph,
     CodeBook,
     ProductChannel,
     Word,
+    ball_overlap,
     corrects_t_errors,
     decode_asymmetric,
     error_ball,
@@ -20,7 +22,8 @@ from asymcodes import (
     simulate_channel,
     vt_code,
 )
-from asymcodes.words import AlphabetMismatch, DecodingError
+from asymcodes import channels
+from asymcodes.words import AlphabetMismatch, DecodingError, EnumerationCapExceeded
 
 from conftest import book_from_strings
 
@@ -178,6 +181,163 @@ class TestErrorBallBruteForce:
         assert {w.symbols for w in ball} == expected
 
 
+def _reference_ball(x, ch, radius, counting, coord_radius):
+    """The former recursive ball enumerator: per-coordinate (symbol, cost)
+    options, combined depth first while the budget lasts."""
+    options = []
+    for a, g in zip(x, ch.coordinates):
+        dist = g.step_distances[a]
+        if counting == "magnitude":
+            options.append([(s, d) for s, d in enumerate(dist) if d is not None and d <= radius])
+        else:
+            options.append([(a, 0)] + [
+                (s, 1) for s, d in enumerate(dist) if d is not None and 0 < d <= coord_radius
+            ])
+    out = set()
+
+    def rec(i, budget, prefix):
+        if i == len(x):
+            out.add(tuple(prefix))
+            return
+        for s, d in options[i]:
+            if d <= budget:
+                prefix.append(s)
+                rec(i + 1, budget - d, prefix)
+                prefix.pop()
+
+    rec(0, radius, [])
+    return out
+
+
+def reference_overlap(c, ch, t, counting="magnitude", coord_radius=1):
+    """The former dict-loop oracle: True iff two balls share a word."""
+    covered = {}
+    for idx, word in enumerate(c.symbol_rows):
+        for y in _reference_ball(word, ch, t, counting, coord_radius):
+            if covered.get(y, idx) != idx:
+                return True
+            covered[y] = idx
+    return False
+
+
+def _check_against_reference(c, ch, t, counting, coord_radius):
+    got = ball_overlap(c, ch, t, counting=counting, coord_radius=coord_radius)
+    assert (got is not None) == reference_overlap(c, ch, t, counting, coord_radius)
+    assert corrects_t_errors(c, ch, t, counting=counting, coord_radius=coord_radius) == (got is None)
+    if got is not None:
+        assert got.x in c and got.y in c and got.x.symbols < got.y.symbols
+        for w in (got.x, got.y):
+            assert got.received.symbols in _reference_ball(w.symbols, ch, t, counting, coord_radius)
+    return got
+
+
+@st.composite
+def codes_near_a_word(draw, long_words):
+    """A product channel and a code of words that differ from one base word
+    in a few coordinates, so that their balls often meet.  With long_words
+    the word indices need more than one int64 (product of q_i >= 2^63)."""
+    kinds = draw(st.lists(st.sampled_from(["Z", "T", "chain", "Rq", "L1-wrap"]),
+                          min_size=1, max_size=3))
+    graphs = []
+    for kind in kinds:
+        q = {"Z": 2, "T": 3}.get(kind) or draw(st.integers(2 if kind == "chain" else 3, 5))
+        graphs.append(make_channel(kind, q))
+    if long_words:
+        block = 1
+        for g in graphs:
+            block *= g.q
+        reps = 1
+        while block**reps < 2**63:
+            reps += 1
+        graphs = graphs * reps
+    ch = ProductChannel.mixed(graphs)
+    n = len(graphs)
+    base = [draw(st.integers(0, g.q - 1)) for g in graphs]
+    rows = set()
+    for _ in range(draw(st.integers(1, 5))):
+        word = list(base)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            word[i] = draw(st.integers(0, graphs[i].q - 1))
+        rows.add(tuple(word))
+    return ch, CodeBook.from_symbols(ch.alphabet, sorted(rows))
+
+
+class TestBallOverlap:
+    @settings(max_examples=300, deadline=None)
+    @given(codes_near_a_word(long_words=False), st.integers(0, 3),
+           st.sampled_from(["magnitude", "coordinates"]), st.sampled_from([0, 1, 2]))
+    def test_equals_reference(self, case, t, counting, coord_radius):
+        ch, c = case
+        _check_against_reference(c, ch, t, counting, coord_radius)
+
+    @settings(max_examples=100, deadline=None)
+    @given(codes_near_a_word(long_words=True), st.integers(0, 2),
+           st.sampled_from(["magnitude", "coordinates"]), st.sampled_from([1, 2]))
+    def test_equals_reference_past_one_limb(self, case, t, counting, coord_radius):
+        ch, c = case
+        assert len(channels._limbs_of(ch.alphabet.sizes)) >= 2
+        _check_against_reference(c, ch, t, counting, coord_radius)
+
+    def test_coordinate_without_moves(self):
+        # an edgeless coordinate, and coordinate counting that allows no step
+        ch = ProductChannel.mixed([ChannelGraph(3, frozenset()), make_channel("Z", 2)])
+        x = Word((2, 1), ch.alphabet)
+        assert {w.symbols for w in error_ball(x, ch, 2)} == {(2, 1), (2, 0)}
+        ball = error_ball(x, ch, 2, counting="coordinates", coord_radius=0)
+        assert {w.symbols for w in ball} == {(2, 1)}
+
+    def test_witness_is_first_shared_word(self):
+        # 0000 and 0100 share 0000; the first word two balls share is 0000,
+        # held by codewords 0000 and 0100 (1000 holds it too, but later)
+        c = book_from_strings(["0000", "0100", "1000", "1111"])
+        ch = ProductChannel.power(make_channel("Z", 2), 4)
+        got = ball_overlap(c, ch, 1)
+        assert [str(w) for w in got] == ["0000", "0000", "0100"]
+        assert (got.received, got.x, got.y) == tuple(got)
+
+    def test_long_binary_words(self):
+        # 70 bits: the word index takes two int64 limbs
+        a = AlphabetSpec.uniform(2, 70)
+        ch = ProductChannel.power(make_channel("Z", 2), 70)
+        x = (1,) * 35 + (0,) * 35
+        y = (1,) * 34 + (0,) * 36
+        far = (0,) * 35 + (1,) * 35
+        assert channels._limbs_of(a.sizes) == [range(0, 62), range(62, 70)]
+        good = CodeBook.from_symbols(a, [x, far])
+        assert ball_overlap(good, ch, 1) is None
+        got = ball_overlap(CodeBook.from_symbols(a, [x, y, far]), ch, 1)
+        assert (got.received.symbols, got.x.symbols, got.y.symbols) == (y, y, x)
+        ball = error_ball(Word(x, a), ch, 2)
+        assert {w.symbols for w in ball} == _reference_ball(x, ch, 2, "magnitude", 1)
+
+    @pytest.mark.parametrize("call", ["ball_overlap", "error_ball", "simulate_channel"])
+    def test_cap_checked_before_expansion(self, monkeypatch, call):
+        expanded = []
+        real = channels._expand
+
+        def spy(*args):
+            expanded.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(channels, "_expand", spy)
+        c = book_from_strings(["0000", "1100", "0011", "1111"])
+        ch = ProductChannel.power(make_channel("Z", 2), 4)
+        # balls of sizes 1, 3, 3, 5 at t=1: 12 words; one ball of 5 for error_ball
+        size = 5 if call == "error_ball" else 12
+        run = {
+            "ball_overlap": lambda cap: ball_overlap(c, ch, 1, cap=cap),
+            "error_ball": lambda cap: error_ball(c.words[-1], ch, 1, cap=cap),
+            "simulate_channel": lambda cap: simulate_channel(
+                c, ch, trials=5, seed=1, p=0.1, cap=cap),
+        }[call]
+        with pytest.raises(EnumerationCapExceeded):
+            run(size - 1)
+        assert expanded == []
+        run(size)
+        assert expanded == [1]
+
+
 class TestOracle:
     def test_decodable_pair(self):
         ch = ProductChannel.power(make_channel("T", 3), 2)
@@ -284,6 +444,41 @@ class TestSimulate:
         args = {"trials": 10, "seed": 1, **kwargs}
         with pytest.raises(ValueError, match=message):
             simulate_channel(c, ch, **args)
+
+
+def _book(strings, sizes):
+    return CodeBook.from_symbols(AlphabetSpec(sizes), [tuple(int(s) for s in w) for w in strings])
+
+
+FIVE_Q5 = ["0000", "1240", "3311", "2222", "0303"]
+
+
+class TestSimulationPinned:
+    """Failure counts of the former dict-based coverage table, pinned: the
+    ball enumerator must decode every trial the same way."""
+
+    @pytest.mark.parametrize(
+        "code, kinds, noise, t, failures",
+        [
+            (vt_code(8, 0, 2), ["Z"] * 8, {"p": 0.1}, 1, 183),
+            (vt_code(8, 0, 2), ["Z"] * 8, {"force_errors": 2}, 2, 2685),
+            (_book(["000", "111", "122", "212", "221"], (3,) * 3), ["T"] * 3, {"p": 0.2}, 1, 349),
+            (_book(["0000", "1230", "3311", "2222", "0303"], (4,) * 4), ["chain"] * 4,
+             {"p": 0.15}, 2, 48),
+            (_book(FIVE_Q5, (5,) * 4), ["Rq"] * 4, {"p": 0.25}, 1, 821),
+            (_book(FIVE_Q5, (5,) * 4), ["L1-wrap"] * 4, {"p": 0.3}, 1, 1041),
+            (_book(["0000", "0111", "0222", "1012", "1120", "1201"], (2, 3, 3, 3)),
+             ["Z", "T", "T", "T"], {"p": 0.1}, 1, 152),
+            (_book(["00000", "00001", "00111", "01111", "11000"], (2,) * 5), ["Z"] * 5,
+             {"force_errors": 1}, 1, 1386),
+        ],
+        ids=["Z p", "Z force t2", "T", "chain t2", "Rq", "L1-wrap", "mixed", "overlapping Z"],
+    )
+    def test_failures_match_former_table(self, code, kinds, noise, t, failures):
+        ch = ProductChannel(tuple(make_channel(k, q) for k, q in zip(kinds, code.alphabet.sizes)))
+        res = simulate_channel(code, ch, trials=3000, seed=23, t=t, **noise)
+        assert res == channels.SimulationResult(
+            3000, failures, 23, t, noise.get("p"), noise.get("force_errors"), "ball-lookup")
 
 
 def _replay_pure_z(c, ch, trials, seed, t, p=None, force_errors=None):

@@ -186,6 +186,11 @@ class TestSearch:
         image = construct_extended(part0, part1)
         assert is_t_code(image, 1)
 
+    @pytest.mark.parametrize("budget", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_budgets_that_are_not_positive_and_finite(self, budget):
+        with pytest.raises(ValueError, match="positive finite"):
+            SearchConfig(time_budget=budget)
+
 
 @st.composite
 def weighted_graphs(draw):
@@ -288,7 +293,7 @@ class TestCliqueEngine:
         seed = None
         if seeded:
             order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
-            seed = _greedy(weights, adj, keys, order)
+            seed = _greedy(weights, adj, order)
         w, mask, proven, nodes = _max_weight_clique(weights, adj, keys, 10**6, worker_count, seed)
         chosen = [i for i in range(V) if mask >> i & 1]
         assert proven
@@ -305,7 +310,7 @@ class TestCliqueEngine:
         seed = None
         if seeded:
             order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
-            seed = _greedy(weights, adj, keys, order)
+            seed = _greedy(weights, adj, order)
         args = (weights, adj, keys, budget, worker_count, seed)
         assert _max_weight_clique(*args) == reference_clique(*args)
 
@@ -317,7 +322,7 @@ class TestCliqueEngine:
         weights = [o.weight_score for o in orbits]
         keys = [o.representative for o in orbits]
         order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
-        args = (weights, list(adj), keys, budget, worker_count, _greedy(weights, adj, keys, order))
+        args = (weights, list(adj), keys, budget, worker_count, _greedy(weights, adj, order))
         assert _max_weight_clique(*args) == reference_clique(*args)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,82 @@ class TestCliExitCodes:
         assert main(["construct", "double", "--in", str(base), "--out", str(out)]) == 0
         assert parse_code_file(out.read_text()).symbol_rows == ((0, 0), (1, 1), (2, 2))
         capsys.readouterr()
+
+
+class TestBallModel:
+    def test_verify_ball_names_witness(self, tmp_path, capsys):
+        bad = tmp_path / "bad.code"
+        bad.write_text("q=2 n=5\n00000\n00001\n00111\n01111\n11000\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(bad), "--model", "ball", "--t", "1",
+                     "--json", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "witness: 00000 lies in the radius-1 error balls of 00000 and 00001\n"
+        assert captured.out == "NOT VERIFIED\n"
+        doc = json.loads(rep.read_text())
+        assert doc["parameters"]["model"] == "ball"
+        assert doc["results"]["verified"] is False
+        assert doc["results"]["witness"] == {"received": "00000", "x": "00000", "y": "00001"}
+
+    def test_verify_ball_success(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=3 n=2\n00\n11\n22\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(f), "--model", "ball", "--t", "1",
+                     "--json", str(rep)]) == 0
+        assert capsys.readouterr().err == ""
+        results = json.loads(rep.read_text())["results"]
+        assert results["verified"] is True and "witness" not in results
+
+    def test_construct_recheck_names_witness(self, monkeypatch, tmp_path, capsys):
+        from asymcodes import cli
+
+        monkeypatch.setattr(cli, "vt_code", lambda n, g, q: book_from_strings(["0011", "0111"]))
+        out = tmp_path / "c.code"
+        assert main(["construct", "vt", "--n", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "witness: 0011 lies in the radius-1 error balls of 0011 and 0111",
+            "VERIFICATION FAILED: output is not a 1-code",
+        ]
+        assert not out.exists()
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_non_finite_search_budget_is_usage_error(self, capsys, budget):
+        assert main(["search", "cyclic", "--m", "3", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: time budget") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1e6"])
+    def test_bad_enum_cap_variable_is_usage_error(self, value):
+        # the variable is read when the package is imported: run a fresh one
+        result = _run_cli(["bound", "sphere", "--q", "3", "--n", "8", "--t", "1", "--l", "1"],
+                          ASYMCODES_ENUM_CAP=value)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {value!r}\n")
+
+    def test_enum_cap_variable_sets_the_cap(self):
+        # 3^8 = 6561 words exceed a cap of 6560
+        args = ["search", "cyclic", "--m", "8", "--strategy", "greedy"]
+        result = _run_cli(args, ASYMCODES_ENUM_CAP="6560")
+        assert result.returncode == 2
+        assert result.stderr == "error: 3^8 words: 6561 exceeds enumeration cap 6560\n"
+
+
+def _run_cli(args, **env):
+    import asymcodes
+
+    src = str(Path(asymcodes.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "asymcodes.cli", *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestCliDeterminism:

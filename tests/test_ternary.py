@@ -30,6 +30,10 @@ from asymcodes import (
     weight_enumerator,
 )
 
+from asymcodes import ternary
+from asymcodes.ternary import _expansion_size
+from asymcodes.words import EnumerationCapExceeded
+
 from conftest import book_from_strings
 from reference_codes import (
     CODE_6_12,
@@ -200,6 +204,43 @@ class TestConstructExtended:
         part1 = book_from_strings(["100"], q=3)  # inside part0's error ball
         with pytest.raises(ValueError):
             construct_extended(part0, part1)
+
+
+class TestExpansionCap:
+    """Every construction checks its binary image size against the
+    enumeration cap before expanding."""
+
+    def test_size_is_weight_enumerator_on_ternary_codes(self, ternary_12_source):
+        tetra = codewords_of(hamming_parity_check(3, 2))
+        for c in (ternary_12_source, tetra):
+            assert _expansion_size(c) == weight_enumerator(c).evaluate(2, 1) == len(construct_even(c))
+
+    def test_size_counts_zero_trits_only_on_mixed_codes(self):
+        c = CodeBook.from_symbols(AlphabetSpec((2, 3, 3, 3)), MIXED_7_SOURCE)
+        assert _expansion_size(c) == len(construct_odd_mixed(c))
+
+    @pytest.mark.parametrize("which", ["even", "odd_mixed", "extended"])
+    def test_cap_checked_before_expanding(self, monkeypatch, which):
+        part0 = book_from_strings(["000", "111", "222"], q=3)
+        part1 = book_from_strings(["210", "021", "102"], q=3)
+        build = {
+            "even": lambda: construct_even(part0),
+            "odd_mixed": lambda: construct_odd_mixed(part0),
+            "extended": lambda: construct_extended(part0, part1),
+        }[which]
+        size = 16 if which == "extended" else 10
+        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size - 1)
+        with pytest.raises(EnumerationCapExceeded):
+            build()
+        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size)
+        assert len(build()) == size
+
+    def test_all_zero_word_of_length_22_is_refused(self, monkeypatch):
+        # 2^22 binary words: refused at once instead of built
+        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", 10**6)
+        zero = CodeBook.from_symbols(AlphabetSpec.uniform(3, 22), [(0,) * 22])
+        with pytest.raises(EnumerationCapExceeded, match="4194304"):
+            construct_even(zero)
 
 
 class TestDecodablePairs:
