@@ -138,6 +138,13 @@ def _check_compatible(alphabet: AlphabetSpec, ch: ProductChannel):
         raise AlphabetMismatch("alphabet profile does not match the channel")
 
 
+def _largest_cost(g: ChannelGraph, counting: str, coord_radius: int) -> int:
+    """The most one coordinate of graph g can spend of the error budget."""
+    if counting == "magnitude":
+        return max(d for dist in g.step_distances for d in dist if d is not None)
+    return int(any(d and d <= coord_radius for dist in g.step_distances for d in dist))
+
+
 def _coordinate_moves(
     g: ChannelGraph, radius: int, counting: str, coord_radius: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -184,21 +191,20 @@ def _limbs_of(sizes: tuple[int, ...]) -> list[range]:
 def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
     """Total size of the balls around the codewords, without listing them.
 
-    left[b][r] counts the prefixes of row r's ball that leave budget b.
+    left[b, r] counts the prefixes of row r's ball that leave budget b.
     float64 is exact below 2^53 and overflows to inf, which still compares
     as over any cap.  Every prefix extends to a word (staying is free), so
     no partial count exceeds the total.
     """
-    none = np.zeros(cols.shape[1])
-    left = [none] * radius + [np.ones(cols.shape[1])]
+    left = np.zeros((radius + 1, cols.shape[1]))
+    left[radius] = 1
     for col, slots in zip(cols, moves):
-        nxt = list(left)
-        for c in range(1, radius + 1):
-            ways = sum(((costs == c)[col] for _, costs in slots), none)
-            for b in range(c, radius + 1):
-                nxt[b - c] = nxt[b - c] + left[b] * ways
+        nxt = left.copy()
+        for c in {int(k) for _, costs in slots for k in costs if k <= radius}:
+            ways = sum((costs == c)[col] for _, costs in slots)
+            nxt[: radius + 1 - c] += left[c:] * ways
         left = nxt
-    total = float(sum(x.sum() for x in left))
+    total = float(left.sum())
     return int(total) if math.isfinite(total) else total
 
 
@@ -262,18 +268,21 @@ def _balls(
     radius balls around `rows`, after checking their total size against cap."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
-    per_graph = {g: _coordinate_moves(g, radius, counting, coord_radius)
+    # No word spends more than the dearest move of every coordinate, so a
+    # larger radius lists the same balls.
+    budget = min(radius, sum(_largest_cost(g, counting, coord_radius) for g in ch.coordinates))
+    per_graph = {g: _coordinate_moves(g, budget, counting, coord_radius)
                  for g in set(ch.coordinates)}
     moves = [per_graph[g] for g in ch.coordinates]
     cols = np.ascontiguousarray(rows.T)
-    check_cap(_ball_count(cols, moves, radius), cap, f"radius-{radius} error balls")
-    return _expand(cols, moves, radius, ch.alphabet.sizes)
+    check_cap(_ball_count(cols, moves, budget), cap, f"radius-{radius} error balls")
+    return _expand(cols, moves, budget, ch.alphabet.sizes)
 
 
 def _coverage(owner: np.ndarray, limbs: list[np.ndarray]):
     """The distinct words of the balls in lexicographic order, as limb
     indices, and the owner of each, or -1 where several balls hold it."""
-    order = np.argsort(limbs[0]) if len(limbs) == 1 else np.lexsort(limbs[::-1])
+    order = np.lexsort(limbs[::-1])
     ranked = [index[order] for index in limbs]
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.logical_or.reduce([r[1:] != r[:-1] for r in ranked])
@@ -419,14 +428,14 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     rows = c.symbol_rows
-    sizes = c.alphabet.sizes
-    # word index -> codeword index, or -1 where two balls overlap
+    # word -> codeword index, or -1 where two balls overlap; built in
+    # blocks, so that only the dict's tuples outlive a block's lists
     words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1, cap))
-    keys = words[0].tolist()
-    for w, limb in zip(words[1:], _limbs_of(sizes)[1:]):
-        span = math.prod(sizes[i] for i in limb)
-        keys = [k * span + v for k, v in zip(keys, w.tolist())]
-    coverage = dict(zip(keys, holder.tolist()))
+    coverage: dict[tuple[int, ...], int] = {}
+    for start in range(0, len(holder), 4096):
+        block = slice(start, start + 4096)
+        received_words = _symbols_of([w[block] for w in words], c.alphabet.sizes)
+        coverage.update(zip(map(tuple, received_words.tolist()), holder[block].tolist()))
 
     rng = random.Random(seed)
     failures = 0
@@ -443,9 +452,6 @@ def simulate_channel(
                 outs = ch.coordinates[i].out_map[received[i]]
                 if outs and rng.random() < p:
                     received[i] = rng.choice(outs)
-        key = 0
-        for s, q in zip(received, sizes):
-            key = key * q + s
-        if coverage.get(key, -1) != sent:
+        if coverage.get(tuple(received), -1) != sent:
             failures += 1
     return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

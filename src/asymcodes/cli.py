@@ -57,6 +57,7 @@ from .words import (
     EnumerationCapExceeded,
     _min_asym_pair,
     decode_asymmetric,
+    enum_cap_from_environment,
     is_lm_code,
     is_t_code,
     min_asym_distance,
@@ -486,6 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        enum_cap_from_environment()
         return args.func(args)
     except (CodeFileError, EnumerationCapExceeded, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,7 +9,6 @@ ordered set of words over one alphabet profile.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -17,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-def _enum_cap_from_environment() -> int:
-    """ASYMCODES_ENUM_CAP, or 10^6 when unset.  A value that is not a
-    positive integer is a usage error: one line on stderr, exit code 2."""
+def enum_cap_from_environment() -> int:
+    """The enumeration cap ASYMCODES_ENUM_CAP sets, or 10^6 when unset.
+    Raises ValueError, naming the variable, unless it is a positive integer."""
     raw = os.environ.get("ASYMCODES_ENUM_CAP")
     if raw is None:
         return 10**6
@@ -28,12 +27,16 @@ def _enum_cap_from_environment() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        print(f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"ASYMCODES_ENUM_CAP must be a positive integer, got {raw!r}")
     return cap
 
 
-DEFAULT_ENUM_CAP = _enum_cap_from_environment()
+try:
+    DEFAULT_ENUM_CAP = enum_cap_from_environment()
+except ValueError:
+    # Importing never fails on a bad setting: no size fits under a cap of 0,
+    # and check_cap reports the setting when it refuses one.
+    DEFAULT_ENUM_CAP = 0
 
 
 class AlphabetMismatch(ValueError):
@@ -46,8 +49,11 @@ class EnumerationCapExceeded(RuntimeError):
 
 def check_cap(size: int, cap: int, what: str) -> None:
     """Raise EnumerationCapExceeded if an enumeration of `size` items would
-    exceed cap.  Every exhaustive operation calls this before it allocates."""
+    exceed cap.  Every exhaustive operation calls this before it allocates.
+    Under a cap below 1, a bad ASYMCODES_ENUM_CAP raises its ValueError."""
     if size > cap:
+        if cap < 1:
+            enum_cap_from_environment()
         raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {cap}")
 
 

@@ -221,7 +221,11 @@ def reference_overlap(c, ch, t, counting="magnitude", coord_radius=1):
 
 
 def _check_against_reference(c, ch, t, counting, coord_radius):
-    got = ball_overlap(c, ch, t, counting=counting, coord_radius=coord_radius)
+    # the cap admits exactly the total size of the balls
+    total = sum(len(_reference_ball(w, ch, t, counting, coord_radius)) for w in c.symbol_rows)
+    with pytest.raises(EnumerationCapExceeded):
+        ball_overlap(c, ch, t, counting, coord_radius, cap=total - 1)
+    got = ball_overlap(c, ch, t, counting=counting, coord_radius=coord_radius, cap=total)
     assert (got is not None) == reference_overlap(c, ch, t, counting, coord_radius)
     assert corrects_t_errors(c, ch, t, counting=counting, coord_radius=coord_radius) == (got is None)
     if got is not None:
@@ -265,7 +269,7 @@ def codes_near_a_word(draw, long_words):
 
 class TestBallOverlap:
     @settings(max_examples=300, deadline=None)
-    @given(codes_near_a_word(long_words=False), st.integers(0, 3),
+    @given(codes_near_a_word(long_words=False), st.integers(0, 3) | st.just(10**9),
            st.sampled_from(["magnitude", "coordinates"]), st.sampled_from([0, 1, 2]))
     def test_equals_reference(self, case, t, counting, coord_radius):
         ch, c = case
@@ -310,6 +314,25 @@ class TestBallOverlap:
         assert (got.received.symbols, got.x.symbols, got.y.symbols) == (y, y, x)
         ball = error_ball(Word(x, a), ch, 2)
         assert {w.symbols for w in ball} == _reference_ball(x, ch, 2, "magnitude", 1)
+
+    @pytest.mark.parametrize("counting", ["magnitude", "coordinates"])
+    def test_radius_past_every_move(self, counting):
+        # no word here spends more than 1 + 1 + 3 + 2 = 7 steps, or moves
+        # more than 4 coordinates: larger radii list the same balls at once
+        ch = ProductChannel.mixed([make_channel("Z", 2)] * 2
+                                  + [make_channel("chain", 4), make_channel("T", 3)])
+        c = CodeBook.from_symbols(ch.alphabet, [(0, 1, 0, 0), (1, 1, 3, 2)])
+        x = c.words[1]
+        full = error_ball(x, ch, 7, counting)
+        # magnitude: 2 * 2 * 4 * 3 words; coordinates, one step each: 2^4
+        assert len(full) == (48 if counting == "magnitude" else 16)
+        for big in (10**9, 2**70):
+            assert error_ball(x, ch, big, counting) == full
+            assert ball_overlap(c, ch, big, counting) == ball_overlap(c, ch, 7, counting)
+            assert corrects_t_errors(c, ch, big, counting) is (counting == "coordinates")
+        if counting == "magnitude":
+            run = lambda t: simulate_channel(c, ch, trials=50, seed=3, t=t, p=0.5)
+            assert run(10**9).failures == run(7).failures
 
     @pytest.mark.parametrize("call", ["ball_overlap", "error_ball", "simulate_channel"])
     def test_cap_checked_before_expansion(self, monkeypatch, call):

@@ -305,6 +305,16 @@ class TestBadSettings:
         assert result.stderr == (
             f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {value!r}\n")
 
+    def test_bad_enum_cap_variable_leaves_import_working(self):
+        # a library caller can catch the error, which comes where a cap applies
+        code = ("import asymcodes\n"
+                "try:\n    asymcodes.vt_code(4)\n"
+                "except ValueError as e:\n    print(e)\n")
+        result = _run_python(["-c", code], ASYMCODES_ENUM_CAP="abc")
+        assert result.returncode == 0
+        assert result.stdout == "ASYMCODES_ENUM_CAP must be a positive integer, got 'abc'\n"
+        assert result.stderr == ""
+
     def test_enum_cap_variable_sets_the_cap(self):
         # 3^8 = 6561 words exceed a cap of 6560
         args = ["search", "cyclic", "--m", "8", "--strategy", "greedy"]
@@ -314,12 +324,16 @@ class TestBadSettings:
 
 
 def _run_cli(args, **env):
+    return _run_python(["-m", "asymcodes.cli", *args], **env)
+
+
+def _run_python(args, **env):
     import asymcodes
 
     src = str(Path(asymcodes.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "asymcodes.cli", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True, text=True, timeout=60,
     )
