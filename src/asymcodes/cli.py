@@ -280,6 +280,8 @@ def _cmd_decode(args) -> int:
         word = decode_asymmetric(code, received, args.t)
     except DecodeAmbiguity as e:
         print(f"AMBIGUOUS: {len(e.candidates)} candidates")
+        for candidate in e.candidates:
+            print(str(candidate))
         return VERIFY_FAILED
     except DecodeFailure:
         print("FAILURE: no codeword within range")
@@ -449,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", default=None)
     s.set_defaults(func=_cmd_search)
 
-    d = sub.add_parser("decode", help="exhaustive decrement decoding")
+    d = sub.add_parser("decode", help="decrement decoding: look the received word's "
+                                      "up-ball up in the code (size checked against "
+                                      "the enumeration cap)")
     d.add_argument("--code", required=True)
     d.add_argument("--received", required=True)
     d.add_argument("--t", type=int, required=True)

@@ -10,6 +10,7 @@ dropping that coordinate gives the odd-length [2m-1, m+k-1]_q variant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .words import (
     CodeBook,
     DecodeFailure,
     _as_symbols,
+    _check_symbols,
     check_cap,
 )
 
@@ -313,13 +315,36 @@ def double_code(c: CodeBook) -> CodeBook:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _syndrome_table(H_outer: MatrixModZq, shortened: bool) -> dict[tuple[int, ...], int | None]:
+    """Syndrome -> the coordinate a single decrement hit, or None where it
+    would be the coordinate the shortened code drops.  Column j's syndrome
+    col_j and then -col_j are entered for j ascending, and the first entry
+    for a syndrome wins, so repeated columns and q = 2 (col = -col) resolve
+    to the lowest position, the first-of-pair one."""
+    q = H_outer.q
+    table: dict[tuple[int, ...], int | None] = {}
+    for j in range(H_outer.ncols):
+        col = H_outer.column(j)
+        # col: first-of-pair coordinate decremented; -col: second-of-pair
+        if shortened:
+            first, second = (None, 0) if j == 0 else (2 * j - 1, 2 * j)
+        else:
+            first, second = 2 * j, 2 * j + 1
+        table.setdefault(col, first)
+        table.setdefault(tuple((-x) % q for x in col), second)
+    return table
+
+
 def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tuple[int, ...]:
     """Correct at most one decrement error in a concatenated codeword.
 
-    Recovers the outer word as in-pair differences, syndrome-locates the
-    single +-1 outer error, and bumps the one decremented coordinate back
-    up mod q, so wrap-around decrements (0 -> q-1) are corrected too.
-    Raises DecodeFailure when no single decrement explains the syndrome.
+    Recovers the outer word as in-pair differences, looks the syndrome of
+    the single +-1 outer error up in a table cached per (H_outer, shortened),
+    and bumps the one decremented coordinate back up mod q, so wrap-around
+    decrements (0 -> q-1) are corrected too.  Raises ValueError for a symbol
+    outside 0..q-1, and DecodeFailure, naming the syndrome, when no single
+    decrement explains it.
     """
     if H_outer.role != "parity":
         raise ValueError("expected the outer parity-check matrix")
@@ -328,26 +353,22 @@ def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tu
     expect = 2 * m - 1 if shortened else 2 * m
     if len(y) != expect:
         raise ValueError(f"received word must have length {expect}")
+    _check_symbols(y, (q,) * expect)
 
     if shortened:
-        d = [y[0]] + [(y[2 * j] - y[2 * j - 1]) % q for j in range(1, m)]
+        d = [y[0]] + [(b - a) % q for a, b in zip(y[1::2], y[2::2])]
     else:
-        d = [(y[2 * j + 1] - y[2 * j]) % q for j in range(m)]
-    syndrome = tuple(sum(h[j] * d[j] for j in range(m)) % q for h in H_outer.rows)
+        d = [(b - a) % q for a, b in zip(y[0::2], y[1::2])]
+    syndrome = tuple(sum(h * x for h, x in zip(row, d)) % q for row in H_outer.rows)
     if not any(syndrome):
         return tuple(y)
-    for j in range(m):
-        col = H_outer.column(j)
-        neg = tuple((-x) % q for x in col)
-        if syndrome == col:
-            # first-of-pair coordinate decremented
-            pos = None if (shortened and j == 0) else (2 * j - 1 if shortened else 2 * j)
-        elif syndrome == neg:
-            pos = 0 if (shortened and j == 0) else (2 * j if shortened else 2 * j + 1)
-        else:
-            continue
-        if pos is None:
-            raise DecodeFailure("syndrome matches no feasible single decrement")
-        y[pos] = (y[pos] + 1) % q
-        return tuple(y)
-    raise DecodeFailure("syndrome matches no single +-1 outer error")
+    table = _syndrome_table(H_outer, shortened)
+    if syndrome not in table:
+        raise DecodeFailure(f"syndrome {syndrome} matches no single +-1 outer error")
+    pos = table[syndrome]
+    if pos is None:
+        raise DecodeFailure(
+            f"syndrome {syndrome} matches only a decrement of the dropped coordinate"
+        )
+    y[pos] = (y[pos] + 1) % q
+    return tuple(y)

@@ -8,6 +8,8 @@ ordered set of words over one alphabet profile.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -184,9 +186,18 @@ class CodeBook:
     def symbol_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.symbol_rows)
 
+    @cached_property
+    def _symbol_array(self) -> np.ndarray:
+        """Read-only codeword rows in the narrowest unsigned dtype that holds
+        every alphabet, built once per code book."""
+        dtype = np.min_scalar_type(max(self.alphabet.sizes) - 1)
+        rows = np.array(self.symbol_rows, dtype=dtype).reshape(len(self), len(self.alphabet))
+        rows.flags.writeable = False
+        return rows
+
     def matrix(self) -> np.ndarray:
-        """Codewords as an int64 array, one row per word, lex order."""
-        return np.array(self.symbol_rows, dtype=np.int64).reshape(len(self), len(self.alphabet))
+        """Codewords as a fresh int64 array, one row per word, lex order."""
+        return self._symbol_array.astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -395,35 +406,69 @@ def evaluate_enumerator(w: WeightEnumerator, X: int, Y: int) -> int:
     return w.evaluate(X, Y)
 
 
+def _check_symbols(symbols: Sequence[int], sizes: Sequence[int]) -> None:
+    """Raise ValueError naming the first coordinate whose symbol lies
+    outside its alphabet 0..q-1."""
+    for i, (s, q) in enumerate(zip(symbols, sizes)):
+        if not 0 <= s < q:
+            raise ValueError(f"received symbol {s} at coordinate {i} outside 0..{q - 1}")
+
+
+def _up_ball_size(room: Sequence[int], budget: int) -> int:
+    """Number of words y >= r with total gain at most budget, where room[i]
+    is the most coordinate i can gain: one DP over the coordinates, with
+    ways[s] the count of gain vectors so far that spend exactly s."""
+    ways = [1] + [0] * budget
+    for g in room:
+        if g:
+            prefix = list(itertools.accumulate(ways))
+            ways = prefix[: g + 1] + [prefix[s] - prefix[s - g - 1] for s in range(g + 1, budget + 1)]
+    return sum(ways)
+
+
+def _up_ball(r: tuple[int, ...], sizes: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
+    """Every word y >= r with sum(y - r) <= budget inside the alphabet, once
+    each and in lex order.  A word is reached by raising coordinates in
+    nondecreasing order; raising a later coordinate gives a lex smaller
+    subtree, so those branches are popped first."""
+    stack = [(r, 0, budget)]
+    while stack:
+        y, start, left = stack.pop()
+        yield y
+        if left:
+            for i in range(start, len(y)):
+                if y[i] < sizes[i] - 1:
+                    stack.append((y[:i] + (y[i] + 1,) + y[i + 1 :], i, left - 1))
+
+
 def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
-    """Exhaustive decoder for the pure-decrement channel.
+    """Decoder for the pure-decrement channel.
 
     Returns the unique codeword x with x >= received coordinatewise and
-    total decrement at most t; raises DecodeAmbiguity / DecodeFailure
-    otherwise.
+    total decrement at most t; raises DecodeAmbiguity (candidates in lex
+    order) / DecodeFailure otherwise.  Looks up the received word's up-ball,
+    the words it can have come from, in the code book; the ball's size is
+    checked against the enumeration cap before it is listed.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    rs = _as_symbols(received)
+    rs = tuple(map(int, _as_symbols(received)))
     if len(rs) != c.n:
         raise AlphabetMismatch("received word length does not match the code")
     if isinstance(received, Word) and received.alphabet != c.alphabet:
         raise AlphabetMismatch("received word alphabet does not match the code")
-    candidates = []
-    for word in c.words:
-        xs = word.symbols
-        drop = 0
-        for a, r in zip(xs, rs):
-            if a < r:
-                drop = t + 1
-                break
-            drop += a - r
-            if drop > t:
-                break
-        if drop <= t:
-            candidates.append(word)
-    if not candidates:
+    sizes = c.alphabet.sizes
+    _check_symbols(rs, sizes)
+    room = [q - 1 - s for s, q in zip(rs, sizes)]
+    # no word gains more than the rooms' sum, so a larger t lists the same ball
+    budget = min(t, sum(room))
+    check_cap(_up_ball_size(room, budget), DEFAULT_ENUM_CAP, f"radius-{t} up-ball")
+    book = c.symbol_set
+    hits = [y for y in _up_ball(rs, sizes, budget) if y in book]
+    if not hits:
         raise DecodeFailure(f"no codeword within {t} decrements of {rs}")
+    rows = c.symbol_rows
+    candidates = [c.words[bisect.bisect_left(rows, y)] for y in hits]
     if len(candidates) > 1:
         raise DecodeAmbiguity(candidates)
     return candidates[0]

@@ -506,7 +506,7 @@ class TestSimulationPinned:
 
 def _replay_pure_z(c, ch, trials, seed, t, p=None, force_errors=None):
     """Failure count of the former pure-Z simulation: the same random draws,
-    decoded by the exhaustive decrement decoder."""
+    decoded by the decrement decoder."""
     rng = random.Random(seed)
     rows = c.symbol_rows
     failures = 0

@@ -139,6 +139,12 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.strip() == "1100"
         assert main(["decode", "--code", str(f), "--received", "0000", "--t", "2"]) == 1
 
+    def test_decode_ambiguity_lists_the_candidates(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["decode", "--code", str(f), "--received", "0000", "--t", "2"]) == 1
+        assert capsys.readouterr().out == "AMBIGUOUS: 3 candidates\n0000\n0011\n1100\n"
+
     def test_decode_rejects_negative_t(self, tmp_path, capsys):
         f = tmp_path / "c.code"
         f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asymcodes import (
     AlphabetSpec,
@@ -256,6 +257,100 @@ class TestDecodeConcat:
             except DecodeFailure:
                 flagged += 1
         assert flagged > 0
+
+
+def reference_decode_concat(H_outer, received, shortened=False):
+    """The former decoder: compare the syndrome with col_j and -col_j for
+    every column j in turn."""
+    q, m = H_outer.q, H_outer.ncols
+    y = list(received)
+    if len(y) != (2 * m - 1 if shortened else 2 * m):
+        raise ValueError("wrong length")
+    if shortened:
+        d = [y[0]] + [(y[2 * j] - y[2 * j - 1]) % q for j in range(1, m)]
+    else:
+        d = [(y[2 * j + 1] - y[2 * j]) % q for j in range(m)]
+    syndrome = tuple(sum(h[j] * d[j] for j in range(m)) % q for h in H_outer.rows)
+    if not any(syndrome):
+        return tuple(y)
+    for j in range(m):
+        col = H_outer.column(j)
+        neg = tuple((-x) % q for x in col)
+        if syndrome == col:
+            pos = None if (shortened and j == 0) else (2 * j - 1 if shortened else 2 * j)
+        elif syndrome == neg:
+            pos = 0 if (shortened and j == 0) else (2 * j if shortened else 2 * j + 1)
+        else:
+            continue
+        if pos is None:
+            raise DecodeFailure("syndrome matches no feasible single decrement")
+        y[pos] = (y[pos] + 1) % q
+        return tuple(y)
+    raise DecodeFailure("syndrome matches no single +-1 outer error")
+
+
+def concat_outcome(decode, H, received, shortened):
+    try:
+        return decode(H, received, shortened)
+    except DecodeFailure:
+        return DecodeFailure
+
+
+@st.composite
+def concat_cases(draw):
+    """An arbitrary outer parity check over Z_q, q = 2..5, sometimes with a
+    repeated or negated column, and an arbitrary received word."""
+    q = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 3))
+    column = st.tuples(*[st.integers(0, q - 1)] * r).filter(any)
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    twin = draw(st.sampled_from(["none", "repeat", "negate"]))
+    if twin != "none":
+        src = draw(st.sampled_from(cols))
+        if twin == "negate":
+            src = tuple((-x) % q for x in src)
+        cols.insert(draw(st.integers(0, len(cols))), src)
+    H = MatrixModZq(q, tuple(zip(*cols)), "parity")
+    shortened = draw(st.booleans())
+    length = 2 * len(cols) - (1 if shortened else 0)
+    received = tuple(draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length)))
+    return H, received, shortened
+
+
+class TestSyndromeTable:
+    @settings(max_examples=300, deadline=None)
+    @given(concat_cases())
+    def test_equals_reference_column_loop(self, case):
+        H, received, shortened = case
+        assert concat_outcome(decode_concat, H, received, shortened) == concat_outcome(
+            reference_decode_concat, H, received, shortened)
+
+    def test_single_errors_on_binary_and_repeated_columns(self):
+        # q = 2 makes col = -col, and column 2 repeats column 0: the first
+        # match, the first-of-pair coordinate of the lowest column, wins
+        for H in [MatrixModZq(2, ((1, 0, 1), (0, 1, 1)), "parity"),
+                  MatrixModZq(3, ((1, 0, 1), (0, 1, 0)), "parity")]:
+            for shortened in (False, True):
+                length = 2 * H.ncols - (1 if shortened else 0)
+                for y in itertools.product(range(H.q), repeat=length):
+                    assert concat_outcome(decode_concat, H, y, shortened) == concat_outcome(
+                        reference_decode_concat, H, y, shortened)
+
+    def test_failure_names_the_syndrome(self):
+        H = MatrixModZq(7, ((1,),), "parity")
+        with pytest.raises(DecodeFailure, match=r"syndrome \(2,\) matches no single"):
+            decode_concat(H, (0, 2))
+        with pytest.raises(DecodeFailure, match=r"syndrome \(1,\) matches only"):
+            decode_concat(H, (1,), shortened=True)
+
+    @pytest.mark.parametrize("received, where", [
+        ((3, 3, 3, 3, 4, 4, 5, 5), "symbol 3 at coordinate 0"),
+        ((0, 0, 0, 0, 1, 1, 2, -1), "symbol -1 at coordinate 7"),
+    ])
+    def test_rejects_symbols_outside_the_alphabet(self, received, where):
+        cc = concat_code(nullspace(hamming_parity_check(3, 2)))
+        with pytest.raises(ValueError, match=where):
+            decode_concat(cc.outer_check, received)
 
 
 class TestDouble:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from asymcodes import (
     is_lm_code,
     is_t_code,
     min_asym_distance,
+    vt_code,
     weight_enumerator,
     weight_w,
 )
@@ -25,6 +27,8 @@ from asymcodes.words import (
     AlphabetMismatch,
     DecodeAmbiguity,
     DecodeFailure,
+    DecodingError,
+    EnumerationCapExceeded,
     total_increase,
 )
 
@@ -260,8 +264,10 @@ class TestDecoder:
         assert decode_asymmetric(self.c, (0, 1, 0, 0), 1).symbols == (1, 1, 0, 0)
 
     def test_ambiguity(self):
-        with pytest.raises(DecodeAmbiguity):
+        with pytest.raises(DecodeAmbiguity) as e:
             decode_asymmetric(self.c, (0, 0, 0, 0), 2)
+        assert [x.symbols for x in e.value.candidates] == [
+            (0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)]
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError, match="t must be >= 0"):
@@ -306,6 +312,143 @@ class TestDecoder:
                             continue
                         received = tuple(s - d for s, d in zip(x, e))
                         assert decode_asymmetric(c, received, t).symbols == x
+
+
+def reference_decode_asymmetric(c, received, t):
+    """The former decoder: a scan of every codeword for the ones at or above
+    the received word within t decrements."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    rs = tuple(received.symbols if isinstance(received, Word) else received)
+    if len(rs) != c.n:
+        raise AlphabetMismatch("received word length does not match the code")
+    candidates = []
+    for word in c.words:
+        drop = 0
+        for a, r in zip(word.symbols, rs):
+            if a < r:
+                drop = t + 1
+                break
+            drop += a - r
+            if drop > t:
+                break
+        if drop <= t:
+            candidates.append(word)
+    if not candidates:
+        raise DecodeFailure(f"no codeword within {t} decrements of {rs}")
+    if len(candidates) > 1:
+        raise DecodeAmbiguity(candidates)
+    return candidates[0]
+
+
+def decode_outcome(decode, *args):
+    """The decoded word, or the exception type with its candidates."""
+    try:
+        return ("decoded", decode(*args).symbols)
+    except DecodingError as e:
+        return (type(e), tuple(x.symbols for x in getattr(e, "candidates", ())))
+
+
+def brute_up_ball(received, sizes, t):
+    return [
+        y
+        for y in itertools.product(*[range(r, q) for r, q in zip(received, sizes)])
+        if sum(y) - sum(received) <= t
+    ]
+
+
+@st.composite
+def decode_cases(draw):
+    """A code over a mixed alphabet, a received word inside the alphabet
+    (arbitrary, or a codeword lowered anywhere), and t = 0..3."""
+    sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=6)))
+    word = st.tuples(*[st.integers(0, q - 1) for q in sizes])
+    rows = draw(st.lists(word, max_size=12, unique=True))
+    a = AlphabetSpec(sizes)
+    c = CodeBook.from_symbols(a, rows)
+    if rows and draw(st.booleans()):
+        sent = draw(st.sampled_from(rows))
+        received = tuple(draw(st.integers(0, s)) for s in sent)
+    else:
+        received = draw(word)
+    if draw(st.booleans()):
+        received = Word(received, a)
+    return c, received, draw(st.integers(0, 3))
+
+
+class TestUpBallDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases())
+    def test_equals_reference_scan(self, case):
+        c, received, t = case
+        assert decode_outcome(words_mod.decode_asymmetric, c, received, t) == decode_outcome(
+            reference_decode_asymmetric, c, received, t
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_cases())
+    def test_up_ball_count_and_listing_match_brute_force(self, case):
+        c, received, t = case
+        rs = received.symbols if isinstance(received, Word) else received
+        sizes = c.alphabet.sizes
+        room = [q - 1 - r for r, q in zip(rs, sizes)]
+        budget = min(t, sum(room))
+        listed = list(words_mod._up_ball(rs, sizes, budget))
+        brute = brute_up_ball(rs, sizes, t)
+        assert listed == brute
+        assert words_mod._up_ball_size(room, budget) == len(brute)
+
+    def test_cap_checked_before_the_up_ball_is_listed(self, monkeypatch):
+        c = vt_code(8, 0)
+        received = (0, 1, 0, 0, 1, 0, 0, 0)
+        size = len(brute_up_ball(received, c.alphabet.sizes, 2))
+
+        def listed(*args):
+            raise AssertionError("the up-ball was listed past the cap")
+
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", size - 1)
+        monkeypatch.setattr(words_mod, "_up_ball", listed)
+        with pytest.raises(EnumerationCapExceeded, match=f"{size} exceeds"):
+            decode_asymmetric(c, received, 2)
+        monkeypatch.undo()
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", size)
+        assert decode_outcome(decode_asymmetric, c, received, 2) == decode_outcome(
+            reference_decode_asymmetric, c, received, 2
+        )
+
+    def test_huge_t_equals_the_saturating_t(self):
+        c = vt_code(8, 0)
+        for received in [(0,) * 8, (1, 0, 1, 1, 0, 0, 1, 0), c.symbol_rows[3]]:
+            most = sum(1 - s for s in received)
+            want = decode_outcome(decode_asymmetric, c, received, most)
+            assert decode_outcome(decode_asymmetric, c, received, 10**9) == want
+            assert decode_outcome(reference_decode_asymmetric, c, received, 10**9) == want
+
+    @pytest.mark.parametrize("received, where", [
+        ((-1, 0, 0, 0), "symbol -1 at coordinate 0"),
+        ((0, 0, 1, 2), "symbol 2 at coordinate 3"),
+    ])
+    def test_rejects_symbols_outside_the_alphabet(self, received, where):
+        with pytest.raises(ValueError, match=where):
+            decode_asymmetric(vt_code(4, 0), received, 1)
+
+
+class TestMatrixCache:
+    def test_fresh_int64_copy_of_read_only_narrow_rows(self):
+        c = CodeBook.from_symbols(AlphabetSpec((2, 3, 5)), [(1, 2, 4), (0, 0, 0), (1, 0, 3)])
+        m = c.matrix()
+        assert m.dtype == np.int64 and m.tolist() == [list(r) for r in c.symbol_rows]
+        m[0, 0] = 7
+        assert c.matrix()[0, 0] == 0
+        assert c._symbol_array.dtype == np.uint8
+        assert not c._symbol_array.flags.writeable
+
+    def test_wide_alphabet_and_empty_code(self):
+        c = CodeBook.from_symbols(AlphabetSpec((2, 300)), [(1, 299), (0, 256)])
+        assert c._symbol_array.dtype == np.uint16
+        assert c.matrix().tolist() == [[0, 256], [1, 299]]
+        empty = CodeBook.from_symbols(AlphabetSpec.uniform(3, 4), [])
+        assert empty.matrix().shape == (0, 4) and empty.matrix().dtype == np.int64
 
 
 class TestLimitedMagnitude:
