@@ -17,7 +17,6 @@ from .words import (
     asym_distance,
     d_ell_distance,
     decode_asymmetric,
-    evaluate_enumerator,
     is_lm_code,
     is_t_code,
     min_asym_distance,
@@ -39,7 +38,6 @@ from .groups import (
     best_cr_group,
     canonical_pairing,
     cr_code,
-    group_elements,
     vt_code,
 )
 from .ternary import (

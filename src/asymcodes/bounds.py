@@ -8,14 +8,13 @@ stored reference constants with provenance labels, never recomputed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, log2
 
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
-from .linearq import MatrixModZq, hamming_parity_check
-from .words import CodeBook, hamming_weight, is_lm_code, weight_enumerator
+from .linearq import MatrixModZq, codewords_of, hamming_parity_check
+from .words import CodeBook, is_lm_code, weight_enumerator
 
 
 def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
@@ -69,17 +68,10 @@ def kernel_image_size(H: MatrixModZq) -> int:
     through the dual weight distribution (no kernel enumeration).
 
     The identity W_C(x, y) = |D|^-1 * W_D(x + (q-1) y, x - y) with D the
-    row space of H gives W_C(2, 1) = |D|^-1 * sum_d (q+1)^(m - wgt(d)).
+    row space of H gives W_C(2, 1) = |D|^-1 * W_D(q + 1, 1).
     """
-    q, m = H.q, H.ncols
-    dual_rows = set()
-    for coef in itertools.product(range(q), repeat=H.nrows):
-        word = tuple(
-            sum(cf * row[j] for cf, row in zip(coef, H.rows)) % q for j in range(m)
-        )
-        dual_rows.add(word)
-    total = sum((q + 1) ** (m - hamming_weight(d)) for d in dual_rows)
-    size, rem = divmod(total, len(dual_rows))
+    dual = codewords_of(MatrixModZq(H.q, H.rows, "generator"))
+    size, rem = divmod(weight_enumerator(dual).evaluate(H.q + 1, 1), len(dual))
     if rem:
         raise ArithmeticError("dual transform did not divide exactly")
     return size
@@ -110,9 +102,7 @@ def rate_ratio(m: int) -> float:
     """Ratio of the rates at binary length 2m: bits carried by the ternary
     image of the canonical [m, m-r, 3]_3 code over the best linear binary
     distance-3 dimension.  Reported to 3 decimals."""
-    image = kernel_image_size(canonical_d3_ternary_check(m))
-    dim = best_d3_dimension(2, 2 * m)
-    return round(log2(image) / dim, 3)
+    return rate_ratio_row(m).s
 
 
 def rate_ratio_row(m: int, tolerance: float = 0.001) -> RateRatioRow:

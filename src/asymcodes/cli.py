@@ -244,7 +244,6 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         time_budget=args.budget,
         strategy=args.strategy,
-        worker_count=args.workers,
     )
     if args.what == "cyclic":
         code = search_cyclic(args.m, cfg)
@@ -262,8 +261,7 @@ def _cmd_search(args) -> int:
         }
     report = ReportDocument(
         command=["search", args.what],
-        parameters={"m": args.m, "strategy": args.strategy, "budget": args.budget,
-                    "workers": args.workers},
+        parameters={"m": args.m, "strategy": args.strategy, "budget": args.budget},
         results=results,
         seed=args.seed,
     )
@@ -443,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "nodes per unit (default 60)")
     s.add_argument("--strategy", default="exact-clique",
                    choices=["exact-clique", "greedy", "randomized-restart"])
-    s.add_argument("--workers", type=int, default=1,
-                   help="split the top-level branches into this many groups, "
-                        "run one after another (reorders, does not parallelise)")
     s.add_argument("--out", default=None)
     s.add_argument("--out1", default=None)
     s.add_argument("--json", default=None)

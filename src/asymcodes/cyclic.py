@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, check_cap
 
 # T-channel one-step moves per symbol
@@ -53,23 +55,18 @@ class SearchConfig:
     `time_budget` is a node budget, not seconds: the exact strategy expands
     at most 50 000 branch-and-bound nodes per unit (and at least 10 000),
     and randomized-restart runs budget * 2000 / V greedy restarts on V
-    vertices.  `worker_count` only reorders the top-level branches, which
-    still run one after another in this process; the answer does not
-    depend on it unless the node budget runs out.
+    vertices.
     """
 
     seed: int = 0
     time_budget: float = 60.0
     strategy: str = "exact-clique"
-    worker_count: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError(f"time budget must be a positive finite number, got {self.time_budget}")
         if self.strategy not in ("exact-clique", "greedy", "randomized-restart"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 def _rotations(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -228,7 +225,6 @@ def _max_weight_clique(
     adj: list[int],
     keys: list,
     node_budget: int,
-    worker_count: int,
     seed_solution: tuple[int, int] | None = None,
 ):
     """Deterministic branch-and-bound over adjacency bitsets (no self-loops).
@@ -294,17 +290,12 @@ def _max_weight_clique(
             remaining -= w[p]
         consider(cur_w, cur_mask)
 
-    # Partition the top-level branches across (virtual) workers; they run
-    # one after another and share the best bound.  Branch p excludes every
-    # vertex before p in branch order.  Workers past the V-th get none.
+    # Top-level branch p excludes every vertex before p in branch order.
     consider(0, 0)
     if seed_solution is not None:
         consider(seed_solution[0], _relabel(seed_solution[1], rank))
-    for first in range(min(worker_count, V)):
-        for p in range(first, V, worker_count):
-            expand(nbr[p] & -(1 << p), w[p], 1 << p)
-            if exhausted:
-                break
+    for p in range(V):
+        expand(nbr[p] & -(1 << p), w[p], 1 << p)
         if exhausted:
             break
     return best_w, _relabel(best_mask, order), not exhausted, nodes
@@ -332,7 +323,7 @@ def _run_search(weights, adj, keys, cfg: SearchConfig):
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
         seed_solution = _greedy(weights, adj, base_order)
         score, mask, optimal, nodes = _max_weight_clique(
-            weights, adj, keys, node_budget, cfg.worker_count, seed_solution
+            weights, adj, keys, node_budget, seed_solution
         )
         return _search_meta(cfg, score, optimal, nodes), mask
     if cfg.strategy == "greedy":
@@ -359,7 +350,6 @@ def _search_meta(cfg: SearchConfig, score: int, optimal: bool, nodes: int | None
         "score": str(score),
         "strategy": cfg.strategy,
         "seed": str(cfg.seed),
-        "worker_count": str(cfg.worker_count),
         "proven_optimal": "yes" if optimal else "no",
     }
     if nodes is not None:
@@ -372,13 +362,13 @@ def _orbits_to_codebook(orbits, mask, m, name, meta) -> CodeBook:
     for i, o in enumerate(orbits):
         if mask >> i & 1:
             rows.extend(o.members)
-    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), sorted(rows), name=name, meta=meta)
+    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), rows, name=name, meta=meta)
 
 
 def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
     """Search for a shift-closed ternary code maximizing the binary image size.
 
-    Deterministic for fixed (seed, worker_count).  The result passes the
+    Deterministic for a fixed seed.  The result passes the
     radius-1 channel oracle by construction; metadata records the score and
     whether the exact strategy proved optimality within its budget, and the
     exact strategy adds the number of branch-and-bound nodes it expanded.
@@ -524,13 +514,15 @@ BUILTIN_EXTENDED: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 def _closure(gens: tuple[str, ...], m: int, name: str) -> CodeBook:
-    rows = set()
+    """Every rotation of every generator; generators that share an orbit
+    give each word once."""
+    rows = []
     for g in gens:
         word = tuple(int(ch) for ch in g)
         if len(word) != m:
             raise ValueError(f"generator {g} has wrong length for m={m}")
-        rows.update(_rotations(word))
-    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), sorted(rows), name=name)
+        rows.extend(_rotations(word))
+    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), np.unique(rows, axis=0), name=name)
 
 
 def builtin_table_generators(m: int, extended: bool = False):

@@ -78,16 +78,12 @@ class AbelianGroup:
 
     @cached_property
     def nonidentity_elements(self) -> tuple[GroupElement, ...]:
+        """All non-identity elements in lexicographic component order."""
         ranges = [range(d) for d in self.factors]
         return tuple(e for e in itertools.product(*ranges) if any(e))
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.factors)
-
-
-def group_elements(G: AbelianGroup) -> tuple[GroupElement, ...]:
-    """All non-identity elements in lexicographic component order."""
-    return G.nonidentity_elements
 
 
 def best_cr_group(n: int) -> AbelianGroup:
@@ -138,19 +134,15 @@ def cr_code(
             )
     check_cap(q**n, cap, f"q^n = {q}^{n} words")
 
-    total = q**n
-    values = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, n), dtype=np.int64)
-    for i in range(n):
-        digits[:, i] = (values // q ** (n - 1 - i)) % q
-    mask = np.ones(total, dtype=bool)
+    # every word of length n, in lex order
+    digits = np.indices((q,) * n, dtype=np.min_scalar_type(q - 1)).reshape(n, q**n).T
+    mask = np.ones(q**n, dtype=bool)
     for j, d in enumerate(G.factors):
         comp = np.array([e[j] for e in coeffs], dtype=np.int64)
         sums = (digits @ comp) % d
         mask &= sums == g[j]
-    rows = [tuple(int(s) for s in row) for row in digits[mask]]
     label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
-    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=label)
+    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), digits[mask], name=label)
 
 
 def vt_code(n: int, g: int = 0, q: int = 2, cap: int = DEFAULT_ENUM_CAP) -> CodeBook:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .words import AlphabetSpec, CodeBook
+from .words import AlphabetSpec, CodeBook, RowError, _separator
 
 
 class CodeFileError(ValueError):
@@ -34,14 +34,9 @@ def write_code_file(c: CodeBook) -> str:
         if any(ch.isspace() for ch in f"{key}{value}"):
             raise ValueError(f"metadata entry {key!r} contains whitespace")
         header += f" {key}={value}"
+    sep = _separator(c.alphabet.sizes)
     lines = ["# asymcodes code file v1", header]
-    digits = all(q <= 10 for q in c.alphabet.sizes)
-    for w in c.words:
-        lines.append(
-            "".join(str(s) for s in w.symbols)
-            if digits
-            else ",".join(str(s) for s in w.symbols)
-        )
+    lines.extend(sep.join(map(str, row)) for row in c.symbol_rows)
     return "\n".join(lines) + "\n"
 
 
@@ -79,30 +74,22 @@ def parse_code_file(text: str) -> CodeBook:
     if len(sizes) != n:
         raise CodeFileError(f"line {header_line}: q profile length != n")
     alphabet = AlphabetSpec(sizes)
-    digits = all(q <= 10 for q in sizes)
+    digits = not _separator(sizes)
 
     rows = []
-    seen = set()
     for lineno, line in body:
-        if digits and "," not in line:
-            symbols = tuple(int(ch) for ch in line)
-        else:
-            symbols = tuple(int(x) for x in line.split(","))
+        try:
+            symbols = [int(x) for x in (line if digits and "," not in line else line.split(","))]
+        except ValueError as e:
+            raise CodeFileError(f"line {lineno}: {e}") from e
         if len(symbols) != n:
             raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(symbols)}")
-        for i, (s, q) in enumerate(zip(symbols, sizes)):
-            if not 0 <= s < q:
-                raise CodeFileError(
-                    f"line {lineno}: symbol {s} at coordinate {i + 1} outside 0..{q - 1}"
-                )
-        if symbols in seen:
-            raise CodeFileError(f"line {lineno}: duplicate codeword")
-        seen.add(symbols)
         rows.append(symbols)
     meta = {k: v for k, v in fields.items() if k not in ("q", "n", "name")}
-    return CodeBook.from_symbols(
-        alphabet, rows, name=fields.get("name", ""), meta=meta
-    )
+    try:
+        return CodeBook.from_symbols(alphabet, rows, name=fields.get("name", ""), meta=meta)
+    except RowError as e:
+        raise CodeFileError(f"line {body[e.row][0]}: {e.detail}") from e
 
 
 @dataclass

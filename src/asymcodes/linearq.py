@@ -208,7 +208,9 @@ def is_single_rq_correcting(H: MatrixModZq) -> bool:
 
 
 def codewords_of(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP, name: str = "") -> CodeBook:
-    """Explicit enumeration of the linear code M defines (span or kernel)."""
+    """Explicit enumeration of the linear code M defines (span or kernel):
+    every coefficient vector times the generator in one product.  Words of
+    a generator with dependent rows repeat; they collapse to one each."""
     if M.role == "parity":
         gen = nullspace(M)
     else:
@@ -216,12 +218,9 @@ def codewords_of(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP, name: str = "") ->
     q, n = gen.q, gen.ncols
     k = gen.nrows
     check_cap(q**k, cap, f"q^k = {q}^{k} codewords")
-    rows = set()
-    G = np.array(gen.rows, dtype=np.int64).reshape(k, n)
-    for coef in itertools.product(range(q), repeat=k):
-        word = (np.array(coef, dtype=np.int64) @ G) % q if k else np.zeros(n, dtype=np.int64)
-        rows.add(tuple(int(x) for x in word))
-    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), sorted(rows), name=name)
+    coefs = np.indices((q,) * k).reshape(k, q**k).T
+    rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
+    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=name)
 
 
 def min_hamming_distance(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -309,10 +308,8 @@ def concat_code(
 def double_code(c: CodeBook) -> CodeBook:
     """Repeat every symbol twice in place; doubles the asymmetric distance."""
     sizes = tuple(q for q in c.alphabet.sizes for _ in (0, 1))
-    rows = [tuple(s for s in w for _ in (0, 1)) for w in c.symbol_rows]
-    return CodeBook.from_symbols(
-        AlphabetSpec(sizes), rows, name=f"double({c.name})" if c.name else ""
-    )
+    name = f"double({c.name})" if c.name else ""
+    return CodeBook.from_symbols(AlphabetSpec(sizes), np.repeat(c.matrix(), 2, axis=1), name=name)
 
 
 @functools.lru_cache(maxsize=16)

@@ -10,8 +10,6 @@ oracle before expanding.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .channels import ProductChannel, corrects_t_errors, make_channel
@@ -20,6 +18,10 @@ from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, check_cap
 
 SQUEEZE = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}
 EXPANSIONS = {0: ((0, 0), (1, 1)), 1: ((0, 1),), 2: ((1, 0),)}
+# The two maps as lookup tables: _SQUEEZE[a, b] is the trit of bits ab, and
+# _EXPAND[s, j] the bit pair of trit s for choice j (only 0 has two).
+_SQUEEZE = np.array([[SQUEEZE[a, b] for b in (0, 1)] for a in (0, 1)])
+_EXPAND = np.array([[e[j % len(e)] for j in (0, 1)] for e in EXPANSIONS.values()], dtype=np.uint8)
 
 
 def _require_binary(c: CodeBook):
@@ -36,12 +38,52 @@ def fold_to_ternary(c: CodeBook, p: Pairing) -> CodeBook:
     _require_binary(c)
     p.check_covers(c.n)
     sizes = ((2,) if p.singleton is not None else ()) + (3,) * len(p.pairs)
-    out_alpha = AlphabetSpec(sizes)
-    rows = set()
-    for w in c.symbol_rows:
-        head = (w[p.singleton],) if p.singleton is not None else ()
-        rows.add(head + tuple(SQUEEZE[(w[a], w[b])] for a, b in p.pairs))
-    return CodeBook.from_symbols(out_alpha, sorted(rows), name=f"fold({c.name})" if c.name else "")
+    bits = c.matrix()
+    a, b = (bits[:, [pair[k] for pair in p.pairs]] for k in (0, 1))
+    trits = _SQUEEZE[a, b]
+    if p.singleton is not None:
+        trits = np.hstack([bits[:, [p.singleton]], trits])
+    name = f"fold({c.name})" if c.name else ""
+    return CodeBook.from_symbols(AlphabetSpec(sizes), np.unique(trits, axis=0), name=name)
+
+
+def _expansion_size(c: CodeBook) -> int:
+    """Words `_expand` makes: sum over codewords of 2^(zero trits).
+
+    On a pure ternary code this is W(2,1) of `weight_enumerator`.  A zero
+    bit copies through without doubling, so mixed codes count trits only.
+    """
+    trit = np.array(c.alphabet.sizes) == 3
+    zeros = ((c.matrix() == 0) & trit).sum(axis=1)
+    return sum(1 << z for z in zeros.tolist())
+
+
+def _expand(c: CodeBook, targets: list[tuple[int, ...]], name: str = "") -> CodeBook:
+    """The one expansion of bits and trits into a binary code.
+
+    targets[i] lists the output positions of input coordinate i: one for
+    a bit, which copies through, and two for a trit, which expands by
+    EXPANSIONS (0 to 00 or 11, 1 to 01, 2 to 10).  A codeword with z zero
+    trits gives 2^z words; the k-th of them takes bit j of k for the pair
+    of its j-th zero trit.  The total is checked against the cap first.
+    """
+    check_cap(_expansion_size(c), DEFAULT_ENUM_CAP, "binary image words")
+    mat = c.matrix()
+    zero = (mat == 0) & (np.array([len(t) for t in targets]) == 2)
+    counts = 1 << zero.sum(axis=1)
+    # output word o is the k-th expansion of codeword source[o]
+    source = np.repeat(np.arange(len(mat)), counts)
+    k = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # zero trits before each coordinate: the bit of k that coordinate reads
+    shift = np.cumsum(zero, axis=1) - zero
+    out = np.empty((len(source), sum(len(t) for t in targets)), dtype=np.uint8)
+    for i, t in enumerate(targets):
+        s = mat[source, i]
+        if len(t) == 1:
+            out[:, t[0]] = s
+        else:
+            out[:, list(t)] = _EXPAND[s, (k >> shift[source, i]) & 1]
+    return CodeBook.from_symbols(AlphabetSpec.uniform(2, out.shape[1]), out, name=name)
 
 
 def expand_to_binary(c: CodeBook, p: Pairing) -> CodeBook:
@@ -54,57 +96,21 @@ def expand_to_binary(c: CodeBook, p: Pairing) -> CodeBook:
     expected = ((2,) if has_single else ()) + (3,) * len(p.pairs)
     if c.alphabet.sizes != expected:
         raise ValueError("code layout does not match the pairing")
-    n = p.n
-    rows = set()
-    for w in c.symbol_rows:
-        head = w[0] if has_single else None
-        trits = w[1:] if has_single else w
-        for combo in itertools.product(*[EXPANSIONS[t] for t in trits]):
-            word = [0] * n
-            if has_single:
-                word[p.singleton] = head
-            for (a, b), bits in zip(p.pairs, combo):
-                word[a], word[b] = bits
-            rows.add(tuple(word))
-    return CodeBook.from_symbols(AlphabetSpec.uniform(2, n), sorted(rows))
+    return _expand(c, ([(p.singleton,)] if has_single else []) + list(p.pairs))
 
 
-def _expansion_size(c: CodeBook) -> int:
-    """Words `_expand_in_place` makes: sum over codewords of 2^(zero trits).
-
-    On a pure ternary code this is W(2,1) of `weight_enumerator`.  A zero
-    bit copies through without doubling, so mixed codes count trits only.
-    """
-    trit = np.array(c.alphabet.sizes) == 3
-    zeros = ((c.matrix() == 0) & trit).sum(axis=1)
-    return sum(1 << z for z in zeros.tolist())
-
-
-def _expand_in_place(c: CodeBook, name: str) -> CodeBook:
-    """Expand each ternary coordinate into an adjacent bit pair; binary
-    coordinates pass through in position order."""
-    check_cap(_expansion_size(c), DEFAULT_ENUM_CAP, "binary image words")
-    n_out = sum(2 if q == 3 else 1 for q in c.alphabet.sizes)
-    rows = set()
-    for w in c.symbol_rows:
-        parts = []
-        for s, q in zip(w, c.alphabet.sizes):
-            parts.append(EXPANSIONS[s] if q == 3 else ((s,),))
-        for combo in itertools.product(*parts):
-            rows.add(tuple(b for piece in combo for b in piece))
-    return CodeBook.from_symbols(AlphabetSpec.uniform(2, n_out), sorted(rows), name=name)
-
-
-def _mixed_channel(alphabet: AlphabetSpec) -> ProductChannel:
-    graphs = []
-    for q in alphabet.sizes:
-        if q == 2:
-            graphs.append(make_channel("Z", 2))
-        elif q == 3:
-            graphs.append(make_channel("T", 3))
-        else:
-            raise ValueError("constructions accept only binary and ternary coordinates")
-    return ProductChannel(tuple(graphs))
+def _image(c: CodeBook, check: bool, label: str) -> CodeBook:
+    """Check that c corrects one error on its product channel (Z on every
+    bit, T on every trit), then expand each trit into an adjacent bit pair
+    and pass each bit through, in position order."""
+    sizes = c.alphabet.sizes
+    channel = ProductChannel(tuple(make_channel("Z" if q == 2 else "T", q) for q in sizes))
+    if check and not corrects_t_errors(c, channel, 1):
+        raise ValueError("input does not correct one error on its product channel")
+    widths = [2 if q == 3 else 1 for q in sizes]
+    ends = np.cumsum(widths).tolist()
+    targets = [tuple(range(e - w, e)) for w, e in zip(widths, ends)]
+    return _expand(c, targets, name=f"{label}({c.name})" if c.name else "")
 
 
 def construct_even(c: CodeBook, check: bool = True) -> CodeBook:
@@ -112,9 +118,7 @@ def construct_even(c: CodeBook, check: bool = True) -> CodeBook:
     the 0<->1 / 0<->2 channel.  Size equals the weight enumerator at (2, 1)."""
     if any(q != 3 for q in c.alphabet.sizes):
         raise ValueError("construct_even expects a pure ternary code")
-    if check and not corrects_t_errors(c, _mixed_channel(c.alphabet), 1):
-        raise ValueError("input does not correct one error on the ternary channel")
-    return _expand_in_place(c, name=f"even({c.name})" if c.name else "")
+    return _image(c, check, "even")
 
 
 def construct_odd_mixed(c: CodeBook, check: bool = True) -> CodeBook:
@@ -122,9 +126,7 @@ def construct_odd_mixed(c: CodeBook, check: bool = True) -> CodeBook:
     corresponding product channel; bits copy, trits expand."""
     if any(q not in (2, 3) for q in c.alphabet.sizes):
         raise ValueError("coordinates must be binary or ternary")
-    if check and not corrects_t_errors(c, _mixed_channel(c.alphabet), 1):
-        raise ValueError("input does not correct one error on its product channel")
-    return _expand_in_place(c, name=f"mixed({c.name})" if c.name else "")
+    return _image(c, check, "mixed")
 
 
 def construct_extended(c0: CodeBook, c1: CodeBook, check: bool = True) -> CodeBook:
@@ -138,8 +140,8 @@ def construct_extended(c0: CodeBook, c1: CodeBook, check: bool = True) -> CodeBo
         raise ValueError("parts must be ternary codes over the same length")
     m = c0.n
     alpha = AlphabetSpec((2,) + (3,) * m)
-    rows = [(0,) + w for w in c0.symbol_rows] + [(1,) + w for w in c1.symbol_rows]
-    prefixed = CodeBook.from_symbols(alpha, rows)
+    parts = [np.insert(part.matrix(), 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
+    prefixed = CodeBook.from_symbols(alpha, np.vstack(parts))
     return construct_odd_mixed(prefixed, check=check)
 
 
@@ -174,34 +176,19 @@ def find_pairing(c: CodeBook) -> Pairing | None:
     _require_binary(c)
     n = c.n
     rows = c.symbol_set
-    good = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if _pair_is_foldable(rows, a, b):
-                good.setdefault(a, []).append(b)
+    good = {a: [b for b in range(a + 1, n) if _pair_is_foldable(rows, a, b)] for a in range(n)}
 
-    allow_single = n % 2 == 1
-
-    def rec(uncovered: list[int], single_used: bool, acc: list[tuple[int, int]]):
+    def rec(uncovered: list[int], single: int | None) -> Pairing | None:
         if not uncovered:
-            last = acc_single[0] if single_used else None
-            return Pairing(tuple(acc), singleton=last)
-        a = uncovered[0]
-        rest = uncovered[1:]
-        for b in good.get(a, ()):
+            return Pairing((), singleton=single)
+        a, rest = uncovered[0], uncovered[1:]
+        for b in good[a]:
             if b in rest:
-                acc.append((a, b))
-                got = rec([x for x in rest if x != b], single_used, acc)
+                got = rec([x for x in rest if x != b], single)
                 if got is not None:
-                    return got
-                acc.pop()
-        if allow_single and not single_used:
-            acc_single[0] = a
-            got = rec(rest, True, acc)
-            if got is not None:
-                return got
-            acc_single[0] = None
+                    return Pairing(((a, b),) + got.pairs, got.singleton)
+        if n % 2 and single is None:
+            return rec(rest, a)
         return None
 
-    acc_single: list[int | None] = [None]
-    return rec(list(range(n)), False, [])
+    return rec(list(range(n)), None)

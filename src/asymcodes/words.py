@@ -8,10 +8,9 @@ ordered set of words over one alphabet profile.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -111,6 +110,23 @@ class AlphabetSpec:
         return len(self.sizes)
 
 
+def _separator(sizes: Sequence[int]) -> str:
+    """How words print: digit strings while every alphabet size is at most
+    10, comma-separated integers otherwise."""
+    return "" if all(q <= 10 for q in sizes) else ","
+
+
+def _check_symbols(symbols: Sequence[int], sizes: Sequence[int]) -> None:
+    """Raise ValueError unless the word fits the alphabet: one symbol per
+    coordinate, each inside its alphabet 0..q-1 (the first one outside is
+    named)."""
+    if len(symbols) != len(sizes):
+        raise ValueError(f"word length {len(symbols)} != alphabet length {len(sizes)}")
+    for i, (s, q) in enumerate(zip(symbols, sizes)):
+        if not 0 <= s < q:
+            raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
+
+
 @dataclass(frozen=True)
 class Word:
     """An immutable word over an alphabet profile."""
@@ -120,13 +136,7 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-        if len(self.symbols) != len(self.alphabet):
-            raise ValueError(
-                f"word length {len(self.symbols)} != alphabet length {len(self.alphabet)}"
-            )
-        for i, (s, q) in enumerate(zip(self.symbols, self.alphabet.sizes)):
-            if not 0 <= s < q:
-                raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
+        _check_symbols(self.symbols, self.alphabet.sizes)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -138,62 +148,123 @@ class Word:
         return self.symbols[i]
 
     def __str__(self) -> str:
-        if all(q <= 10 for q in self.alphabet.sizes):
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return _separator(self.alphabet.sizes).join(map(str, self.symbols))
 
 
 def _as_symbols(x) -> tuple[int, ...]:
     return x.symbols if isinstance(x, Word) else tuple(x)
 
 
-@dataclass(frozen=True, eq=False)
+class RowError(ValueError):
+    """A code-book row lies outside the alphabet or repeats an earlier row;
+    `row` indexes the input rows and `detail` is the message without it."""
+
+    def __init__(self, row: int, detail: str):
+        self.row, self.detail = row, detail
+        super().__init__(f"row {row}: {detail}")
+
+
+def _row_array(rows, n: int) -> np.ndarray:
+    """Rows as a 2-D array of n columns: int64, or object for symbols past
+    int64, so that the range check still names them."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError(f"rows of shape {rows.shape} do not have {n} columns")
+        return rows
+    rows = [_as_symbols(r) for r in rows]
+    for r, row in enumerate(rows):
+        if len(row) != n:
+            raise RowError(r, f"word length {len(row)} != alphabet length {n}")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), n)
+
+
+def _sorted_rows(rows, sizes: tuple[int, ...]) -> np.ndarray:
+    """The one validation of a code book: the rows, checked against the
+    alphabet and lex-sorted, as a read-only array of the narrowest unsigned
+    dtype that holds every alphabet.  Raises RowError for the first input
+    row with a symbol outside its alphabet, else for the first input row
+    that repeats an earlier one (the sort is stable)."""
+    rows = _row_array(rows, len(sizes))
+    outside = ((rows < 0) | (rows >= np.array(sizes))).any(axis=1)
+    if outside.any():
+        r = int(np.argmax(outside))
+        try:
+            _check_symbols(rows[r].tolist(), sizes)
+        except ValueError as e:
+            raise RowError(r, str(e)) from None
+    rows = rows.astype(np.min_scalar_type(max(sizes) - 1), copy=False)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    repeats = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)) + 1
+    if len(repeats):
+        k = repeats[np.argmin(order[repeats])]
+        text = _separator(sizes).join(map(str, rows[k].tolist()))
+        raise RowError(int(order[k]), f"duplicate codeword {text}")
+    rows.flags.writeable = False
+    return rows
+
+
+def _trusted_word(symbols: tuple[int, ...], alphabet: AlphabetSpec) -> Word:
+    """A Word over symbols already checked against alphabet, sharing the
+    tuple: no copy and no second check."""
+    w = object.__new__(Word)
+    vars(w).update(symbols=symbols, alphabet=alphabet)
+    return w
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CodeBook:
-    """A duplicate-free set of words, iterated in lexicographic order."""
+    """A duplicate-free set of words, iterated in lexicographic order.
+
+    One read-only, lex-sorted integer array, `_symbol_array`, holds the
+    codewords and is validated once, when the code book is made; `words`,
+    `symbol_rows` and `symbol_set` are derived from it on first use.
+    """
 
     alphabet: AlphabetSpec
-    words: tuple[Word, ...]
-    name: str = ""
-    meta: dict = field(default_factory=dict)
+    _symbol_array: np.ndarray
+    name: str
+    meta: dict
 
-    def __post_init__(self):
-        seen = set()
-        for w in self.words:
-            if w.alphabet != self.alphabet:
-                raise AlphabetMismatch("all words must share the code book alphabet")
-            if w.symbols in seen:
-                raise ValueError(f"duplicate codeword {w}")
-            seen.add(w.symbols)
-        ordered = tuple(sorted(self.words, key=lambda w: w.symbols))
-        object.__setattr__(self, "words", ordered)
+    def __init__(self, alphabet: AlphabetSpec, words: Iterable[Word], name: str = "", meta=None):
+        words = tuple(words)
+        if any(w.alphabet != alphabet for w in words):
+            raise AlphabetMismatch("all words must share the code book alphabet")
+        self._fill(alphabet, [w.symbols for w in words], name, {} if meta is None else meta)
+
+    def _fill(self, alphabet, rows, name, meta):
+        rows = _sorted_rows(rows, alphabet.sizes)
+        vars(self).update(alphabet=alphabet, _symbol_array=rows, name=name, meta=meta)
 
     @classmethod
     def from_symbols(
         cls,
         alphabet: AlphabetSpec,
-        rows: Iterable[Sequence[int]],
+        rows: Iterable[Sequence[int]] | np.ndarray,
         name: str = "",
         meta: dict | None = None,
     ) -> "CodeBook":
-        words = tuple(Word(_as_symbols(r), alphabet) for r in rows)
-        return cls(alphabet, words, name=name, meta=dict(meta or {}))
+        """A code book from rows (sequences, Words or a 2-D integer array)
+        in any order.  Raises RowError, a ValueError naming the input row,
+        for a symbol outside the alphabet or a repeated row."""
+        book = cls.__new__(cls)
+        book._fill(alphabet, rows, name, dict(meta or {}))
+        return book
 
     @cached_property
     def symbol_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(w.symbols for w in self.words)
+        return tuple(map(tuple, self._symbol_array.tolist()))
 
     @cached_property
     def symbol_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.symbol_rows)
 
     @cached_property
-    def _symbol_array(self) -> np.ndarray:
-        """Read-only codeword rows in the narrowest unsigned dtype that holds
-        every alphabet, built once per code book."""
-        dtype = np.min_scalar_type(max(self.alphabet.sizes) - 1)
-        rows = np.array(self.symbol_rows, dtype=dtype).reshape(len(self), len(self.alphabet))
-        rows.flags.writeable = False
-        return rows
+    def words(self) -> tuple[Word, ...]:
+        return tuple(_trusted_word(r, self.alphabet) for r in self.symbol_rows)
 
     def matrix(self) -> np.ndarray:
         """Codewords as a fresh int64 array, one row per word, lex order."""
@@ -204,7 +275,7 @@ class CodeBook:
         return len(self.alphabet)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._symbol_array)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -215,10 +286,11 @@ class CodeBook:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeBook):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.symbol_rows == other.symbol_rows
+        same = np.array_equal(self._symbol_array, other._symbol_array)
+        return self.alphabet == other.alphabet and same
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.symbol_rows))
+        return hash((self.alphabet, self._symbol_array.tobytes()))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -395,23 +467,8 @@ def is_t_code(c: CodeBook, t: int) -> bool:
 
 def weight_enumerator(c: CodeBook) -> WeightEnumerator:
     """Counts of codewords by Hamming weight."""
-    n = c.n
-    counts = [0] * (n + 1)
-    for w in c.symbol_rows:
-        counts[sum(1 for s in w if s)] += 1
-    return WeightEnumerator(n, tuple(counts))
-
-
-def evaluate_enumerator(w: WeightEnumerator, X: int, Y: int) -> int:
-    return w.evaluate(X, Y)
-
-
-def _check_symbols(symbols: Sequence[int], sizes: Sequence[int]) -> None:
-    """Raise ValueError naming the first coordinate whose symbol lies
-    outside its alphabet 0..q-1."""
-    for i, (s, q) in enumerate(zip(symbols, sizes)):
-        if not 0 <= s < q:
-            raise ValueError(f"received symbol {s} at coordinate {i} outside 0..{q - 1}")
+    counts = np.bincount((c._symbol_array != 0).sum(axis=1), minlength=c.n + 1)
+    return WeightEnumerator(c.n, tuple(counts.tolist()))
 
 
 def _up_ball_size(room: Sequence[int], budget: int) -> int:
@@ -467,8 +524,7 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     hits = [y for y in _up_ball(rs, sizes, budget) if y in book]
     if not hits:
         raise DecodeFailure(f"no codeword within {t} decrements of {rs}")
-    rows = c.symbol_rows
-    candidates = [c.words[bisect.bisect_left(rows, y)] for y in hits]
+    candidates = [_trusted_word(y, c.alphabet) for y in hits]
     if len(candidates) > 1:
         raise DecodeAmbiguity(candidates)
     return candidates[0]

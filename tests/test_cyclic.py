@@ -156,13 +156,6 @@ class TestSearch:
         b = search_cyclic(4, cfg)
         assert a == b and a.meta == b.meta
 
-    def test_worker_split_deterministic(self):
-        cfg2 = SearchConfig(worker_count=2)
-        a = search_cyclic(4, cfg2)
-        b = search_cyclic(4, cfg2)
-        assert a == b
-        assert int(a.meta["score"]) == 29
-
     def test_strategies_all_valid(self):
         for strategy in ("exact-clique", "greedy", "randomized-restart"):
             for m in (3, 4, 5):
@@ -221,7 +214,7 @@ def brute_force_clique(weights, adj, keys):
     return -best[0], best[1]
 
 
-def reference_clique(weights, adj, keys, node_budget, worker_count, seed_solution=None):
+def reference_clique(weights, adj, keys, node_budget, seed_solution=None):
     """The branch-and-bound as first written: caller labels, a scan over
     branch positions and the bound summed vertex by vertex.  The engine
     must expand exactly the same nodes."""
@@ -270,40 +263,37 @@ def reference_clique(weights, adj, keys, node_budget, worker_count, seed_solutio
     consider(0, 0)
     if seed_solution is not None:
         consider(*seed_solution)
-    for first in range(worker_count):
-        for p in range(first, V, worker_count):
-            v = order[p]
-            cand = adj[v]
-            for earlier in range(p):
-                cand &= ~(1 << order[earlier])
-            expand(p + 1, cand, weights[v], 1 << v)
-            if nodes["exhausted"]:
-                break
+    for p in range(V):
+        v = order[p]
+        cand = adj[v]
+        for earlier in range(p):
+            cand &= ~(1 << order[earlier])
+        expand(p + 1, cand, weights[v], 1 << v)
         if nodes["exhausted"]:
             break
     return best["w"], best["mask"], not nodes["exhausted"], nodes["n"]
 
 
 class TestCliqueEngine:
-    @given(weighted_graphs(), st.integers(1, 3), st.booleans())
+    @given(weighted_graphs(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_equals_subset_enumeration(self, graph, worker_count, seeded):
+    def test_equals_subset_enumeration(self, graph, seeded):
         weights, adj, keys = graph
         V = len(weights)
         seed = None
         if seeded:
             order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
             seed = _greedy(weights, adj, order)
-        w, mask, proven, nodes = _max_weight_clique(weights, adj, keys, 10**6, worker_count, seed)
+        w, mask, proven, nodes = _max_weight_clique(weights, adj, keys, 10**6, seed)
         chosen = [i for i in range(V) if mask >> i & 1]
         assert proven
         assert (nodes == 0) == (V == 0)
         assert sum(weights[i] for i in chosen) == w
         assert (w, tuple(sorted(keys[i] for i in chosen))) == brute_force_clique(weights, adj, keys)
 
-    @given(weighted_graphs(), st.integers(1, 3), st.integers(1, 40), st.booleans())
+    @given(weighted_graphs(), st.integers(1, 40), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_expands_the_reference_nodes(self, graph, worker_count, budget, seeded):
+    def test_expands_the_reference_nodes(self, graph, budget, seeded):
         # small budgets make many runs stop early: their partial answers
         # must match too
         weights, adj, keys = graph
@@ -311,18 +301,16 @@ class TestCliqueEngine:
         if seeded:
             order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
             seed = _greedy(weights, adj, order)
-        args = (weights, adj, keys, budget, worker_count, seed)
+        args = (weights, adj, keys, budget, seed)
         assert _max_weight_clique(*args) == reference_clique(*args)
 
-    @pytest.mark.parametrize(
-        "m, worker_count, budget", [(5, 1, 10**6), (5, 2, 300), (6, 3, 2_000)]
-    )
-    def test_search_graphs_expand_the_reference_nodes(self, m, worker_count, budget):
+    @pytest.mark.parametrize("m, budget", [(5, 10**6), (5, 300), (6, 2_000)])
+    def test_search_graphs_expand_the_reference_nodes(self, m, budget):
         orbits, adj = _plain_graph(m)
         weights = [o.weight_score for o in orbits]
         keys = [o.representative for o in orbits]
         order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
-        args = (weights, list(adj), keys, budget, worker_count, _greedy(weights, adj, order))
+        args = (weights, list(adj), keys, budget, _greedy(weights, adj, order))
         assert _max_weight_clique(*args) == reference_clique(*args)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

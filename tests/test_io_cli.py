@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from asymcodes import AlphabetSpec, CodeBook
 from asymcodes.cli import main
 from asymcodes.io import CodeFileError, ReportDocument, parse_code_file, write_code_file
+from asymcodes.linearq import MatrixModZq
 
 from conftest import book_from_strings
 from reference_codes import CODE_5_27_Q3
@@ -74,6 +76,93 @@ class TestCodeFile:
     def test_wrong_length_line(self):
         with pytest.raises(CodeFileError, match="line 2"):
             parse_code_file("q=3 n=4\n012\n")
+
+
+TOKEN = st.text("abcxyz0189-_.", min_size=1, max_size=6)
+
+
+@st.composite
+def code_files(draw, min_rows=0):
+    """A code with a name and meta keys, over a uniform or mixed alphabet
+    up to q = 20 (digit strings up to q = 10, comma lists past it)."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        sizes = (draw(st.integers(2, 20)),) * n
+    else:
+        sizes = tuple(draw(st.lists(st.integers(2, 20), min_size=n, max_size=n)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1) for q in sizes]),
+                         min_size=min_rows, max_size=12, unique=True))
+    name = draw(st.one_of(st.just(""), TOKEN))
+    meta = draw(st.dictionaries(TOKEN.filter(lambda k: k not in ("q", "n", "name")),
+                                st.text("abc019=,:", max_size=5), max_size=3))
+    return CodeBook.from_symbols(AlphabetSpec(sizes), rows, name=name, meta=meta)
+
+
+class TestFileRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(code_files())
+    def test_code_file(self, c):
+        again = parse_code_file(write_code_file(c))
+        assert again == c and again.name == c.name and again.meta == c.meta
+        assert write_code_file(again) == write_code_file(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 13), st.integers(0, 3), st.integers(1, 5),
+           st.sampled_from(["generator", "parity"]), st.booleans(), st.data())
+    def test_matrix_file(self, q, nrows, ncols, role, comment, data):
+        rows = tuple(tuple(data.draw(st.lists(st.integers(-q, 2 * q), min_size=ncols, max_size=ncols)))
+                     for _ in range(nrows))
+        try:
+            m = MatrixModZq(q, rows, role)
+        except ValueError:  # a parity check with an all-zero column
+            assume(False)
+        text = ("# a comment\n" if comment else "") + m.to_text()
+        assert MatrixModZq.from_text(text) == m
+
+
+class TestHostileCodeFiles:
+    """Each fault in one codeword line is a CodeFileError naming that line
+    (comment and blank lines count)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_files(min_rows=1), st.sampled_from(["range", "negative", "duplicate", "short", "letter"]),
+           st.data())
+    def test_fault_names_its_line(self, c, fault, data):
+        lines = write_code_file(c).splitlines()
+        lines[1:1] = ["", "# between"]
+        first = 4  # 0-based index of the first codeword line
+        j = data.draw(st.integers(0, len(c) - 1))
+        sep = "," if any(q > 10 for q in c.alphabet.sizes) else ""
+        symbols = list(c.symbol_rows[j])
+        bad = first + j
+        if fault == "duplicate":
+            assume(len(c) > 1)
+            k = data.draw(st.integers(0, len(c) - 1).filter(lambda k: k != j))
+            lines[first + j] = lines[first + k]
+            bad = first + max(j, k)
+        elif fault == "short":
+            assume(c.n > 1)  # an empty line is blank, not short
+            lines[first + j] = sep.join(map(str, symbols[:-1]))
+        else:
+            i = data.draw(st.integers(0, c.n - 1))
+            q = c.alphabet.sizes[i]
+            symbols[i] = {"range": q, "negative": -1, "letter": "x"}[fault]
+            assume(not (fault == "range" and q == 10 and not sep))  # "10" is two digits
+            lines[first + j] = sep.join(map(str, symbols))
+        with pytest.raises(CodeFileError, match=f"^line {bad + 1}: "):
+            parse_code_file("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("body, line, what", [
+        ("012\n# c\n\n030\n", 5, "symbol 3 at coordinate 1 outside 0..2"),
+        ("01,2\n11,2\n-1,0\n", 4, "symbol -1 at coordinate 0 outside 0..11"),
+        ("012\n120\n012\n", 4, "duplicate codeword 012"),
+        ("012\n01\n", 3, "expected 3 symbols, got 2"),
+        ("0a1\n", 2, "invalid literal"),
+    ], ids=["range", "negative", "duplicate", "short", "letter"])
+    def test_examples(self, body, line, what):
+        header = "q=12 n=2\n" if "," in body else "q=3 n=3\n"
+        with pytest.raises(CodeFileError, match=f"^line {line}: {what}"):
+            parse_code_file(header + body)
 
 
 class TestReportDocument:

@@ -31,7 +31,7 @@ from asymcodes import (
 )
 
 from asymcodes import ternary
-from asymcodes.ternary import _expansion_size
+from asymcodes.ternary import EXPANSIONS, _expansion_size
 from asymcodes.words import EnumerationCapExceeded
 
 from conftest import book_from_strings
@@ -109,6 +109,66 @@ class TestExpand:
         c = book_from_strings(["0"], q=3)
         out = expand_to_binary(c, Pairing(((0, 1),)))
         assert {w.symbols for w in out} == {(0, 0), (1, 1)}
+
+
+def reference_expand(c, targets):
+    """The former expansion loop: every combination of each trit's bit
+    pairs, one itertools.product per codeword, written to the target
+    positions; bits copy to their one position."""
+    out = set()
+    n_out = sum(len(t) for t in targets)
+    for w in c.symbol_rows:
+        parts = [EXPANSIONS[s] if len(t) == 2 else ((s,),) for s, t in zip(w, targets)]
+        for combo in itertools.product(*parts):
+            word = [0] * n_out
+            for t, bits in zip(targets, combo):
+                for pos, bit in zip(t, bits):
+                    word[pos] = bit
+            out.add(tuple(word))
+    return out
+
+
+@st.composite
+def bit_trit_codes(draw):
+    """A code over a random bit/trit layout, a random assignment of output
+    positions (a pairing with an optional singleton, the singleton bit
+    first), and whether the layout is a pairing's (bit first, then trits)."""
+    pairs = draw(st.integers(0, 3))
+    single = draw(st.booleans()) or pairs == 0
+    perm = draw(st.permutations(range(2 * pairs + single)))
+    pairing = Pairing(
+        tuple((perm[2 * j], perm[2 * j + 1]) for j in range(pairs)),
+        singleton=perm[-1] if single else None,
+    )
+    sizes = (2,) * single + (3,) * pairs
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1) for q in sizes]),
+                         max_size=10, unique=True))
+    return CodeBook.from_symbols(AlphabetSpec(sizes), rows), pairing
+
+
+class TestOneExpansion:
+    @settings(max_examples=100, deadline=None)
+    @given(bit_trit_codes())
+    def test_expand_to_binary_equals_reference(self, drawn):
+        c, p = drawn
+        targets = ([(p.singleton,)] if p.singleton is not None else []) + list(p.pairs)
+        out = expand_to_binary(c, p)
+        assert out.n == p.n and set(out.symbol_rows) == reference_expand(c, targets)
+        assert len(out) == _expansion_size(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5), st.data())
+    def test_in_place_expansion_equals_reference(self, sizes, data):
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1) for q in sizes]),
+                                  max_size=10, unique=True))
+        c = CodeBook.from_symbols(AlphabetSpec(tuple(sizes)), rows)
+        targets, at = [], 0
+        for q in sizes:
+            width = 2 if q == 3 else 1
+            targets.append(tuple(range(at, at + width)))
+            at += width
+        out = construct_odd_mixed(c, check=False)
+        assert out.n == at and set(out.symbol_rows) == reference_expand(c, targets)
 
 
 class TestGaloisProperties:
@@ -234,6 +294,22 @@ class TestExpansionCap:
             build()
         monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size)
         assert len(build()) == size
+
+    def test_expand_to_binary_checks_the_cap(self, monkeypatch):
+        # a singleton bit, two trits: 4 + 2 + 1 words; the bit never doubles
+        c = CodeBook.from_symbols(AlphabetSpec((2, 3, 3)), [(0, 0, 0), (1, 0, 2), (1, 1, 2)])
+        p = Pairing(((4, 0), (1, 3)), singleton=2)
+        size = _expansion_size(c)
+        assert size == 7
+        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size - 1)
+        with pytest.raises(EnumerationCapExceeded, match="7 exceeds"):
+            expand_to_binary(c, p)
+        # folds to 000 and 100 under this pairing: 8 words
+        binary = CodeBook.from_symbols(AlphabetSpec.uniform(2, 5), [(0,) * 5, (0, 0, 0, 0, 1)])
+        with pytest.raises(EnumerationCapExceeded):
+            is_ternary_code(binary, Pairing(((0, 1), (2, 3)), singleton=4))
+        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size)
+        assert len(expand_to_binary(c, p)) == size
 
     def test_all_zero_word_of_length_22_is_refused(self, monkeypatch):
         # 2^22 binary words: refused at once instead of built

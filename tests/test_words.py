@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from asymcodes import (
     AlphabetSpec,
@@ -14,7 +15,6 @@ from asymcodes import (
     asym_distance,
     d_ell_distance,
     decode_asymmetric,
-    evaluate_enumerator,
     is_lm_code,
     is_t_code,
     min_asym_distance,
@@ -238,7 +238,7 @@ class TestEnumerator:
         c = book_from_strings(["000", "111", "122", "212", "221"], q=3)
         we = weight_enumerator(c)
         assert we.counts == (1, 0, 0, 4)
-        assert evaluate_enumerator(we, 2, 1) == 12
+        assert we.evaluate(2, 1) == 12
 
     def test_empty_and_singleton(self):
         empty = CodeBook.from_symbols(AlphabetSpec.uniform(3, 3), [])
@@ -250,7 +250,7 @@ class TestEnumerator:
                     min_size=0, max_size=15, unique_by=tuple))
     def test_normalization(self, rows):
         c = CodeBook.from_symbols(AlphabetSpec.uniform(3, 3), [tuple(r) for r in rows])
-        assert evaluate_enumerator(weight_enumerator(c), 1, 1) == len(c)
+        assert weight_enumerator(c).evaluate(1, 1) == len(c)
 
 
 class TestDecoder:
@@ -431,6 +431,91 @@ class TestUpBallDecoder:
     def test_rejects_symbols_outside_the_alphabet(self, received, where):
         with pytest.raises(ValueError, match=where):
             decode_asymmetric(vt_code(4, 0), received, 1)
+
+
+@st.composite
+def alphabets_and_rows(draw, max_q=5):
+    """A mixed alphabet and distinct rows over it, in no particular order."""
+    sizes = draw(st.lists(st.integers(2, max_q), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1) for q in sizes]),
+                         max_size=20, unique=True))
+    return AlphabetSpec(tuple(sizes)), rows
+
+
+class TestCodeBookArray:
+    """One validated, lex-sorted array holds a code book; everything else
+    is derived from it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(alphabets_and_rows(), alphabets_and_rows(max_q=300)), st.randoms())
+    def test_every_view_agrees(self, drawn, rnd):
+        alphabet, rows = drawn
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        c = CodeBook.from_symbols(alphabet, shuffled)
+        by_words = CodeBook(alphabet, [Word(r, alphabet) for r in rows])
+        by_array = CodeBook.from_symbols(alphabet, np.array(shuffled, dtype=np.int64).reshape(-1, alphabet.n))
+        assert c == by_words == by_array
+        assert hash(c) == hash(by_words) == hash(by_array)
+        ordered = sorted(rows)
+        assert len(c) == len(rows)
+        assert c.symbol_rows == tuple(ordered)
+        assert c.symbol_set == frozenset(rows)
+        assert c.matrix().tolist() == [list(r) for r in ordered]
+        assert [w.symbols for w in c.words] == ordered == [w.symbols for w in c]
+        assert all(w == Word(w.symbols, alphabet) for w in c.words)
+        # derived words share the row tuples
+        assert all(w.symbols is r for w, r in zip(c.words, c.symbol_rows))
+        assert all(r in c for r in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alphabets_and_rows(), st.data())
+    def test_a_bad_row_is_named(self, drawn, data):
+        alphabet, rows = drawn
+        assume(rows)
+        rows = list(rows)
+        j = data.draw(st.integers(0, len(rows) - 1))
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(j + 1, len(rows)))
+            text = str(Word(rows[j], alphabet))
+            rows.insert(at, rows[j])
+            message = f"row {at}: duplicate codeword {text}"
+        else:
+            i = data.draw(st.integers(0, alphabet.n - 1))
+            q = alphabet.sizes[i]
+            s = data.draw(st.sampled_from([-1, q, q + 7]))
+            rows[j] = rows[j][:i] + (s,) + rows[j][i + 1:]
+            at, message = j, f"row {j}: symbol {s} at coordinate {i} outside 0..{q - 1}"
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            CodeBook.from_symbols(alphabet, rows)
+        assert caught.value.row == at
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 0, 3), (0, 0, 0), (3, 0, 0)], "row 0: symbol 3 at coordinate 2"),
+        ([(1, 1, 1), (0, 0, 0), (1, 1, 1), (0, 0, 0)], "row 2: duplicate codeword 111"),
+        ([(2, 2, 2), (2, 2, 2), (0, 0, 0), (0, 0, 0)], "row 1: duplicate codeword 222"),
+    ])
+    def test_the_first_bad_input_row_is_named(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            CodeBook.from_symbols(AlphabetSpec.uniform(3, 3), rows)
+
+    def test_word_constructor_checks_alphabets(self):
+        a, b = AlphabetSpec.uniform(2, 2), AlphabetSpec.uniform(3, 2)
+        with pytest.raises(AlphabetMismatch):
+            CodeBook(a, [Word((0, 0), a), Word((1, 2), b)])
+        c = CodeBook(a, [Word((1, 1), a), Word((0, 1), a)], name="x", meta={"k": "v"})
+        assert c.symbol_rows == ((0, 1), (1, 1)) and c.name == "x" and c.meta == {"k": "v"}
+
+    def test_ragged_and_misshapen_rows(self):
+        a = AlphabetSpec.uniform(3, 3)
+        with pytest.raises(ValueError, match="row 1: word length 2 != alphabet length 3"):
+            CodeBook.from_symbols(a, [(0, 0, 0), (1, 1)])
+        with pytest.raises(ValueError, match="row 0: word length 4"):
+            CodeBook.from_symbols(a, [(0, 0, 0, 0)])
+        with pytest.raises(ValueError, match="do not have 3 columns"):
+            CodeBook.from_symbols(a, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match=f"row 0: symbol {10**30} at coordinate 1"):
+            CodeBook.from_symbols(a, [(0, 10**30, 0)])
 
 
 class TestMatrixCache:
