@@ -26,13 +26,13 @@ def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
     return q**n // denom
 
 
-def is_perfect(c: CodeBook, t_tilde: int, ell: int, check: bool = True) -> bool:
+def is_perfect(c: CodeBook, t_tilde: int, ell: int) -> bool:
     """True iff c meets the wrap-around sphere-packing bound with equality.
 
-    With check=True the code is first verified to actually correct t_tilde
-    wrap-around limited-magnitude errors.
+    The code is first verified to actually correct t_tilde wrap-around
+    limited-magnitude errors.
     """
-    if check and not is_lm_code(c, t_tilde, ell, wrap=True):
+    if not is_lm_code(c, t_tilde, ell, wrap=True):
         raise ValueError("code fails the limited-magnitude verification")
     return len(c) == sphere_bound(c.alphabet.q, c.n, t_tilde, ell)
 
@@ -87,6 +87,9 @@ class RateRatioRow:
     within_tolerance: bool | None
 
 
+# How far a computed rate ratio may sit from its reference value.
+RATE_RATIO_TOLERANCE = 0.001
+
 # Published reference ratios for the comparison table (index: binary length).
 REFERENCE_RATE_RATIOS: dict[int, float] = {
     6: 1.107, 8: 1.250, 10: 1.000, 12: 0.940, 14: 0.936, 16: 1.026, 18: 1.020,
@@ -105,26 +108,26 @@ def rate_ratio(m: int) -> float:
     return rate_ratio_row(m).s
 
 
-def rate_ratio_row(m: int, tolerance: float = 0.001) -> RateRatioRow:
+def rate_ratio_row(m: int) -> RateRatioRow:
     image = kernel_image_size(canonical_d3_ternary_check(m))
     dim = best_d3_dimension(2, 2 * m)
     s = round(log2(image) / dim, 3)
     ref = REFERENCE_RATE_RATIOS.get(2 * m)
-    ok = None if ref is None else abs(s - ref) <= tolerance + 1e-12
+    ok = None if ref is None else abs(s - ref) <= RATE_RATIO_TOLERANCE + 1e-12
     return RateRatioRow(2 * m, image, dim, s, ref, ok)
 
 
-def table1_report(max_n: int = 88) -> dict:
+def table1_report() -> dict:
     """Computed rate ratios against the stored reference values.
 
     Rows whose canonical code representative differs from the one behind
     the reference value may deviate past the third decimal; those rows are
     flagged, not hidden.
     """
-    rows = [rate_ratio_row(m) for m in range(3, max_n // 2 + 1)]
+    rows = [rate_ratio_row(m) for m in range(3, max(REFERENCE_RATE_RATIOS) // 2 + 1)]
     return {
         "table": "rate-ratio",
-        "tolerance": 0.001,
+        "tolerance": RATE_RATIO_TOLERANCE,
         "rows": [
             {
                 "n": r.n,

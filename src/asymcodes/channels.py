@@ -33,8 +33,6 @@ from .words import (
 
 CHANNEL_KINDS = ("Z", "T", "Rq", "chain", "L1-wrap")
 
-DEFAULT_BALL_CAP = 10**7
-
 
 @dataclass(frozen=True)
 class ChannelGraph:
@@ -262,10 +260,9 @@ def _balls(
     radius: int,
     counting: str,
     coord_radius: int,
-    cap: int,
 ):
     """The one ball enumerator: owners and limb indices of every word in the
-    radius balls around `rows`, after checking their total size against cap."""
+    radius balls around `rows`, after checking their total size against the cap."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
     # No word spends more than the dearest move of every coordinate, so a
@@ -275,7 +272,7 @@ def _balls(
                  for g in set(ch.coordinates)}
     moves = [per_graph[g] for g in ch.coordinates]
     cols = np.ascontiguousarray(rows.T)
-    check_cap(_ball_count(cols, moves, budget), cap, f"radius-{radius} error balls")
+    check_cap(_ball_count(cols, moves, budget), f"radius-{radius} error balls")
     return _expand(cols, moves, budget, ch.alphabet.sizes)
 
 
@@ -307,7 +304,6 @@ def error_ball(
     radius: int,
     counting: str = "magnitude",
     coord_radius: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> frozenset[Word]:
     """All words reachable from x by channel errors within the given budget.
 
@@ -319,7 +315,7 @@ def error_ball(
         raise ValueError("radius must be >= 0")
     _check_compatible(x.alphabet, ch)
     rows = np.array([x.symbols], dtype=np.int64)
-    _, limbs = _balls(rows, ch, radius, counting, coord_radius, cap)
+    _, limbs = _balls(rows, ch, radius, counting, coord_radius)
     found = _symbols_of(limbs, x.alphabet.sizes).tolist()
     return frozenset(Word(s, x.alphabet) for s in found)
 
@@ -338,7 +334,6 @@ def ball_overlap(
     t: int,
     counting: str = "magnitude",
     coord_radius: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> BallOverlap | None:
     """None iff radius-t error balls around distinct codewords are disjoint.
 
@@ -346,12 +341,12 @@ def ball_overlap(
     two balls share, and the first two codewords whose balls hold it.
     Every ball is listed once, as mixed-radix word indices; one sort then
     puts any word that two balls share next to itself.  The total ball
-    size is counted, and checked against cap, before anything is listed.
+    size is counted, and checked against the cap, before anything is listed.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     _check_compatible(c.alphabet, ch)
-    owner, limbs = _balls(c.matrix(), ch, t, counting, coord_radius, cap)
+    owner, limbs = _balls(c.matrix(), ch, t, counting, coord_radius)
     words, holder = _coverage(owner, limbs)
     shared = np.flatnonzero(holder < 0)
     if not len(shared):
@@ -369,10 +364,9 @@ def corrects_t_errors(
     t: int,
     counting: str = "magnitude",
     coord_radius: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> bool:
     """True iff radius-t error balls around distinct codewords are disjoint."""
-    return ball_overlap(c, ch, t, counting, coord_radius, cap) is None
+    return ball_overlap(c, ch, t, counting, coord_radius) is None
 
 
 @dataclass(frozen=True)
@@ -398,7 +392,6 @@ def simulate_channel(
     t: int = 1,
     p: float | None = None,
     force_errors: int | None = None,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> SimulationResult:
     """Monte Carlo exercise of the channel model.
 
@@ -430,7 +423,7 @@ def simulate_channel(
     rows = c.symbol_rows
     # word -> codeword index, or -1 where two balls overlap; built in
     # blocks, so that only the dict's tuples outlive a block's lists
-    words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1, cap))
+    words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1))
     coverage: dict[tuple[int, ...], int] = {}
     for start in range(0, len(holder), 4096):
         block = slice(start, start + 4096)

@@ -38,7 +38,7 @@ from .cyclic import (
     search_extended,
 )
 from .groups import AbelianGroup, cr_code, vt_code
-from .io import CodeFileError, ReportDocument, parse_code_file, write_code_file
+from .io import CodeFileError, ReportDocument, parse_code_file, parse_ints, write_code_file
 from .linearq import (
     MatrixModZq,
     concat_code,
@@ -87,7 +87,7 @@ def _emit_json(report: ReportDocument, path: str | None):
 def _parse_word(text: str, alphabet: AlphabetSpec) -> Word:
     """Digits, or comma-separated integers; Word rejects symbols outside the alphabet."""
     parts = text.split(",") if "," in text else text
-    return Word(tuple(int(s) for s in parts), alphabet)
+    return Word(tuple(parse_ints(parts)), alphabet)
 
 
 def _default_oracle_channel(c: CodeBook) -> ProductChannel:
@@ -113,7 +113,7 @@ def _cmd_construct(args) -> int:
         code = vt_code(args.n, args.g_int, args.q)
     elif which == "cr":
         group = AbelianGroup.parse(args.group)
-        g = tuple(int(x) for x in args.g.split(",")) if args.g else None
+        g = tuple(parse_ints(args.g.split(","))) if args.g else None
         code = cr_code(group, g, args.q)
     elif which == "ternary":
         if args.in0 or args.in1:
@@ -138,11 +138,11 @@ def _cmd_construct(args) -> int:
         if args.outer_gen:
             outer = MatrixModZq.from_text(Path(args.outer_gen).read_text())
         elif args.outer_hamming:
-            q, r = (int(x) for x in args.outer_hamming.split(","))
+            q, r = parse_ints(args.outer_hamming.split(","))
             outer = nullspace(hamming_parity_check(q, r))
         elif args.outer_lee:
             parts = args.outer_lee.split(",")
-            q, r = int(parts[0]), int(parts[1])
+            q, r = parse_ints(parts[:2])
             full = "partial" not in parts[2:]
             outer = nullspace(lee_parity_check(q, r, full=full))
         else:

@@ -18,12 +18,7 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import (
-    DEFAULT_ENUM_CAP,
-    AlphabetSpec,
-    CodeBook,
-    check_cap,
-)
+from .words import AlphabetSpec, CodeBook, check_cap
 
 GroupElement = tuple[int, ...]
 
@@ -108,7 +103,6 @@ def cr_code(
     G: AbelianGroup,
     g: GroupElement | None = None,
     q: int = 2,
-    cap: int = DEFAULT_ENUM_CAP,
     name: str = "",
 ) -> CodeBook:
     """Checksum code over G: words x in {0..q-1}^n with sum x_i * g_i = g.
@@ -132,7 +126,7 @@ def cr_code(
                 f"group {G} has elements of order < q={q} (e.g. {low[0]}); "
                 "the nonbinary construction requires order >= q"
             )
-    check_cap(q**n, cap, f"q^n = {q}^{n} words")
+    check_cap(q**n, f"q^n = {q}^{n} words")
 
     # every word of length n, in lex order
     digits = np.indices((q,) * n, dtype=np.min_scalar_type(q - 1)).reshape(n, q**n).T
@@ -145,11 +139,11 @@ def cr_code(
     return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), digits[mask], name=label)
 
 
-def vt_code(n: int, g: int = 0, q: int = 2, cap: int = DEFAULT_ENUM_CAP) -> CodeBook:
+def vt_code(n: int, g: int = 0, q: int = 2) -> CodeBook:
     """Cyclic-group checksum code: sum of i * x_i = g mod n+1, coefficients 1..n."""
     if not 0 <= g <= n:
         raise ValueError("g must satisfy 0 <= g <= n")
-    return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, cap=cap, name=f"vt-{n}-g{g}-q{q}")
+    return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, name=f"vt-{n}-g{g}-q{q}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ integers otherwise.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import __version__
 from .words import AlphabetSpec, CodeBook, RowError, _separator
@@ -18,6 +20,23 @@ from .words import AlphabetSpec, CodeBook, RowError, _separator
 
 class CodeFileError(ValueError):
     """Malformed code file; message carries the offending line number."""
+
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def parse_ints(tokens: Sequence[str]) -> list[int]:
+    """The tokens (the characters, given one string) as integers, under the
+    one token rule of every text input: ASCII -?[0-9]+.  int() also reads
+    '1_0', ' 1 ', '+4' and other scripts' digits; those raise the
+    ValueError int() gives for a non-number instead."""
+    joined = tokens if isinstance(tokens, str) else "".join(tokens)
+    # nonempty ASCII-digit tokens pass at once; a string's characters are never empty
+    if not (joined.isdigit() and joined.isascii() and (joined is tokens or all(tokens))):
+        for token in tokens:
+            if not _INT_TOKEN.fullmatch(token):
+                raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return list(map(int, tokens))
 
 
 def write_code_file(c: CodeBook) -> str:
@@ -65,8 +84,8 @@ def parse_code_file(text: str) -> CodeBook:
     if "q" not in fields or "n" not in fields:
         raise CodeFileError(f"line {header_line}: header needs q= and n=")
     try:
-        n = int(fields["n"])
-        sizes = tuple(int(x) for x in fields["q"].split(","))
+        (n,) = parse_ints([fields["n"]])
+        sizes = tuple(parse_ints(fields["q"].split(",")))
     except ValueError as e:
         raise CodeFileError(f"line {header_line}: {e}") from e
     if len(sizes) == 1:
@@ -79,7 +98,7 @@ def parse_code_file(text: str) -> CodeBook:
     rows = []
     for lineno, line in body:
         try:
-            symbols = [int(x) for x in (line if digits and "," not in line else line.split(","))]
+            symbols = parse_ints(line if digits and "," not in line else line.split(","))
         except ValueError as e:
             raise CodeFileError(f"line {lineno}: {e}") from e
         if len(symbols) != n:

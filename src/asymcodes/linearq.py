@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import (
-    DEFAULT_ENUM_CAP,
     AlphabetSpec,
     CodeBook,
     DecodeFailure,
@@ -78,17 +77,18 @@ class MatrixModZq:
 
     @classmethod
     def from_text(cls, text: str) -> "MatrixModZq":
+        from .io import parse_ints  # here, so that importing the package skips io and json
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not lines:
             raise ValueError("empty matrix text")
         try:
             q, r, ncols, role = lines[0].split()
-            q, r, ncols = int(q), int(r), int(ncols)
+            q, r, ncols = parse_ints((q, r, ncols))
         except ValueError as e:
             raise ValueError(f"bad matrix header {lines[0]!r}") from e
         rows = []
         for ln in lines[1 : r + 1]:
-            row = tuple(int(x) for x in ln.split())
+            row = tuple(parse_ints(ln.split()))
             if len(row) != ncols:
                 raise ValueError(f"row {len(rows)} has {len(row)} entries, expected {ncols}")
             rows.append(row)
@@ -207,7 +207,7 @@ def is_single_rq_correcting(H: MatrixModZq) -> bool:
     return True
 
 
-def codewords_of(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP, name: str = "") -> CodeBook:
+def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
     """Explicit enumeration of the linear code M defines (span or kernel):
     every coefficient vector times the generator in one product.  Words of
     a generator with dependent rows repeat; they collapse to one each."""
@@ -217,15 +217,15 @@ def codewords_of(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP, name: str = "") ->
         gen = M
     q, n = gen.q, gen.ncols
     k = gen.nrows
-    check_cap(q**k, cap, f"q^k = {q}^{k} codewords")
+    check_cap(q**k, f"q^k = {q}^{k} codewords")
     coefs = np.indices((q,) * k).reshape(k, q**k).T
     rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
     return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=name)
 
 
-def min_hamming_distance(M: MatrixModZq, cap: int = DEFAULT_ENUM_CAP) -> int:
+def min_hamming_distance(M: MatrixModZq) -> int:
     """Minimum nonzero Hamming weight of the linear code (exhaustive)."""
-    book = codewords_of(M, cap=cap)
+    book = codewords_of(M)
     weights = [sum(1 for s in w if s) for w in book.symbol_rows if any(w)]
     if not weights:
         raise ValueError("code has no nonzero codeword")
@@ -251,17 +251,9 @@ class ConcatCode:
     def dimension(self) -> int:
         return self.m + self.k - (1 if self.shortened else 0)
 
-    def encode(self, message) -> tuple[int, ...]:
-        msg = _as_symbols(message)
-        if len(msg) != self.dimension:
-            raise ValueError(f"message length must be {self.dimension}")
-        G = np.array(self.generator.rows, dtype=np.int64)
-        word = (np.array(msg, dtype=np.int64) @ G) % self.q
-        return tuple(int(x) for x in word)
-
-    def codebook(self, cap: int = DEFAULT_ENUM_CAP) -> CodeBook:
+    def codebook(self) -> CodeBook:
         label = f"concat-[{self.length},{self.dimension}]_{self.q}"
-        return codewords_of(self.generator, cap=cap, name=label)
+        return codewords_of(self.generator, name=label)
 
 
 def concat_code(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import ProductChannel, corrects_t_errors, make_channel
 from .groups import Pairing
-from .words import DEFAULT_ENUM_CAP, AlphabetSpec, CodeBook, check_cap
+from .words import AlphabetSpec, CodeBook, check_cap
 
 SQUEEZE = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}
 EXPANSIONS = {0: ((0, 0), (1, 1)), 1: ((0, 1),), 2: ((1, 0),)}
@@ -67,7 +67,7 @@ def _expand(c: CodeBook, targets: list[tuple[int, ...]], name: str = "") -> Code
     trits gives 2^z words; the k-th of them takes bit j of k for the pair
     of its j-th zero trit.  The total is checked against the cap first.
     """
-    check_cap(_expansion_size(c), DEFAULT_ENUM_CAP, "binary image words")
+    check_cap(_expansion_size(c), "binary image words")
     mat = c.matrix()
     zero = (mat == 0) & (np.array([len(t) for t in targets]) == 2)
     counts = 1 << zero.sum(axis=1)

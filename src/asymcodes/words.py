@@ -23,15 +23,12 @@ def enum_cap_from_environment() -> int:
     raw = os.environ.get("ASYMCODES_ENUM_CAP")
     if raw is None:
         return 10**6
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
+    if not (raw.isdigit() and raw.isascii() and int(raw) >= 1):
         raise ValueError(f"ASYMCODES_ENUM_CAP must be a positive integer, got {raw!r}")
-    return cap
+    return int(raw)
 
 
+# The one enumeration cap; check_cap reads it at every call.
 try:
     DEFAULT_ENUM_CAP = enum_cap_from_environment()
 except ValueError:
@@ -48,14 +45,15 @@ class EnumerationCapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-def check_cap(size: int, cap: int, what: str) -> None:
+def check_cap(size: int, what: str) -> None:
     """Raise EnumerationCapExceeded if an enumeration of `size` items would
-    exceed cap.  Every exhaustive operation calls this before it allocates.
-    Under a cap below 1, a bad ASYMCODES_ENUM_CAP raises its ValueError."""
-    if size > cap:
-        if cap < 1:
+    exceed DEFAULT_ENUM_CAP.  Every exhaustive operation calls this before
+    it allocates.  Under a cap below 1, a bad ASYMCODES_ENUM_CAP raises its
+    ValueError."""
+    if size > DEFAULT_ENUM_CAP:
+        if DEFAULT_ENUM_CAP < 1:
             enum_cap_from_environment()
-        raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {cap}")
+        raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
 
 
 class DecodingError(Exception):
@@ -519,7 +517,7 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     room = [q - 1 - s for s, q in zip(rs, sizes)]
     # no word gains more than the rooms' sum, so a larger t lists the same ball
     budget = min(t, sum(room))
-    check_cap(_up_ball_size(room, budget), DEFAULT_ENUM_CAP, f"radius-{t} up-ball")
+    check_cap(_up_ball_size(room, budget), f"radius-{t} up-ball")
     book = c.symbol_set
     hits = [y for y in _up_ball(rs, sizes, budget) if y in book]
     if not hits:

@@ -22,7 +22,7 @@ from asymcodes import (
     simulate_channel,
     vt_code,
 )
-from asymcodes import channels
+from asymcodes import channels, words
 from asymcodes.words import AlphabetMismatch, DecodingError, EnumerationCapExceeded
 
 from conftest import book_from_strings
@@ -107,13 +107,12 @@ class TestErrorBall:
             expected.add(tuple(moved))
         assert ball == expected
 
-    def test_cap_enforced(self):
-        from asymcodes.words import EnumerationCapExceeded
-
+    def test_cap_enforced(self, monkeypatch):
         ch = ProductChannel.power(make_channel("Rq", 5), 6)
         x = Word((2,) * 6, AlphabetSpec.uniform(5, 6))
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10)
         with pytest.raises(EnumerationCapExceeded):
-            error_ball(x, ch, 4, cap=10)
+            error_ball(x, ch, 4)
 
     def test_alphabet_mismatch(self):
         ch = ProductChannel.power(make_channel("Z", 2), 2)
@@ -223,9 +222,12 @@ def reference_overlap(c, ch, t, counting="magnitude", coord_radius=1):
 def _check_against_reference(c, ch, t, counting, coord_radius):
     # the cap admits exactly the total size of the balls
     total = sum(len(_reference_ball(w, ch, t, counting, coord_radius)) for w in c.symbol_rows)
-    with pytest.raises(EnumerationCapExceeded):
-        ball_overlap(c, ch, t, counting, coord_radius, cap=total - 1)
-    got = ball_overlap(c, ch, t, counting=counting, coord_radius=coord_radius, cap=total)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "DEFAULT_ENUM_CAP", total - 1)
+        with pytest.raises(EnumerationCapExceeded):
+            ball_overlap(c, ch, t, counting, coord_radius)
+        mp.setattr(words, "DEFAULT_ENUM_CAP", total)
+        got = ball_overlap(c, ch, t, counting=counting, coord_radius=coord_radius)
     assert (got is not None) == reference_overlap(c, ch, t, counting, coord_radius)
     assert corrects_t_errors(c, ch, t, counting=counting, coord_radius=coord_radius) == (got is None)
     if got is not None:
@@ -349,15 +351,16 @@ class TestBallOverlap:
         # balls of sizes 1, 3, 3, 5 at t=1: 12 words; one ball of 5 for error_ball
         size = 5 if call == "error_ball" else 12
         run = {
-            "ball_overlap": lambda cap: ball_overlap(c, ch, 1, cap=cap),
-            "error_ball": lambda cap: error_ball(c.words[-1], ch, 1, cap=cap),
-            "simulate_channel": lambda cap: simulate_channel(
-                c, ch, trials=5, seed=1, p=0.1, cap=cap),
+            "ball_overlap": lambda: ball_overlap(c, ch, 1),
+            "error_ball": lambda: error_ball(c.words[-1], ch, 1),
+            "simulate_channel": lambda: simulate_channel(c, ch, trials=5, seed=1, p=0.1),
         }[call]
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size - 1)
         with pytest.raises(EnumerationCapExceeded):
-            run(size - 1)
+            run()
         assert expanded == []
-        run(size)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size)
+        run()
         assert expanded == [1]
 
 

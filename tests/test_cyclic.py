@@ -20,7 +20,7 @@ from asymcodes import (
     search_extended,
     weight_enumerator,
 )
-from asymcodes import cyclic
+from asymcodes import words
 from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
@@ -360,11 +360,19 @@ class TestCliqueEngine:
         assert "nodes" not in search_cyclic(5, SearchConfig(strategy="greedy")).meta
 
     def test_enumeration_cap_checked_before_building(self, monkeypatch):
-        monkeypatch.setattr(cyclic, "DEFAULT_ENUM_CAP", 3**6 - 1)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6 - 1)
         with pytest.raises(EnumerationCapExceeded):
             enumerate_orbits(6)
-        monkeypatch.setattr(cyclic, "DEFAULT_ENUM_CAP", 3**6)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6)
         assert len(enumerate_orbits(6)) == necklace_count(6)
+
+    def test_the_cap_is_the_only_size_bound(self, monkeypatch):
+        # 3^14 words exceed the cap; no second bound on m answers first
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
+        with pytest.raises(EnumerationCapExceeded, match="3\\^14 words: 4782969 exceeds"):
+            enumerate_orbits(14)
+        with pytest.raises(ValueError, match="m >= 1"):
+            enumerate_orbits(0)
 
     def test_graph_caches_are_bounded(self):
         assert _plain_graph.cache_info().maxsize == 4

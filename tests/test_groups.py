@@ -11,6 +11,8 @@ from asymcodes import (
     is_t_code,
     vt_code,
 )
+from asymcodes import words
+from asymcodes.words import EnumerationCapExceeded
 
 
 class TestGroup:
@@ -105,6 +107,15 @@ class TestCrCode:
     def test_nonbinary_vt_is_one_code(self):
         c = vt_code(6, 0, q=3)
         assert is_t_code(c, 1)
+
+
+    def test_the_one_cap_bounds_the_enumeration(self, monkeypatch):
+        # vt_code(6) lists all 2^6 = 64 words before it keeps the checksum class
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 63)
+        with pytest.raises(EnumerationCapExceeded, match="64 exceeds enumeration cap 63"):
+            vt_code(6)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 64)
+        assert len(vt_code(6)) == 10
 
 
 class TestPairing:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from asymcodes import AlphabetSpec, CodeBook
+from asymcodes import AlphabetSpec, CodeBook, vt_code
 from asymcodes.cli import main
 from asymcodes.io import CodeFileError, ReportDocument, parse_code_file, write_code_file
 from asymcodes.linearq import MatrixModZq
@@ -120,12 +121,23 @@ class TestFileRoundTrips:
         assert MatrixModZq.from_text(text) == m
 
 
+# Token faults: each int() would read as the symbol s it replaces (the
+# letter aside); the one token rule, ASCII -?[0-9]+, rejects them all.
+TOKEN_FAULTS = {
+    "letter": lambda s, i: "x",
+    "underscore": lambda s, i: f"0_{s}",
+    "space": lambda s, i: f" {s}" if i else f"{s} ",
+    "plus": lambda s, i: f"+{s}",
+    "script": lambda s, i: "".join(chr(0x660 + int(d)) for d in str(s)),
+}
+
+
 class TestHostileCodeFiles:
     """Each fault in one codeword line is a CodeFileError naming that line
     (comment and blank lines count)."""
 
     @settings(max_examples=200, deadline=None)
-    @given(code_files(min_rows=1), st.sampled_from(["range", "negative", "duplicate", "short", "letter"]),
+    @given(code_files(min_rows=1), st.sampled_from(["range", "negative", "duplicate", "short", *TOKEN_FAULTS]),
            st.data())
     def test_fault_names_its_line(self, c, fault, data):
         lines = write_code_file(c).splitlines()
@@ -145,11 +157,17 @@ class TestHostileCodeFiles:
             lines[first + j] = sep.join(map(str, symbols[:-1]))
         else:
             i = data.draw(st.integers(0, c.n - 1))
-            q = c.alphabet.sizes[i]
-            symbols[i] = {"range": q, "negative": -1, "letter": "x"}[fault]
+            q, s = c.alphabet.sizes[i], symbols[i]
+            if fault == "space":
+                assume(c.n > 1)  # the line's outer blanks are stripped
+            if fault in TOKEN_FAULTS:
+                symbols[i] = TOKEN_FAULTS[fault](s, i)
+            else:
+                symbols[i] = {"range": q, "negative": -1}[fault]
             assume(not (fault == "range" and q == 10 and not sep))  # "10" is two digits
             lines[first + j] = sep.join(map(str, symbols))
-        with pytest.raises(CodeFileError, match=f"^line {bad + 1}: "):
+        what = "invalid literal" if fault in TOKEN_FAULTS else ""
+        with pytest.raises(CodeFileError, match=f"^line {bad + 1}: {what}"):
             parse_code_file("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("body, line, what", [
@@ -158,11 +176,23 @@ class TestHostileCodeFiles:
         ("012\n120\n012\n", 4, "duplicate codeword 012"),
         ("012\n01\n", 3, "expected 3 symbols, got 2"),
         ("0a1\n", 2, "invalid literal"),
-    ], ids=["range", "negative", "duplicate", "short", "letter"])
+        ("0,1\n1_0,3\n", 3, "invalid literal for int() with base 10: '1_0'"),
+        (" 1 ,2\n", 2, "invalid literal for int() with base 10: '1 '"),
+        ("+4,3\n", 2, "invalid literal for int() with base 10: '+4'"),
+        ("0\u06612\n", 2, "invalid literal for int() with base 10: '\u0661'"),
+    ], ids=["range", "negative", "duplicate", "short", "letter", "underscore", "space", "plus",
+            "script"])
     def test_examples(self, body, line, what):
         header = "q=12 n=2\n" if "," in body else "q=3 n=3\n"
-        with pytest.raises(CodeFileError, match=f"^line {line}: {what}"):
+        with pytest.raises(CodeFileError, match=f"^line {line}: {re.escape(what)}"):
             parse_code_file(header + body)
+
+    def test_matrix_tokens_follow_the_same_rule(self):
+        for row in ("1_0 2", "+1 2", "1 \u0662"):
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                MatrixModZq.from_text(f"3 1 2 generator\n{row}\n")
+        with pytest.raises(ValueError, match="bad matrix header"):
+            MatrixModZq.from_text("+3 1 2 generator\n1 2\n")
 
 
 class TestReportDocument:
@@ -248,6 +278,23 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--outer-lee", "3"), ("--outer-lee", "+3,2"),
+                                             ("--outer-hamming", "3,2,1"), ("--outer-hamming", "3,\u0662")])
+    def test_concat_outer_flags_are_checked(self, capsys, flag, value):
+        assert main(["construct", "concat", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_decode_rejects_a_loose_integer_token(self, tmp_path, capsys):
+        # int() reads 1_1 as 11, a symbol of this code
+        f = tmp_path / "c.code"
+        f.write_text("q=12 n=3\n0,0,0\n11,1,1\n")
+        assert main(["decode", "--code", str(f), "--received", "1_1,1,1", "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid literal for int() with base 10: '1_1'\n"
 
     @pytest.mark.parametrize("received", ["0102", "1,1,0,2", "010"])
     def test_decode_rejects_word_outside_code_alphabet(self, tmp_path, capsys, received):
@@ -390,7 +437,7 @@ class TestBadSettings:
         assert captured.out == ""
         assert captured.err.startswith("error: time budget") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1e6"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1e6", "1_000", "+5"])
     def test_bad_enum_cap_variable_is_usage_error(self, value):
         # the variable is read when the package is imported: run a fresh one
         result = _run_cli(["bound", "sphere", "--q", "3", "--n", "8", "--t", "1", "--l", "1"],
@@ -409,6 +456,17 @@ class TestBadSettings:
         assert result.returncode == 0
         assert result.stdout == "ASYMCODES_ENUM_CAP must be a positive integer, got 'abc'\n"
         assert result.stderr == ""
+
+    def test_enum_cap_variable_bounds_the_ball_oracle(self, tmp_path):
+        # the radius-1 balls of vt_code(10) on the decrement chain hold 564 words
+        f = tmp_path / "vt10.code"
+        f.write_text(write_code_file(vt_code(10)))
+        args = ["verify", "--in", str(f), "--model", "ball", "--t", "1"]
+        result = _run_cli(args, ASYMCODES_ENUM_CAP="563")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: radius-1 error balls: 564 exceeds enumeration cap 563\n"
+        result = _run_cli(args, ASYMCODES_ENUM_CAP="564")
+        assert result.returncode == 0 and result.stdout == "VERIFIED\n"
 
     def test_enum_cap_variable_sets_the_cap(self):
         # 3^8 = 6561 words exceed a cap of 6560

@@ -30,7 +30,7 @@ from asymcodes import (
     weight_enumerator,
 )
 
-from asymcodes import ternary
+from asymcodes import words
 from asymcodes.ternary import EXPANSIONS, _expansion_size
 from asymcodes.words import EnumerationCapExceeded
 
@@ -283,16 +283,17 @@ class TestExpansionCap:
     def test_cap_checked_before_expanding(self, monkeypatch, which):
         part0 = book_from_strings(["000", "111", "222"], q=3)
         part1 = book_from_strings(["210", "021", "102"], q=3)
+        # unchecked: the ball check's 15 words would count against the cap
         build = {
-            "even": lambda: construct_even(part0),
-            "odd_mixed": lambda: construct_odd_mixed(part0),
-            "extended": lambda: construct_extended(part0, part1),
+            "even": lambda: construct_even(part0, check=False),
+            "odd_mixed": lambda: construct_odd_mixed(part0, check=False),
+            "extended": lambda: construct_extended(part0, part1, check=False),
         }[which]
         size = 16 if which == "extended" else 10
-        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size - 1)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size - 1)
         with pytest.raises(EnumerationCapExceeded):
             build()
-        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size)
         assert len(build()) == size
 
     def test_expand_to_binary_checks_the_cap(self, monkeypatch):
@@ -301,19 +302,19 @@ class TestExpansionCap:
         p = Pairing(((4, 0), (1, 3)), singleton=2)
         size = _expansion_size(c)
         assert size == 7
-        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size - 1)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size - 1)
         with pytest.raises(EnumerationCapExceeded, match="7 exceeds"):
             expand_to_binary(c, p)
         # folds to 000 and 100 under this pairing: 8 words
         binary = CodeBook.from_symbols(AlphabetSpec.uniform(2, 5), [(0,) * 5, (0, 0, 0, 0, 1)])
         with pytest.raises(EnumerationCapExceeded):
             is_ternary_code(binary, Pairing(((0, 1), (2, 3)), singleton=4))
-        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", size)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size)
         assert len(expand_to_binary(c, p)) == size
 
     def test_all_zero_word_of_length_22_is_refused(self, monkeypatch):
         # 2^22 binary words: refused at once instead of built
-        monkeypatch.setattr(ternary, "DEFAULT_ENUM_CAP", 10**6)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
         zero = CodeBook.from_symbols(AlphabetSpec.uniform(3, 22), [(0,) * 22])
         with pytest.raises(EnumerationCapExceeded, match="4194304"):
             construct_even(zero)
