@@ -38,7 +38,14 @@ from .cyclic import (
     search_extended,
 )
 from .groups import AbelianGroup, cr_code, vt_code
-from .io import CodeFileError, ReportDocument, parse_code_file, parse_ints, write_code_file
+from .io import (
+    CodeFileError,
+    ReportDocument,
+    parse_code_file,
+    parse_ints,
+    parse_symbols,
+    write_code_file,
+)
 from .linearq import (
     MatrixModZq,
     concat_code,
@@ -56,6 +63,7 @@ from .words import (
     DecodeFailure,
     EnumerationCapExceeded,
     _min_asym_pair,
+    _separator,
     decode_asymmetric,
     enum_cap_from_environment,
     is_lm_code,
@@ -85,9 +93,9 @@ def _emit_json(report: ReportDocument, path: str | None):
 
 
 def _parse_word(text: str, alphabet: AlphabetSpec) -> Word:
-    """Digits, or comma-separated integers; Word rejects symbols outside the alphabet."""
-    parts = text.split(",") if "," in text else text
-    return Word(tuple(parse_ints(parts)), alphabet)
+    """The word as a code file line of this alphabet reads; Word rejects
+    symbols outside the alphabet."""
+    return Word(tuple(parse_symbols(text, _separator(alphabet.sizes))), alphabet)
 
 
 def _default_oracle_channel(c: CodeBook) -> ProductChannel:

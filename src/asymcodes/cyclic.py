@@ -220,6 +220,35 @@ def _relabel(mask: int, label: list[int]) -> int:
     return out
 
 
+def _tail_steps(w: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """For weights w in non-increasing order: per position p, the
+    (start, step) pair of each weight class that starts after p, where
+    step = w[start] - w[start - 1] is negative."""
+    tails = [()] * len(w)
+    for p in range(len(w) - 2, -1, -1):
+        step = w[p + 1] - w[p]
+        tails[p] = ((p + 1, step),) + tails[p + 1] if step else tails[p + 1]
+    return tails
+
+
+def _tail_weight(cand: int, w: list[int], tails) -> int:
+    """sum(w[p] for p in _bits(cand)) for weights w in non-increasing
+    order and tails = _tail_steps(w): w[low] per candidate, where low is
+    the lowest candidate, plus each later class's step times the
+    candidates from that class on.  Classes before low are never visited,
+    and the walk stops at the first class past the highest candidate."""
+    if not cand:
+        return 0
+    low = (cand & -cand).bit_length() - 1
+    total = w[low] * cand.bit_count()
+    for start, step in tails[low]:
+        rest = cand >> start
+        if not rest:
+            break
+        total += step * rest.bit_count()
+    return total
+
+
 def _max_weight_clique(
     weights: list[int],
     adj: list[int],
@@ -230,16 +259,21 @@ def _max_weight_clique(
     """Deterministic branch-and-bound over adjacency bitsets (no self-loops).
 
     Returns (best_weight, best_mask, proven_optimal, nodes), where nodes
-    counts the expanded nodes.  Vertices are branched on in (-weight, key)
-    order; `keys` breaks weight ties so merged results are order-independent.
+    counts the search-tree nodes, those pruned at once included.  Vertices
+    are branched on in (-weight, key) order; `keys` breaks weight ties so
+    merged results are order-independent.
     The node budget makes the budget deterministic rather than wall-clock
     based; seeding with a known clique keeps budget-exhausted results at
     least that good.
 
     Internally bit p stands for the p-th vertex in branch order, so a
-    node's candidates are walked from the lowest set bit up and the bound
-    (the candidates' total weight) is a popcount per weight class; masks go
-    back to the caller's labels only on return.
+    node's candidates are walked from the lowest set bit up, and the bound
+    (the candidates' total weight, `_tail_weight`) needs one popcount per
+    weight class from the lowest candidate's class to the highest's.  A
+    parent bounds each child before it recurses: a child is counted as a
+    node where it is made, and one that fails its bound, or has no
+    candidates, is settled there without a call.  Masks go back to the
+    caller's labels only on return.
     """
     V = len(weights)
     order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
@@ -249,13 +283,7 @@ def _max_weight_clique(
     w = [weights[v] for v in order]
     nbr = [_relabel(adj[v], rank) for v in order]
     sorted_keys = [keys[v] for v in order]
-    # one weight class is one run of positions in branch order
-    classes = []
-    start = 0
-    for p in range(1, V + 1):
-        if p == V or w[p] != w[start]:
-            classes.append((w[start], (1 << p) - (1 << start)))
-            start = p
+    tails = _tail_steps(w)
 
     best_w, best_mask, best_key = -1, 0, None
     nodes = 0
@@ -269,35 +297,43 @@ def _max_weight_clique(
         if cur_w > best_w or best_key is None or key < best_key:
             best_w, best_mask, best_key = cur_w, mask, key
 
-    def expand(cand, cur_w, cur_mask):
+    def branch(cand, cur_w, cur_mask, remaining):
+        """Count and settle each child of a node that passed its bound:
+        `remaining` is the weight of its candidates `cand`.  The node stops
+        once the candidates left cannot reach best_w, and is considered
+        itself after its last child.  The root passes remaining = None:
+        it tries every vertex and is not considered."""
         nonlocal nodes, exhausted
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            return
-        remaining = 0
-        for cw, cm in classes:
-            remaining += cw * (cand & cm).bit_count()
         while cand:
-            if cur_w + remaining < best_w:
-                return
             low = cand & -cand
             p = low.bit_length() - 1
-            expand(cand & nbr[p], cur_w + w[p], cur_mask | low)
-            if exhausted:
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
                 return
+            child = cand & nbr[p]
+            child_w = cur_w + w[p]
+            if child:
+                bound = _tail_weight(child, w, tails)
+                if child_w + bound >= best_w:
+                    branch(child, child_w, cur_mask | low, bound)
+                    if exhausted:
+                        return
+            elif child_w >= best_w:
+                consider(child_w, cur_mask | low)
             cand ^= low
-            remaining -= w[p]
-        consider(cur_w, cur_mask)
+            if remaining is not None:
+                remaining -= w[p]
+                if cand and cur_w + remaining < best_w:
+                    return
+        if remaining is not None and cur_w >= best_w:
+            consider(cur_w, cur_mask)
 
     # Top-level branch p excludes every vertex before p in branch order.
     consider(0, 0)
     if seed_solution is not None:
         consider(seed_solution[0], _relabel(seed_solution[1], rank))
-    for p in range(V):
-        expand(nbr[p] & -(1 << p), w[p], 1 << p)
-        if exhausted:
-            break
+    branch((1 << V) - 1, 0, 0, None)
     return best_w, _relabel(best_mask, order), not exhausted, nodes
 
 
@@ -310,8 +346,7 @@ def _greedy(weights, adj, order):
         if allowed & bit:
             mask |= bit
             total += weights[v]
-            allowed &= adj[v] | bit
-            allowed &= ~bit
+            allowed &= adj[v]  # no self-loops: this drops v too
     return total, mask
 
 
@@ -334,14 +369,20 @@ def _run_search(weights, adj, keys, cfg: SearchConfig):
 
     rng = random.Random(cfg.seed)
     restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
+    scale = [max(wt, 1) for wt in weights]
+
+    def members_key(mask):
+        return tuple(sorted(keys[i] for i in _bits(mask)))
+
     best_w, best_mask = _greedy(weights, adj, base_order)
-    best_key = tuple(sorted(keys[i] for i in range(V) if best_mask >> i & 1))
+    best_key = members_key(best_mask)
     for _ in range(restarts):
-        order = sorted(range(V), key=lambda i: rng.random() / max(weights[i], 1))
-        w, mask = _greedy(weights, adj, order)
-        key = tuple(sorted(keys[i] for i in range(V) if mask >> i & 1))
-        if w > best_w or (w == best_w and key < best_key):
-            best_w, best_mask, best_key = w, mask, key
+        r = [rng.random() / s for s in scale]
+        w, mask = _greedy(weights, adj, sorted(range(V), key=r.__getitem__))
+        if w >= best_w:
+            key = members_key(mask)
+            if w > best_w or key < best_key:
+                best_w, best_mask, best_key = w, mask, key
     return _search_meta(cfg, best_w, False), best_mask
 
 

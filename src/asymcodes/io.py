@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .words import AlphabetSpec, CodeBook, RowError, _separator
 
@@ -39,6 +41,14 @@ def parse_ints(tokens: Sequence[str]) -> list[int]:
     return list(map(int, tokens))
 
 
+def parse_symbols(text: str, sep: str) -> list[int]:
+    """One word's symbols, read by the rule of every word in text: a comma
+    always separates symbols.  Without one, an alphabet that prints words
+    as digit strings (sep = _separator(sizes) is "") reads one digit per
+    symbol, and any other reads the text as one integer."""
+    return parse_ints(text if not sep and "," not in text else text.split(","))
+
+
 def write_code_file(c: CodeBook) -> str:
     q_token = (
         str(c.alphabet.sizes[0])
@@ -55,8 +65,14 @@ def write_code_file(c: CodeBook) -> str:
         header += f" {key}={value}"
     sep = _separator(c.alphabet.sizes)
     lines = ["# asymcodes code file v1", header]
-    lines.extend(sep.join(map(str, row)) for row in c.symbol_rows)
-    return "\n".join(lines) + "\n"
+    if sep:
+        lines.extend(sep.join(map(str, row)) for row in c.symbol_rows)
+        return "\n".join(lines) + "\n"
+    # every symbol is one digit: the body is the code's array shifted to
+    # ASCII '0', with a newline column
+    body = np.full((len(c), c.n + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = c.matrix() + ord("0")
+    return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
 
 
 def parse_code_file(text: str) -> CodeBook:
@@ -93,12 +109,12 @@ def parse_code_file(text: str) -> CodeBook:
     if len(sizes) != n:
         raise CodeFileError(f"line {header_line}: q profile length != n")
     alphabet = AlphabetSpec(sizes)
-    digits = not _separator(sizes)
+    sep = _separator(sizes)
 
     rows = []
     for lineno, line in body:
         try:
-            symbols = parse_ints(line if digits and "," not in line else line.split(","))
+            symbols = parse_symbols(line, sep)
         except ValueError as e:
             raise CodeFileError(f"line {lineno}: {e}") from e
         if len(symbols) != n:

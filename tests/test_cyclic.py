@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +26,14 @@ from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
     _ball1,
+    _bits,
     _extended_graph,
     _greedy,
     _max_weight_clique,
     _plain_graph,
+    _run_search,
+    _tail_steps,
+    _tail_weight,
     orbit_of,
 )
 from asymcodes.words import EnumerationCapExceeded
@@ -274,7 +279,84 @@ def reference_clique(weights, adj, keys, node_budget, seed_solution=None):
     return best["w"], best["mask"], not nodes["exhausted"], nodes["n"]
 
 
+def reference_restarts(weights, adj, keys, cfg):
+    """The randomized-restart loop and its greedy as first written: one
+    rng.random() call per sort key, and a tie key built after every
+    restart.  The engine must draw the same orders and keep the same best
+    clique."""
+    V = len(weights)
+
+    def greedy(order):
+        mask = total = 0
+        allowed = (1 << V) - 1
+        for v in order:
+            bit = 1 << v
+            if allowed & bit:
+                mask |= bit
+                total += weights[v]
+                allowed &= adj[v] | bit
+                allowed &= ~bit
+        return total, mask
+
+    base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+    rng = random.Random(cfg.seed)
+    restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
+    best_w, best_mask = greedy(base_order)
+    best_key = tuple(sorted(keys[i] for i in range(V) if best_mask >> i & 1))
+    for _ in range(restarts):
+        order = sorted(range(V), key=lambda i: rng.random() / max(weights[i], 1))
+        w, mask = greedy(order)
+        key = tuple(sorted(keys[i] for i in range(V) if mask >> i & 1))
+        if w > best_w or (w == best_w and key < best_key):
+            best_w, best_mask, best_key = w, mask, key
+    return best_w, best_mask
+
+
+def plain_instance(m):
+    """(weights, adjacency, keys) of the plain search graph, as search_cyclic
+    builds them."""
+    orbits, adj = _plain_graph(m)
+    return [o.weight_score for o in orbits], list(adj), [o.representative for o in orbits]
+
+
+def split_instance(m):
+    """(weights, adjacency, keys) of the split search graph, as
+    search_extended builds them."""
+    orbits, ext = _extended_graph(m)
+    weights = [o.weight_score for o in orbits for _ in (0, 1)]
+    keys = [(part, o.representative) for o in orbits for part in (0, 1)]
+    return weights, list(ext), keys
+
+
+@st.composite
+def tail_weight_cases(draw):
+    """Non-increasing, tie-prone weights on up to 800 positions, and a mask
+    over them: random, empty, one bit, or bits in the last class only."""
+    w = sorted(
+        draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 7, 224]), max_size=800)), reverse=True
+    )
+    V = len(w)
+    kinds = ["empty"] + (["random", "single", "last class"] if V else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        mask = 0
+    elif kind == "random":
+        mask = draw(st.integers(0, (1 << V) - 1))
+    elif kind == "single":
+        mask = 1 << draw(st.integers(0, V - 1))
+    else:
+        first = w.index(w[-1])
+        mask = draw(st.integers(1, (1 << (V - first)) - 1)) << first
+    return w, mask
+
+
 class TestCliqueEngine:
+    @given(tail_weight_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_tail_weight_is_the_candidates_weight(self, case):
+        w, mask = case
+        assert _tail_weight(mask, w, _tail_steps(w)) == sum(w[p] for p in _bits(mask))
+
     @given(weighted_graphs(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_equals_subset_enumeration(self, graph, seeded):
@@ -312,6 +394,36 @@ class TestCliqueEngine:
         order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
         args = (weights, list(adj), keys, budget, _greedy(weights, adj, order))
         assert _max_weight_clique(*args) == reference_clique(*args)
+
+    @pytest.mark.parametrize("m, budget", [(5, 10**6), (6, 2_000)])
+    def test_split_graphs_expand_the_reference_nodes(self, m, budget):
+        weights, adj, keys = split_instance(m)
+        order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
+        args = (weights, adj, keys, budget, _greedy(weights, adj, order))
+        assert _max_weight_clique(*args) == reference_clique(*args)
+
+    def test_proof_node_counts_pinned(self):
+        cfg = SearchConfig(time_budget=60.0)
+        code = search_cyclic(6, cfg)
+        assert (code.meta["score"], code.meta["proven_optimal"]) == ("336", "yes")
+        assert code.meta["nodes"] == "78004"
+        part0, _ = search_extended(5, cfg)
+        assert (part0.meta["score"], part0.meta["proven_optimal"]) == ("154", "yes")
+        assert part0.meta["nodes"] == "26458"
+
+    @pytest.mark.parametrize(
+        "instance, m",
+        [(plain_instance, 6), (plain_instance, 7), (plain_instance, 8),
+         (split_instance, 5), (split_instance, 6)],
+    )
+    def test_restarts_equal_the_reference_loop(self, instance, m):
+        weights, adj, keys = instance(m)
+        for seed in range(5):
+            cfg = SearchConfig(seed=seed, strategy="randomized-restart")
+            best_w, best_mask = reference_restarts(weights, adj, keys, cfg)
+            expected = {"score": str(best_w), "strategy": "randomized-restart",
+                        "seed": str(seed), "proven_optimal": "no"}
+            assert _run_search(weights, adj, keys, cfg) == (expected, best_mask), seed
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_plain_graph_equals_pairwise_compatibility(self, m):

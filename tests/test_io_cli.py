@@ -78,6 +78,20 @@ class TestCodeFile:
         with pytest.raises(CodeFileError, match="line 2"):
             parse_code_file("q=3 n=4\n012\n")
 
+    @pytest.mark.parametrize("sizes, rows", [
+        ((3,) * 5, CODE_5_27_Q3),
+        ((2, 3, 10), [(0, 2, 9), (1, 0, 0), (1, 2, 5)]),
+        ((3,) * 4, []),
+        ((2, 12), [(0, 11), (1, 3)]),
+    ], ids=["uniform", "mixed", "empty", "wide"])
+    def test_body_equals_the_joined_rows(self, sizes, rows):
+        rows = [tuple(map(int, r)) for r in rows]
+        c = CodeBook.from_symbols(AlphabetSpec(sizes), rows, name="c", meta={"k": "v"})
+        text = write_code_file(c)
+        sep = "," if max(sizes) > 10 else ""
+        lines = text.splitlines()[:2] + [sep.join(map(str, r)) for r in c.symbol_rows]
+        assert text == "\n".join(lines) + "\n"
+
 
 TOKEN = st.text("abcxyz0189-_.", min_size=1, max_size=6)
 
@@ -295,6 +309,13 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: invalid literal for int() with base 10: '1_1'\n"
+
+    def test_decode_reads_the_word_as_the_code_file_does(self, tmp_path, capsys):
+        # past q = 10 a comma-free word is one integer, as in a code file
+        f = tmp_path / "c.code"
+        f.write_text("q=12 n=1\n0\n11\n")
+        assert main(["decode", "--code", str(f), "--received", "11", "--t", "0"]) == 0
+        assert capsys.readouterr().out == "11\n"
 
     @pytest.mark.parametrize("received", ["0102", "1,1,0,2", "010"])
     def test_decode_rejects_word_outside_code_alphabet(self, tmp_path, capsys, received):
