@@ -8,7 +8,7 @@ stored reference constants with provenance labels, never recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, log2
 
 from .cyclic import builtin_table_generators
@@ -55,10 +55,7 @@ def canonical_d3_ternary_check(m: int) -> MatrixModZq:
     the lexicographic length-(3^r-1)/2 parity check."""
     if m < 3:
         raise ValueError("m must be >= 3")
-    r = 2
-    while (3**r - 1) // 2 < m:
-        r += 1
-    H = hamming_parity_check(3, r)
+    H = hamming_parity_check(3, m - best_d3_dimension(3, m))
     rows = tuple(row[:m] for row in H.rows)
     return MatrixModZq(3, rows, "parity")
 
@@ -125,21 +122,8 @@ def table1_report() -> dict:
     flagged, not hidden.
     """
     rows = [rate_ratio_row(m) for m in range(3, max(REFERENCE_RATE_RATIOS) // 2 + 1)]
-    return {
-        "table": "rate-ratio",
-        "tolerance": RATE_RATIO_TOLERANCE,
-        "rows": [
-            {
-                "n": r.n,
-                "ternary_image_size": r.ternary_image_size,
-                "binary_dimension": r.binary_dimension,
-                "s": r.s,
-                "reference_s": r.reference_s,
-                "within_tolerance": r.within_tolerance,
-            }
-            for r in rows
-        ],
-    }
+    return {"table": "rate-ratio", "tolerance": RATE_RATIO_TOLERANCE,
+            "rows": [asdict(r) for r in rows]}
 
 
 # Reference constants for the size table.  The first two columns are

@@ -206,52 +206,50 @@ def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
     return int(total) if math.isfinite(total) else total
 
 
+def _index_of(rows: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """Limb indices of words given one row per word: the inverse of `_symbols_of`."""
+    out = []
+    for limb in _limbs_of(sizes):
+        index = np.zeros(len(rows), dtype=np.int64)
+        for i in limb:
+            index = index * sizes[i] + rows[:, i]
+        out.append(index)
+    return out
+
+
 def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...]):
     """Every codeword's ball at once: (owner, limb indices), one entry per word.
 
     A word of the ball is its codeword with some coordinates moved, at a
-    total cost within the radius.  Each round gives every entry that has
-    budget left one more move, on a coordinate after its last moved one,
-    so each ball lists each of its words once.
+    total cost within the radius.  One pass over the coordinates gives
+    every live entry each move it can afford at that coordinate; the moved
+    entries are listed, and those with budget left join the live ones for
+    later coordinates.  A word is one choice per coordinate, so each ball
+    lists each of its words once.
     """
-    limbs = _limbs_of(sizes)
-    weight, limb_of = [0] * len(cols), [0] * len(cols)
-    index = []
-    for j, limb in enumerate(limbs):
-        span, base = 1, np.zeros(cols.shape[1], dtype=np.int64)
-        for i in reversed(limb):
-            weight[i], limb_of[i] = span, j
-            base += cols[i] * span
-            span *= sizes[i]
-        index.append(base)
-    owner = np.arange(cols.shape[1])
-    left = np.full(len(owner), radius, dtype=np.int64)
-    last = np.full(len(owner), -1)
-    found = [(owner, index)]
-    while len(owner):
+    # place[j][i]: the place value of coordinate i in limb j, 0 outside it
+    place = _index_of(np.eye(len(sizes), dtype=np.int64), sizes)
+    live = [np.arange(cols.shape[1]), *_index_of(cols.T, sizes)]  # owner, limb indices
+    left = np.full(cols.shape[1], radius)
+    found = [live]
+    for i, slots in enumerate(moves):
+        a = cols[i][live[0]]
         grown = []
-        for i, slots in enumerate(moves):
-            # the frontier is ordered by last moved coordinate
-            m = int(np.searchsorted(last, i))
-            a = cols[i][owner[:m]]
-            for targets, costs in slots:
-                cost = costs[a]
-                keep = np.flatnonzero(cost <= left[:m])
-                step = (targets[a[keep]] - a[keep]) * weight[i]
-                moved = [x[keep] + step if j == limb_of[i] else x[keep] for j, x in enumerate(index)]
-                grown.append((owner[keep], left[keep] - cost[keep], i, moved))
-        if not grown:
-            break
-        owner = np.concatenate([g[0] for g in grown])
-        left = np.concatenate([g[1] for g in grown])
-        last = np.repeat([g[2] for g in grown], [len(g[0]) for g in grown])
-        index = [np.concatenate([g[3][j] for g in grown]) for j in range(len(limbs))]
-        found.append((owner, index))
-        live = np.flatnonzero(left > 0)
-        owner, left, last = owner[live], left[live], last[live]
-        index = [x[live] for x in index]
-    return (np.concatenate([f[0] for f in found]),
-            [np.concatenate([f[1][j] for f in found]) for j in range(len(limbs))])
+        for targets, costs in slots:
+            budget = left - costs[a]
+            k = np.flatnonzero(budget >= 0)
+            step = targets[a[k]] - a[k]
+            moved = [live[0][k]]
+            moved += [x[k] + step * p[i] if p[i] else x[k] for x, p in zip(live[1:], place)]
+            found.append(moved)
+            rest = np.flatnonzero(budget[k])
+            if len(rest):
+                grown.append((budget[k][rest], [x[rest] for x in moved]))
+        if grown:
+            left = np.concatenate([left] + [g[0] for g in grown])
+            live = [np.concatenate(parts) for parts in zip(live, *(g[1] for g in grown))]
+    owner, *index = (np.concatenate(parts) for parts in zip(*found))
+    return owner, index
 
 
 def _balls(
@@ -421,20 +419,14 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     rows = c.symbol_rows
-    # word -> codeword index, or -1 where two balls overlap; built in
-    # blocks, so that only the dict's tuples outlive a block's lists
     words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1))
-    coverage: dict[tuple[int, ...], int] = {}
-    for start in range(0, len(holder), 4096):
-        block = slice(start, start + 4096)
-        received_words = _symbols_of([w[block] for w in words], c.alphabet.sizes)
-        coverage.update(zip(map(tuple, received_words.tolist()), holder[block].tolist()))
-
+    sizes = c.alphabet.sizes
+    sent = np.empty(trials, dtype=np.int64)
+    heard = np.empty((trials, c.n), dtype=np.min_scalar_type(max(sizes) - 1))
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        sent = rng.randrange(len(rows))
-        received = list(rows[sent])
+    for trial in range(trials):
+        k = rng.randrange(len(rows))
+        received = list(rows[k])
         if force_errors is not None:
             errable = [i for i in range(len(received)) if ch.coordinates[i].out_map[received[i]]]
             rng.shuffle(errable)
@@ -445,6 +437,10 @@ def simulate_channel(
                 outs = ch.coordinates[i].out_map[received[i]]
                 if outs and rng.random() < p:
                     received[i] = rng.choice(outs)
-        if coverage.get(tuple(received), -1) != sent:
-            failures += 1
+        sent[trial], heard[trial] = k, received
+    # a received word decodes to the holder of its index, found by binary
+    # search among the sorted covered words; in no ball, or in several, it fails
+    keys, wanted = np.rec.fromarrays(words), np.rec.fromarrays(_index_of(heard, sizes))
+    at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    failures = int(np.count_nonzero(np.where(keys[at] == wanted, holder[at], -1) != sent))
     return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

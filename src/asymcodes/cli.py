@@ -2,10 +2,13 @@
 
 Exit codes: 0 = success / verified; 1 = a verification answered "no"
 (not a t-code, failed decode, mismatched table); 2 = usage or input error.
-Every construct subcommand re-verifies its output with the channel oracle
-unless --unchecked is passed.  When the ball oracle answers "no" (verify
---model ball, and the vt and cr re-check), the received word that two
-error balls share is printed with the two codewords.
+Unless --unchecked is passed, construct vt and cr re-verify their output
+with the ball oracle on the decrement chain, construct ternary checks its
+input with the channel oracle, and construct concat checks the outer
+code's single-error condition and then that the output is a 1-code;
+construct hamming, lee and double verify nothing.  When the ball oracle
+answers "no" (verify --model ball, and the vt and cr re-check), the
+received word that two error balls share is printed with the two codewords.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .bounds import (
     TABLE2_REFERENCE,
 )
 from .channels import (
+    CHANNEL_KINDS,
     ProductChannel,
     ball_overlap,
     corrects_t_errors,
@@ -55,7 +59,13 @@ from .linearq import (
     lee_parity_check,
     nullspace,
 )
-from .ternary import construct_even, construct_extended, construct_odd_mixed
+from .ternary import (
+    construct_even,
+    construct_extended,
+    construct_odd_mixed,
+    image_channel,
+    prefix_parts,
+)
 from .words import (
     AlphabetSpec,
     CodeBook,
@@ -73,6 +83,12 @@ from .words import (
 )
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
+
+
+def integer(text: str) -> int:
+    """An integer flag, read by the one token rule of every text input."""
+    (value,) = parse_ints([text])
+    return value
 
 
 def _read_code(path: str) -> CodeBook:
@@ -298,16 +314,10 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = _read_code(args.code)
-    kinds = {"auto": None, "Z": "Z", "T": "T", "chain": "chain", "Rq": "Rq",
-             "L1-wrap": "L1-wrap"}
-    kind = kinds[args.channel]
-    graphs = []
-    for q in code.alphabet.sizes:
-        k = kind
-        if k is None:
-            k = "Z" if q == 2 else "chain"
-        graphs.append(make_channel(k, q))
-    ch = ProductChannel(tuple(graphs))
+    auto = args.channel == "auto"
+    ch = ProductChannel(tuple(
+        make_channel(("Z" if q == 2 else "chain") if auto else args.channel, q)
+        for q in code.alphabet.sizes))
     result = simulate_channel(
         code,
         ch,
@@ -349,33 +359,24 @@ def _cmd_tables(args) -> int:
         ok = all(r["cr_matches_reference"] and r["cyclic_matches_reference"]
                  for r in report["rows"])
         return OK if ok else VERIFY_FAILED
-    # verify-generators: oracle-check every bundled closure and its size
-    failures = []
+    # verify-generators: oracle-check every bundled code on its product
+    # channel (a split code's parts behind their literal bit), then its image
+    codes = [(m, False, builtin_table_generators(m)) for m in sorted(BUILTIN_PLAIN)]
+    codes += [(m, True, prefix_parts(*builtin_table_generators(m, extended=True)))
+              for m in sorted(BUILTIN_EXTENDED)]
     rows = []
-    for m in sorted(BUILTIN_PLAIN):
-        closure = builtin_table_generators(m)
-        ok = corrects_t_errors(closure, ProductChannel.power(make_channel("T", 3), m), 1)
-        image = construct_even(closure, check=False)
-        expected = TABLE2_REFERENCE[2 * m]["cyclic"]
+    for m, extended, code in codes:
+        ok = corrects_t_errors(code, image_channel(code.alphabet.sizes), 1)
+        image = construct_odd_mixed(code, check=False)
+        expected = TABLE2_REFERENCE[2 * m + extended]["cyclic"]
         good = ok and len(image) == expected and is_t_code(image, 1)
-        rows.append({"m": m, "extended": False, "oracle": ok, "image_size": len(image),
+        rows.append({"m": m, "extended": extended, "oracle": ok, "image_size": len(image),
                      "expected": expected, "ok": good})
-        if not good:
-            failures.append(m)
-    for m in sorted(BUILTIN_EXTENDED):
-        part0, part1 = builtin_table_generators(m, extended=True)
-        image = construct_extended(part0, part1)
-        expected = TABLE2_REFERENCE[2 * m + 1]["cyclic"]
-        good = len(image) == expected and is_t_code(image, 1)
-        rows.append({"m": m, "extended": True, "oracle": True, "image_size": len(image),
-                     "expected": expected, "ok": good})
-        if not good:
-            failures.append(m)
     report = {"table": "verify-generators", "rows": rows}
     sys.stdout.write(format_table(report))
     _emit_json(ReportDocument(command=["tables", "verify-generators"], results=report),
                args.json)
-    return OK if not failures else VERIFY_FAILED
+    return OK if all(r["ok"] for r in rows) else VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     cs = c.add_subparsers(dest="what", required=True)
 
     vt = cs.add_parser("vt")
-    vt.add_argument("--n", type=int, required=True)
-    vt.add_argument("--g", dest="g_int", type=int, default=0)
-    vt.add_argument("--q", type=int, default=2)
+    vt.add_argument("--n", type=integer, required=True)
+    vt.add_argument("--g", dest="g_int", type=integer, default=0)
+    vt.add_argument("--q", type=integer, default=2)
 
     cr = cs.add_parser("cr")
     cr.add_argument("--group", required=True, help="cyclic factors, e.g. 3x3")
     cr.add_argument("--g", default=None, help="target element, e.g. 0,0")
-    cr.add_argument("--q", type=int, default=2)
+    cr.add_argument("--q", type=integer, default=2)
 
     tern = cs.add_parser("ternary")
     tern.add_argument("--in", dest="infile", default=None)
@@ -409,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     conc.add_argument("--matrix-out", default=None)
 
     ham = cs.add_parser("hamming")
-    ham.add_argument("--q", type=int, required=True)
-    ham.add_argument("--r", type=int, required=True)
+    ham.add_argument("--q", type=integer, required=True)
+    ham.add_argument("--r", type=integer, required=True)
     ham.add_argument("--matrix-out", default=None)
 
     lee = cs.add_parser("lee")
-    lee.add_argument("--q", type=int, required=True)
-    lee.add_argument("--r", type=int, required=True)
+    lee.add_argument("--q", type=integer, required=True)
+    lee.add_argument("--r", type=integer, required=True)
     lee.add_argument("--partial", action="store_true",
                      help="drop columns whose first row is zero")
     lee.add_argument("--matrix-out", default=None)
@@ -425,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (vt, cr, tern, conc, ham, lee, dbl):
         sp.add_argument("--out", default=None)
+    for sp in (vt, cr, tern, conc):
         sp.add_argument("--unchecked", action="store_true")
     c.set_defaults(func=_cmd_construct)
 
@@ -434,16 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="asym: asymmetric distance > t; limited: limited-magnitude "
                         "distance; ball: disjoint radius-t error balls on the "
                         "decrement chain")
-    v.add_argument("--t", type=int, required=True)
-    v.add_argument("--l", type=int, default=1)
+    v.add_argument("--t", type=integer, required=True)
+    v.add_argument("--l", type=integer, default=1)
     v.add_argument("--wrap", action="store_true")
     v.add_argument("--json", default=None)
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("search", help="search for shift-closed ternary codes")
     s.add_argument("what", choices=["cyclic", "extended"])
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--m", type=integer, required=True)
+    s.add_argument("--seed", type=integer, default=0)
     s.add_argument("--budget", type=float, default=60.0,
                    help="node budget: the exact strategy expands at most 50 000 "
                         "nodes per unit (default 60)")
@@ -459,28 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
                                       "the enumeration cap)")
     d.add_argument("--code", required=True)
     d.add_argument("--received", required=True)
-    d.add_argument("--t", type=int, required=True)
+    d.add_argument("--t", type=integer, required=True)
     d.set_defaults(func=_cmd_decode)
 
     sim = sub.add_parser("simulate", help="Monte Carlo channel simulation")
     sim.add_argument("--code", required=True)
     sim.add_argument("--p", type=float, default=None)
-    sim.add_argument("--force-errors", type=int, default=None)
-    sim.add_argument("--trials", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--t", type=int, default=1)
+    sim.add_argument("--force-errors", type=integer, default=None)
+    sim.add_argument("--trials", type=integer, required=True)
+    sim.add_argument("--seed", type=integer, required=True)
+    sim.add_argument("--t", type=integer, default=1)
     sim.add_argument("--channel", default="auto",
-                     choices=["auto", "Z", "T", "chain", "Rq", "L1-wrap"])
+                     choices=["auto", *CHANNEL_KINDS])
     sim.add_argument("--json", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
     b = sub.add_parser("bound", help="exact bounds")
     bs = b.add_subparsers(dest="which", required=True)
     sph = bs.add_parser("sphere")
-    sph.add_argument("--q", type=int, required=True)
-    sph.add_argument("--n", type=int, required=True)
-    sph.add_argument("--t", type=int, required=True)
-    sph.add_argument("--l", type=int, required=True)
+    sph.add_argument("--q", type=integer, required=True)
+    sph.add_argument("--n", type=integer, required=True)
+    sph.add_argument("--t", type=integer, required=True)
+    sph.add_argument("--l", type=integer, required=True)
     sph.set_defaults(func=_cmd_bound)
 
     t = sub.add_parser("tables", help="reproduce the summary tables")

@@ -43,7 +43,8 @@ class AbelianGroup:
     @classmethod
     def parse(cls, text: str) -> "AbelianGroup":
         """Parse '7' or '3x3' or '2x2x3' into a group."""
-        return cls(tuple(int(tok) for tok in text.lower().split("x")))
+        from .io import parse_ints  # here, so that importing the package skips io and json
+        return cls(tuple(parse_ints(text.lower().split("x"))))
 
     @property
     def order(self) -> int:

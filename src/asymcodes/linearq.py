@@ -164,9 +164,8 @@ def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
     """Parity check for single +-1 errors: columns are the vectors whose
     first nonzero entry lies in {1..(q-1)/2}, lexicographic.
 
-    full=False keeps only columns with a nonzero first row, the shorter
-    variant with r*... q^(r-1) fewer columns; full=True keeps all
-    (q^r - 1)/2 of them.
+    full=True keeps all (q^r - 1)/2 such columns; full=False drops the
+    (q^(r-1) - 1)/2 of them whose first entry is 0.
     """
     if not _is_prime(q) or q % 2 == 0:
         raise ValueError("q must be an odd prime")

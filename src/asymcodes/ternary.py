@@ -99,13 +99,18 @@ def expand_to_binary(c: CodeBook, p: Pairing) -> CodeBook:
     return _expand(c, ([(p.singleton,)] if has_single else []) + list(p.pairs))
 
 
+def image_channel(sizes: tuple[int, ...]) -> ProductChannel:
+    """The product channel of a bit/trit code: Z on every bit, T on every
+    trit.  A code that corrects one error on it expands to a binary 1-code."""
+    return ProductChannel(tuple(make_channel("Z" if q == 2 else "T", q) for q in sizes))
+
+
 def _image(c: CodeBook, check: bool, label: str) -> CodeBook:
-    """Check that c corrects one error on its product channel (Z on every
-    bit, T on every trit), then expand each trit into an adjacent bit pair
-    and pass each bit through, in position order."""
+    """Check that c corrects one error on its product channel, then expand
+    each trit into an adjacent bit pair and pass each bit through, in
+    position order."""
     sizes = c.alphabet.sizes
-    channel = ProductChannel(tuple(make_channel("Z" if q == 2 else "T", q) for q in sizes))
-    if check and not corrects_t_errors(c, channel, 1):
+    if check and not corrects_t_errors(c, image_channel(sizes), 1):
         raise ValueError("input does not correct one error on its product channel")
     widths = [2 if q == 3 else 1 for q in sizes]
     ends = np.cumsum(widths).tolist()
@@ -129,20 +134,24 @@ def construct_odd_mixed(c: CodeBook, check: bool = True) -> CodeBook:
     return _image(c, check, "mixed")
 
 
+def prefix_parts(c0: CodeBook, c1: CodeBook) -> CodeBook:
+    """Two ternary parts behind a literal bit: part 0 prefixed with 0,
+    part 1 with 1, one code over bit x trit^m."""
+    if c0.alphabet != c1.alphabet or any(q != 3 for q in c0.alphabet.sizes):
+        raise ValueError("parts must be ternary codes over the same length")
+    alpha = AlphabetSpec((2,) + c0.alphabet.sizes)
+    parts = [np.insert(part.matrix(), 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
+    return CodeBook.from_symbols(alpha, np.vstack(parts))
+
+
 def construct_extended(c0: CodeBook, c1: CodeBook, check: bool = True) -> CodeBook:
     """Binary length-(2m+1) code from two ternary parts behind a literal bit.
 
-    Part 0 is prefixed with 0, part 1 with 1; the combined prefixed code
-    must correct one error on the bit x trit^m product channel, which
-    encodes both the per-part condition and the cross-part separation.
+    The prefixed code (`prefix_parts`) must correct one error on the
+    bit x trit^m product channel, which encodes both the per-part
+    condition and the cross-part separation.
     """
-    if c0.alphabet != c1.alphabet or any(q != 3 for q in c0.alphabet.sizes):
-        raise ValueError("parts must be ternary codes over the same length")
-    m = c0.n
-    alpha = AlphabetSpec((2,) + (3,) * m)
-    parts = [np.insert(part.matrix(), 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
-    prefixed = CodeBook.from_symbols(alpha, np.vstack(parts))
-    return construct_odd_mixed(prefixed, check=check)
+    return construct_odd_mixed(prefix_parts(c0, c1), check=check)
 
 
 def is_ternary_code(c: CodeBook, p: Pairing) -> bool:

@@ -323,11 +323,6 @@ def weight_w(x: Word | Sequence[int]) -> int:
     return sum(_as_symbols(x))
 
 
-def hamming_weight(x: Word | Sequence[int]) -> int:
-    """Number of nonzero symbols."""
-    return sum(1 for s in _as_symbols(x) if s)
-
-
 def _check_same_profile(x, y):
     xs, ys = _as_symbols(x), _as_symbols(y)
     if len(xs) != len(ys):
@@ -335,12 +330,6 @@ def _check_same_profile(x, y):
     if isinstance(x, Word) and isinstance(y, Word) and x.alphabet != y.alphabet:
         raise AlphabetMismatch("words have different alphabet profiles")
     return xs, ys
-
-
-def total_increase(x, y) -> int:
-    """Sum over coordinates of max(y_i - x_i, 0): symbol gain going x -> y."""
-    xs, ys = _check_same_profile(x, y)
-    return sum(b - a for a, b in zip(xs, ys) if b > a)
 
 
 def asym_distance(x, y) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -284,6 +285,16 @@ class TestBallOverlap:
         ch, c = case
         assert len(channels._limbs_of(ch.alphabet.sizes)) >= 2
         _check_against_reference(c, ch, t, counting, coord_radius)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=40), st.data())
+    def test_word_index_round_trip(self, sizes, data):
+        # up to 9^40 words: several limbs
+        sizes = tuple(sizes)
+        rows = np.array([[data.draw(st.integers(0, q - 1)) for q in sizes] for _ in range(4)])
+        limbs = channels._index_of(rows, sizes)
+        assert len(limbs) == len(channels._limbs_of(sizes))
+        assert (channels._symbols_of(limbs, sizes) == rows).all()
 
     def test_coordinate_without_moves(self):
         # an edgeless coordinate, and coordinate counting that allows no step

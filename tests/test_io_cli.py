@@ -349,6 +349,37 @@ class TestCliExitCodes:
                      "--l", "1"]) == 0
         assert capsys.readouterr().out.strip() == "729"
 
+    @pytest.mark.parametrize("token", ["1_0", "+5", " 8", "\u0663"])
+    @pytest.mark.parametrize("args", [
+        ["bound", "sphere", "--q", "3", "--n", "{}", "--t", "1", "--l", "1"],
+        ["construct", "vt", "--n", "{}"],
+        ["simulate", "--code", "c.code", "--p", "0.1", "--trials", "{}", "--seed", "1"],
+    ], ids=["bound", "vt", "simulate"])
+    def test_integer_flags_follow_the_token_rule(self, capsys, token, args):
+        # int() reads each of these tokens as an integer
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(token) for a in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"invalid integer value: {token!r}" in captured.err
+
+    @pytest.mark.parametrize("token", ["1_0", "+5", " 8", "\u0663"])
+    def test_group_factors_follow_the_token_rule(self, capsys, token):
+        assert main(["construct", "cr", "--group", f"3x{token}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid literal for int() with base 10: {token!r}\n"
+
+    @pytest.mark.parametrize("what", [["hamming", "--q", "3", "--r", "2"],
+                                      ["lee", "--q", "3", "--r", "2"],
+                                      ["double", "--in", "c.code"]])
+    def test_unchecked_only_where_a_check_runs(self, capsys, what):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *what, "--unchecked"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+
     def test_usage_error_exit_two(self, tmp_path):
         missing = tmp_path / "nope.code"
         assert main(["verify", "--in", str(missing), "--model", "asym", "--t", "1"]) == 2
@@ -376,6 +407,20 @@ class TestCliExitCodes:
         assert main(["tables", "table2"]) == 0
         assert main(["tables", "verify-generators"]) == 0
         capsys.readouterr()
+
+    def test_verify_generators_reports_a_failing_split_table(self, monkeypatch, tmp_path,
+                                                            capsys):
+        from asymcodes import cyclic
+
+        part0, part1 = cyclic.BUILTIN_EXTENDED[3]
+        monkeypatch.setitem(cyclic.BUILTIN_EXTENDED, 3, (part0, part1 + ("100",)))
+        rep = tmp_path / "g.json"
+        assert main(["tables", "verify-generators", "--json", str(rep)]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 12
+        rows = json.loads(rep.read_text())["results"]["rows"]
+        assert [r for r in rows if not r["ok"]] == [
+            {"m": 3, "extended": True, "oracle": False, "image_size": 28, "expected": 16,
+             "ok": False}]
 
     def test_simulate_probabilistic_path(self, tmp_path, capsys):
         f = tmp_path / "c.code"

@@ -29,7 +29,6 @@ from asymcodes.words import (
     DecodeFailure,
     DecodingError,
     EnumerationCapExceeded,
-    total_increase,
 )
 
 from conftest import book_from_strings
@@ -81,11 +80,6 @@ class TestWeightAndDistance:
         assert asym_distance(x, x) == 0
         assert asym_distance(x, w((0, 0, 1, 1), q=2)) == 2
         assert asym_distance(w((1, 1, 1), q=2), w((0, 0, 0), q=2)) == 3
-
-    def test_one_sided_values_retrievable(self):
-        x, y = w((1, 1, 1), q=2), w((0, 0, 0), q=2)
-        assert total_increase(x, y) == 0
-        assert total_increase(y, x) == 3
 
     def test_length_mismatch(self):
         with pytest.raises(AlphabetMismatch):
