@@ -6,10 +6,10 @@ generic oracle `corrects_t_errors` checks that error balls of radius t
 around distinct codewords are pairwise disjoint, which is the uniform
 correctability criterion used to validate every construction in this
 package; `ball_overlap` names a received word two balls share.  One ball
-enumerator lists the balls for the oracle, `error_ball` and the decoding
-table of `simulate_channel`.  It reads only the channel graphs, never the
-distance metrics of `words`, so the oracle and the metric path check each
-other.
+enumerator lists the balls for the oracle, `error_ball`, the decoding
+table of `simulate_channel` and the search graphs of `cyclic`.  It reads
+only the channel graphs, never the distance metrics of `words`, so the
+oracle and the metric path check each other.
 """
 
 from __future__ import annotations

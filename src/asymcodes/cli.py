@@ -46,6 +46,7 @@ from .io import (
     CodeFileError,
     ReportDocument,
     parse_code_file,
+    parse_decimal,
     parse_ints,
     parse_symbols,
     write_code_file,
@@ -89,6 +90,11 @@ def integer(text: str) -> int:
     """An integer flag, read by the one token rule of every text input."""
     (value,) = parse_ints([text])
     return value
+
+
+def decimal(text: str) -> float:
+    """A decimal flag, read by the one decimal token rule; argparse's error names it."""
+    return parse_decimal(text)
 
 
 def _read_code(path: str) -> CodeBook:
@@ -195,17 +201,11 @@ def _cmd_construct(args) -> int:
         if args.out:
             _emit_code(book, args.out)
         return OK
-    elif which == "hamming":
-        H = hamming_parity_check(args.q, args.r)
-        if args.matrix_out:
-            Path(args.matrix_out).write_text(H.to_text())
+    elif which in ("hamming", "lee"):
+        if which == "hamming":
+            H = hamming_parity_check(args.q, args.r)
         else:
-            sys.stdout.write(H.to_text())
-        if args.out:
-            _emit_code(codewords_of(H), args.out)
-        return OK
-    elif which == "lee":
-        H = lee_parity_check(args.q, args.r, full=not args.partial)
+            H = lee_parity_check(args.q, args.r, full=not args.partial)
         if args.matrix_out:
             Path(args.matrix_out).write_text(H.to_text())
         else:
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("what", choices=["cyclic", "extended"])
     s.add_argument("--m", type=integer, required=True)
     s.add_argument("--seed", type=integer, default=0)
-    s.add_argument("--budget", type=float, default=60.0,
+    s.add_argument("--budget", type=decimal, default=60.0,
                    help="node budget: the exact strategy expands at most 50 000 "
                         "nodes per unit (default 60)")
     s.add_argument("--strategy", default="exact-clique",
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo channel simulation")
     sim.add_argument("--code", required=True)
-    sim.add_argument("--p", type=float, default=None)
+    sim.add_argument("--p", type=decimal, default=None)
     sim.add_argument("--force-errors", type=integer, default=None)
     sim.add_argument("--trials", type=integer, required=True)
     sim.add_argument("--seed", type=integer, required=True)

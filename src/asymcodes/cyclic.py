@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channels import _balls
+from .ternary import image_channel
 from .words import AlphabetSpec, CodeBook, check_cap
 
 # T-channel one-step moves per symbol
@@ -100,8 +102,8 @@ def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Radius-1 ball of w on the ternary channel, as a set of words.
 
     Kept on purpose, with `_self_compatible` and `orbits_compatible`: this
-    set-based definition is the reference that the tests check the
-    inverted index (`_orbit_index`, `_adjacency`) against.
+    set-based definition is the reference that the tests check the search
+    graphs (`_conflict_graph`) against.
     """
     out = {w}
     for i, s in enumerate(w):
@@ -126,10 +128,10 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     """True iff the union of the two orbits still has disjoint radius-1 balls
     on the ternary channel (o1 == o2 checks the orbit against itself).
 
-    The search builds its graph from an inverted index instead.  This
-    set-based definition is kept on purpose as the independent reference
-    that the tests check that index against, as the ball oracle and the
-    metric path check each other.
+    The search graphs come from the ball enumerator of `channels` instead.
+    This set-based definition is kept on purpose as the independent
+    reference that the tests check them against, as the ball oracle and
+    the metric path check each other.
     """
     if o1.m != o2.m:
         raise ValueError("orbits have different lengths")
@@ -147,62 +149,59 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     return True
 
 
-def _ball1_indices(x: int, m: int) -> list[int]:
-    """Radius-1 ball of the word whose base-3 value is x, as base-3 values."""
-    out = [x]
-    place = 1
-    for _ in range(m):
-        s = x // place % 3
-        for b in _T_STEPS[s]:
-            out.append(x + (b - s) * place)
-        place *= 3
-    return out
+def _incidence(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
+    """(word, vertex) pairs of the rows' radius-1 balls on the image channel
+    of `sizes`, sorted by word, then vertex: row k belongs to vertex[k], and
+    words are numbered from 0.  The balls come from the one ball enumerator,
+    `channels._balls`, which checks their size against the cap first."""
+    holder, limbs = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
+    holder = vertex[holder]  # the vertex whose ball lists each entry
+    order = np.lexsort([holder, *limbs[::-1]])
+    fresh = np.zeros(len(order), dtype=bool)
+    for index in limbs:
+        fresh[1:] |= np.diff(index[order]) != 0
+    return np.cumsum(fresh), holder[order]
 
 
-def _orbit_index(m: int):
-    """Inverted index of the self-compatible orbits over word indices.
+def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
+    """Conflict graph of the vertices that own the rows, from `_incidence`.
 
-    A word's index is its base-3 value.  Returns (orbits, members, balls,
-    covering): members[i] and balls[i] list the indices of orbit i's words
-    and of the union of their radius-1 balls, and covering[y] is the
-    bitmask of the orbits whose ball holds word y.
+    A vertex is kept iff its own words' balls are disjoint: no (word,
+    vertex) pair is listed twice.  Two kept vertices conflict iff one word
+    lies in both their balls.  Returns the keep mask and, per kept vertex,
+    the bitmask of the kept vertices it does not conflict with.
     """
-    orbits, members, balls = [], [], []
-    for o in enumerate_orbits(m):
-        idx = [int("".join(map(str, w)), 3) for w in o.members]
-        ball = [y for x in idx for y in _ball1_indices(x, m)]
-        # each member's own ball has distinct words, so a repeat means two
-        # members' balls meet
-        if len(set(ball)) == len(ball):
-            orbits.append(o)
-            members.append(idx)
-            balls.append(ball)
-    covering = [0] * 3**m
-    for i, ball in enumerate(balls):
-        bit = 1 << i
-        for y in ball:
-            covering[y] |= bit
-    return orbits, members, balls, covering
+    word, holder = _incidence(rows, vertex, sizes)
+    keep = np.ones(vertex.max() + 1, dtype=bool)
+    keep[holder[1:][(word[1:] == word[:-1]) & (holder[1:] == holder[:-1])]] = False
+    held = keep[holder]
+    word, label = word[held], (np.cumsum(keep) - 1)[holder[held]]
+    adj = np.ones((int(keep.sum()),) * 2, dtype=bool)
+    np.fill_diagonal(adj, False)
+    # a word's holders sit together: pair every entry with the one d places
+    # on while any such pair shares its word
+    for d in range(1, len(word)):
+        same = word[d:] == word[:-d]
+        if not same.any():
+            break
+        x, y = label[:-d][same], label[d:][same]
+        adj[x, y] = adj[y, x] = False
+    bits = np.packbits(adj, axis=1, bitorder="little")
+    return keep, tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
 
 
-def _adjacency(balls, covering) -> tuple[int, ...]:
-    """Distinct orbits conflict iff their ball unions meet, i.e. one orbit's
-    ball holds a word that the other's covers."""
-    full = (1 << len(balls)) - 1
-    adj = []
-    for ball in balls:
-        conflicts = 0
-        for y in ball:
-            conflicts |= covering[y]
-        adj.append(full & ~conflicts)
-    return tuple(adj)
+def _member_rows(orbits) -> tuple[np.ndarray, np.ndarray]:
+    """Every orbit's members as rows, and the orbit index of each row."""
+    rows = np.array([w for o in orbits for w in o.members], dtype=np.int64)
+    return rows, np.repeat(np.arange(len(orbits)), [o.size for o in orbits])
 
 
 @lru_cache(maxsize=4)
 def _plain_graph(m: int):
     """Self-compatible orbits plus pairwise-compatibility bitmasks."""
-    orbits, _, balls, covering = _orbit_index(m)
-    return tuple(orbits), _adjacency(balls, covering)
+    orbits = enumerate_orbits(m)
+    keep, adj = _conflict_graph(*_member_rows(orbits), (3,) * m)
+    return tuple(o for o, k in zip(orbits, keep) if k), adj
 
 
 def _bits(mask: int):
@@ -424,39 +423,19 @@ def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
     return _orbits_to_codebook(orbits, mask, m, f"cyclic-search-m{m}", meta)
 
 
-_SPREAD = str.maketrans({"0": "00", "1": "01"})
-
-
-def _spread(mask: int) -> int:
-    """Move bit j of mask to bit 2j."""
-    return int(format(mask, "b").translate(_SPREAD), 2)
-
-
 @lru_cache(maxsize=4)
 def _extended_graph(m: int):
     """Two-layer graph for the split construction behind a literal bit.
 
-    Vertex 2i is orbit i used in part 0, vertex 2i+1 the same orbit in
-    part 1.  Same-part edges need plain compatibility.  Part-0 orbit i and
-    part-1 orbit j (i != j) are adjacent iff no member of j lies in the
-    ball of i: a fallen prefix bit lands a part-1 word on its bare trits,
-    and the prefix keeps every other pair of balls apart.
+    Vertex 2i is plain orbit i in part 0, vertex 2i+1 the same orbit in
+    part 1: its members behind bit 0 or bit 1, on the bit x trit^m channel
+    that `construct_extended` checks.
     """
-    orbits, members, balls, covering = _orbit_index(m)
-    adj = _adjacency(balls, covering)
-    full = (1 << len(orbits)) - 1
-    ext = []
-    for i, idx in enumerate(members):
-        # Orbits whose ball holds a member of i, i itself included.  The T
-        # steps are symmetric, so these are also the orbits with a member
-        # in ball i: one mask gives both part-0 / part-1 directions.
-        hit = 0
-        for x in idx:
-            hit |= covering[x]
-        same, cross = _spread(adj[i]), _spread(full & ~hit)
-        ext.append(same | cross << 1)
-        ext.append(same << 1 | cross)
-    return tuple(orbits), tuple(ext)
+    orbits = _plain_graph(m)[0]
+    rows, vertex = _member_rows(orbits)
+    rows = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in (0, 1)])
+    _, adj = _conflict_graph(rows, np.concatenate([2 * vertex, 2 * vertex + 1]), (2,) + (3,) * m)
+    return orbits, adj
 
 
 def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, CodeBook]:
@@ -466,23 +445,15 @@ def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, 
     if cfg.strategy == "exact-clique" and m > 7:
         raise ValueError("exact strategy supports m <= 7")
     orbits, ext = _extended_graph(m)
-    V = len(orbits)
-    weights = [0] * (2 * V)
-    keys = [None] * (2 * V)
-    for i, o in enumerate(orbits):
-        weights[2 * i] = weights[2 * i + 1] = o.weight_score
-        keys[2 * i] = (0, o.representative)
-        keys[2 * i + 1] = (1, o.representative)
+    # vertex 2i + part is orbit i in that part
+    weights = [o.weight_score for o in orbits for _ in (0, 1)]
+    keys = [(part, o.representative) for o in orbits for part in (0, 1)]
     meta, mask = _run_search(weights, list(ext), keys, cfg)
-    mask0 = 0
-    mask1 = 0
-    for i in range(V):
-        if mask >> (2 * i) & 1:
-            mask0 |= 1 << i
-        if mask >> (2 * i + 1) & 1:
-            mask1 |= 1 << i
-    part0 = _orbits_to_codebook(orbits, mask0, m, f"extended-search-m{m}-part0", meta)
-    part1 = _orbits_to_codebook(orbits, mask1, m, f"extended-search-m{m}-part1", dict(meta))
+    parts = [0, 0]
+    for p in _bits(mask):
+        parts[p % 2] |= 1 << p // 2
+    part0 = _orbits_to_codebook(orbits, parts[0], m, f"extended-search-m{m}-part0", meta)
+    part1 = _orbits_to_codebook(orbits, parts[1], m, f"extended-search-m{m}-part1", dict(meta))
     return part0, part1
 
 

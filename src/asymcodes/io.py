@@ -41,6 +41,18 @@ def parse_ints(tokens: Sequence[str]) -> list[int]:
     return list(map(int, tokens))
 
 
+_DECIMAL_TOKEN = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan")
+
+
+def parse_decimal(token: str) -> float:
+    """The token as a float, under the one decimal token rule of text input:
+    ASCII -?([0-9]+.?[0-9]*|.[0-9]+)([eE][-+]?[0-9]+)?, or inf or nan for the
+    flag's range check to name; '1_0', ' 1 ' and other scripts' digits fail."""
+    if not _DECIMAL_TOKEN.fullmatch(token):
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def parse_symbols(text: str, sep: str) -> list[int]:
     """One word's symbols, read by the rule of every word in text: a comma
     always separates symbols.  Without one, an alphabet that prints words

@@ -425,7 +425,7 @@ class TestCliqueEngine:
                         "seed": str(seed), "proven_optimal": "no"}
             assert _run_search(weights, adj, keys, cfg) == (expected, best_mask), seed
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_plain_graph_equals_pairwise_compatibility(self, m):
         orbits, adj = _plain_graph(m)
         assert list(orbits) == [o for o in enumerate_orbits(m) if orbits_compatible(o, o)]
@@ -435,7 +435,7 @@ class TestCliqueEngine:
             assert bool(adj[i] >> j & 1) == expected, (m, i, j)
         assert all(a >> V == 0 for a in adj)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_extended_graph_equals_definition(self, m):
         orbits, ext = _extended_graph(m)
         assert orbits == _plain_graph(m)[0]
@@ -477,6 +477,22 @@ class TestCliqueEngine:
             enumerate_orbits(6)
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6)
         assert len(enumerate_orbits(6)) == necklace_count(6)
+
+    def test_graph_balls_are_checked_against_the_cap(self, monkeypatch):
+        # the m=6 radius-1 balls hold 729 + 6 * (243 * 2 + 486) = 6561 words,
+        # though its 729 words fit under the cap
+        _plain_graph.cache_clear()
+        _extended_graph.cache_clear()
+        try:
+            monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6)
+            with pytest.raises(EnumerationCapExceeded,
+                               match="radius-1 error balls: 6561 exceeds enumeration cap 729"):
+                _plain_graph(6)
+            monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 6561)
+            assert len(_plain_graph(6)[0]) == 98
+        finally:
+            _plain_graph.cache_clear()
+            _extended_graph.cache_clear()
 
     def test_the_cap_is_the_only_size_bound(self, monkeypatch):
         # 3^14 words exceed the cap; no second bound on m answers first

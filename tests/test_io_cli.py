@@ -14,7 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from asymcodes import AlphabetSpec, CodeBook, vt_code
 from asymcodes.cli import main
-from asymcodes.io import CodeFileError, ReportDocument, parse_code_file, write_code_file
+from asymcodes.io import (
+    CodeFileError,
+    ReportDocument,
+    parse_code_file,
+    parse_decimal,
+    write_code_file,
+)
 from asymcodes.linearq import MatrixModZq
 
 from conftest import book_from_strings
@@ -363,6 +369,25 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"invalid integer value: {token!r}" in captured.err
+
+    @pytest.mark.parametrize("token", [" 0_0", "\u0660.\u0665", "\u0665", "1_0"])
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--code", "c.code", "--p", "{}", "--trials", "10", "--seed", "1"],
+        ["search", "cyclic", "--m", "3", "--budget", "{}"],
+    ], ids=["p", "budget"])
+    def test_decimal_flags_follow_the_token_rule(self, capsys, token, args):
+        # float() reads each of these tokens as a number
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(token) for a in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"invalid decimal value: {token!r}" in captured.err
+
+    @pytest.mark.parametrize("token, value", [("0.1", 0.1), ("0.05", 0.05), ("5", 5.0),
+                                              (".5", 0.5), ("-2.", -2.0), ("1e-3", 0.001)])
+    def test_decimal_token_rule_reads_plain_numbers(self, token, value):
+        assert parse_decimal(token) == value
 
     @pytest.mark.parametrize("token", ["1_0", "+5", " 8", "\u0663"])
     def test_group_factors_follow_the_token_rule(self, capsys, token):
