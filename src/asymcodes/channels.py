@@ -217,7 +217,7 @@ def _index_of(rows: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...]):
+def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], total: int):
     """Every codeword's ball at once: (owner, limb indices), one entry per word.
 
     A word of the ball is its codeword with some coordinates moved, at a
@@ -225,30 +225,39 @@ def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...]):
     every live entry each move it can afford at that coordinate; the moved
     entries are listed, and those with budget left join the live ones for
     later coordinates.  A word is one choice per coordinate, so each ball
-    lists each of its words once.
+    lists each of its words once.  The entries are written in place into
+    arrays of `total`, the count `_ball_count` gives.
     """
     # place[j][i]: the place value of coordinate i in limb j, 0 outside it
     place = _index_of(np.eye(len(sizes), dtype=np.int64), sizes)
     live = [np.arange(cols.shape[1]), *_index_of(cols.T, sizes)]  # owner, limb indices
     left = np.full(cols.shape[1], radius)
-    found = [live]
+    out = [np.empty(total, dtype=np.int64) for _ in live]
+    for o, x in zip(out, live):
+        o[: len(x)] = x
+    end = len(left)
     for i, slots in enumerate(moves):
         a = cols[i][live[0]]
         grown = []
         for targets, costs in slots:
             budget = left - costs[a]
             k = np.flatnonzero(budget >= 0)
+            start, end = end, end + len(k)
+            moved = [o[start:end] for o in out]
+            np.take(live[0], k, out=moved[0], mode="clip")
             step = targets[a[k]] - a[k]
-            moved = [live[0][k]]
-            moved += [x[k] + step * p[i] if p[i] else x[k] for x, p in zip(live[1:], place)]
-            found.append(moved)
+            for x, p, m in zip(live[1:], place, moved[1:]):
+                np.take(x, k, out=m, mode="clip")
+                if p[i]:
+                    m += step * p[i]
             rest = np.flatnonzero(budget[k])
             if len(rest):
-                grown.append((budget[k][rest], [x[rest] for x in moved]))
+                grown.append((budget[k][rest], [m[rest] for m in moved]))
         if grown:
             left = np.concatenate([left] + [g[0] for g in grown])
             live = [np.concatenate(parts) for parts in zip(live, *(g[1] for g in grown))]
-    owner, *index = (np.concatenate(parts) for parts in zip(*found))
+    assert end == total, "the ball count disagrees with the listing"
+    owner, *index = out
     return owner, index
 
 
@@ -269,9 +278,10 @@ def _balls(
     per_graph = {g: _coordinate_moves(g, budget, counting, coord_radius)
                  for g in set(ch.coordinates)}
     moves = [per_graph[g] for g in ch.coordinates]
-    cols = np.ascontiguousarray(rows.T)
-    check_cap(_ball_count(cols, moves, budget), f"radius-{radius} error balls")
-    return _expand(cols, moves, budget, ch.alphabet.sizes)
+    cols = rows.T
+    total = _ball_count(cols, moves, budget)
+    check_cap(total, f"radius-{radius} error balls")
+    return _expand(cols, moves, budget, ch.alphabet.sizes, total)
 
 
 def _coverage(owner: np.ndarray, limbs: list[np.ndarray]):

@@ -73,6 +73,7 @@ from .words import (
     DecodeAmbiguity,
     DecodeFailure,
     EnumerationCapExceeded,
+    _lm_pair,
     _min_asym_pair,
     _separator,
     decode_asymmetric,
@@ -232,6 +233,15 @@ def _cmd_construct(args) -> int:
     return OK
 
 
+def _pair_witness(code: CodeBook, pair: tuple[int, int, int], metric: str) -> dict:
+    """The closest pair (distance, i, j) of a "no", printed and as a report entry."""
+    d, i, j = pair
+    witness = {"x": str(code.words[i]), "y": str(code.words[j]), "distance": d}
+    print(f"witness: {witness['x']} and {witness['y']} at {metric} distance {d}",
+          file=sys.stderr)
+    return witness
+
+
 def _cmd_verify(args) -> int:
     code = _read_code(args.infile)
     witness = None
@@ -239,10 +249,7 @@ def _cmd_verify(args) -> int:
         ok = is_t_code(code, args.t)
         detail = {"model": "asym", "t": args.t}
         if not ok:
-            d, i, j = _min_asym_pair(code, stop_at=args.t)
-            witness = {"x": str(code.words[i]), "y": str(code.words[j]), "distance": d}
-            print(f"witness: {witness['x']} and {witness['y']} at asymmetric distance {d}",
-                  file=sys.stderr)
+            witness = _pair_witness(code, _min_asym_pair(code, stop_at=args.t), "asymmetric")
     elif args.model == "ball":
         witness = _ball_witness(code, args.t)
         ok = witness is None
@@ -250,6 +257,9 @@ def _cmd_verify(args) -> int:
     else:
         ok = is_lm_code(code, args.t, args.l, wrap=args.wrap)
         detail = {"model": "limited", "t": args.t, "l": args.l, "wrap": args.wrap}
+        if not ok:
+            witness = _pair_witness(code, _lm_pair(code, args.t, args.l, args.wrap),
+                                    "limited-magnitude")
     results = {"size": len(code), "n": code.n, "verified": ok}
     if witness:
         results["witness"] = witness
@@ -270,6 +280,9 @@ def _cmd_search(args) -> int:
         strategy=args.strategy,
     )
     if args.what == "cyclic":
+        if args.out1:
+            raise ValueError("--out1 names the part-1 file of search extended; "
+                             "search cyclic writes one code")
         code = search_cyclic(args.m, cfg)
         _emit_code(code, args.out)
         results = {"score": int(code.meta["score"]), "size": len(code), "meta": code.meta}
@@ -452,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--strategy", default="exact-clique",
                    choices=["exact-clique", "greedy", "randomized-restart"])
     s.add_argument("--out", default=None)
-    s.add_argument("--out1", default=None)
+    s.add_argument("--out1", default=None, help="search extended: the part-1 code file")
     s.add_argument("--json", default=None)
     s.set_defaults(func=_cmd_search)
 

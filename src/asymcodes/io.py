@@ -9,6 +9,7 @@ integers otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -87,6 +88,47 @@ def write_code_file(c: CodeBook) -> str:
     return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
 
 
+def _body_rows(body: list[tuple[int, str]], n: int, sep: str) -> np.ndarray:
+    """The body's words, one row per line, in one array.
+
+    A plain line, n ASCII digits of a digit-string alphabet, is decoded
+    with all the others in one pass over the joined bytes.  Every other
+    line is read by `parse_symbols`, which raises the error of its line.
+    Symbols past int64 make the array object-typed, so that the range
+    check still names them.
+    """
+    lines = [line for _, line in body]
+    rows = np.zeros((len(lines), n), dtype=np.int64)
+    plain = np.zeros(len(lines), dtype=bool)
+    if not sep:
+        plain = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == n
+        # a character past ASCII becomes '?', so each line keeps its n bytes
+        joined = "".join(itertools.compress(lines, plain)).encode("ascii", "replace")
+        digits = (np.frombuffer(joined, dtype=np.uint8) - ord("0")).reshape(-1, n)
+        # bytes below '0' wrap past 9 too
+        ok = (digits <= 9).all(axis=1)
+        plain[plain] = ok
+        rows[plain] = digits[ok]
+    slow = np.flatnonzero(~plain)
+    words = []
+    for r in slow.tolist():
+        lineno, line = body[r]
+        try:
+            symbols = parse_symbols(line, sep)
+        except ValueError as e:
+            raise CodeFileError(f"line {lineno}: {e}") from e
+        if len(symbols) != n:
+            raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(symbols)}")
+        words.append(symbols)
+    if words:
+        try:
+            rows[slow] = words
+        except OverflowError:
+            rows = rows.astype(object)
+            rows[slow] = words
+    return rows
+
+
 def parse_code_file(text: str) -> CodeBook:
     header = None
     header_line = 0
@@ -123,15 +165,7 @@ def parse_code_file(text: str) -> CodeBook:
     alphabet = AlphabetSpec(sizes)
     sep = _separator(sizes)
 
-    rows = []
-    for lineno, line in body:
-        try:
-            symbols = parse_symbols(line, sep)
-        except ValueError as e:
-            raise CodeFileError(f"line {lineno}: {e}") from e
-        if len(symbols) != n:
-            raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(symbols)}")
-        rows.append(symbols)
+    rows = _body_rows(body, n, sep)
     meta = {k: v for k, v in fields.items() if k not in ("q", "n", "name")}
     try:
         return CodeBook.from_symbols(alphabet, rows, name=fields.get("name", ""), meta=meta)

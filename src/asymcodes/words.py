@@ -344,8 +344,8 @@ def asym_distance(x, y) -> int:
     return max(up, down)
 
 
-# Pairs per row block of the verifier: the block's uint64 intermediate is
-# 512 KB, which keeps peak memory flat and the block in cache.
+# Pairs per row block of the metric verifiers: a block's intermediates are
+# 512 KB to 1 MB, which keeps peak memory flat and the block in cache.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -563,6 +563,68 @@ def d_ell_distance(x, y, ell: int, wrap: bool = False) -> int:
     return max(m_xy, m_yx)
 
 
+def _lm_kernels(q: int, ell: int, wrap: bool) -> np.ndarray:
+    """The three per-coordinate counts of `d_ell_distance` as q x q tables
+    over (x symbol, y symbol): y above x, x above y, and the pair more than
+    ell apart."""
+    diff = np.arange(q)[None, :] - np.arange(q)[:, None]
+    if wrap:
+        d = diff % q
+        above_y = (d > 0) & (d <= ell)
+        above_x = d >= q - ell
+        over = (d > 0) & ~above_y & ~above_x
+    else:
+        above_y = diff > 0
+        above_x = diff < 0
+        over = np.abs(diff) > ell
+    return np.stack([above_y, above_x, over]).astype(np.float32)
+
+
+def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[int, int, int]:
+    """The kernel of `is_lm_code`: (distance, i, j) for a closest pair under
+    the limited-magnitude distance, or the first one seen at distance <=
+    t_tilde.  i < j index `c.words`; the arguments are as `is_lm_code`
+    checks them.
+
+    Each count of `d_ell_distance` is a bilinear form in one-hot codewords:
+    with OH the words' one-hot rows and K the count's q x q table on every
+    coordinate, the count for words x and y is (OH K)[x] . OH[y].  Rows are
+    compared in blocks of about 2^16 pairs by matrix products; a count is
+    at most n, so float32 holds it exactly for every n below 2^24.
+    """
+    if len(c) < 2:
+        raise ValueError("need at least two codewords")
+    mat = c.matrix()
+    rows, n, q = len(c), c.n, c.alphabet.q
+    onehot = np.zeros((rows, n * q), dtype=np.float32)
+    onehot[np.arange(rows)[:, None], np.arange(n) * q + mat] = 1
+    # K[x_i, :] on every coordinate: one row per word and count
+    left = _lm_kernels(q, ell, wrap)[:, mat].reshape(3, rows, n * q)
+    worst = n + 2
+    best = (worst, 0, 1)
+    a = 0
+    while a < rows - 1:
+        b = min(rows, a + max(1, _PAIR_BLOCK // (rows - a - 1)))
+        right = onehot[a + 1 :].T
+        up, down, over = (k[a:b] @ right for k in left)
+        d = np.maximum(up, down)
+        d[over > 0] = n + 1
+        # row a+r meets column a+1+k: mask each word against itself (k =
+        # r-1); a pair with k < r repeats its mirror, as the distance is
+        # symmetric
+        diag = np.arange(1, b - a)
+        d[diag, diag - 1] = worst
+        flat = int(d.argmin())
+        if d.flat[flat] < best[0]:
+            r, k = divmod(flat, rows - a - 1)
+            i, j = sorted((a + r, a + 1 + k))
+            best = (int(d.flat[flat]), i, j)
+            if best[0] <= t_tilde:
+                return best
+        a = b
+    return best
+
+
 def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
     """True iff all distinct pairs have limited-magnitude distance >= t_tilde + 1."""
     if t_tilde < 1:
@@ -572,25 +634,4 @@ def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
     q = c.alphabet.q
     if wrap and q <= 2 * ell:
         raise ValueError(f"wrap-around direction is ambiguous for q={q}, ell={ell}")
-    if len(c) < 2:
-        return True
-    mat = c.matrix()
-    n = c.n
-    need = t_tilde + 1
-    for i in range(len(c) - 1):
-        rest = mat[i + 1 :]
-        diff = rest - mat[i]
-        if wrap:
-            d = diff % q
-            above_y = (d > 0) & (d <= ell)
-            above_x = d >= q - ell
-            over = (d > 0) & ~above_y & ~above_x
-        else:
-            above_y = diff > 0
-            above_x = diff < 0
-            over = np.abs(diff) > ell
-        m = np.maximum(above_x.sum(axis=1), above_y.sum(axis=1))
-        m = np.where(over.any(axis=1), n + 1, m)
-        if int(m.min()) < need:
-            return False
-    return True
+    return len(c) < 2 or _lm_pair(c, t_tilde, ell, wrap)[0] > t_tilde

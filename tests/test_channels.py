@@ -374,6 +374,30 @@ class TestBallOverlap:
         run()
         assert expanded == [1]
 
+    def test_listing_stays_near_its_output(self):
+        # the m = 8 plain search graph's balls: 76 545 entries listed in
+        # place, peaking at most 1.5 times the arrays returned
+        import tracemalloc
+
+        from asymcodes import cyclic
+        from asymcodes.ternary import image_channel
+
+        rows, _ = cyclic._member_rows(cyclic.enumerate_orbits(8))
+        ch = image_channel((3,) * 8)
+        tracemalloc.start()
+        try:
+            owner, limbs = channels._balls(rows, ch, 1, "magnitude", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(owner) == 76545
+        assert peak <= 1.5 * (owner.nbytes + sum(index.nbytes for index in limbs))
+        words_listed = channels._symbols_of(limbs, ch.alphabet.sizes).tolist()
+        got = list(zip(owner.tolist(), map(tuple, words_listed)))
+        expected = {(r, w) for r, x in enumerate(rows.tolist())
+                    for w in _reference_ball(x, ch, 1, "magnitude", 1)}
+        assert len(set(got)) == len(got) and set(got) == expected
+
 
 class TestOracle:
     def test_decodable_pair(self):

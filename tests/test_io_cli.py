@@ -19,6 +19,7 @@ from asymcodes.io import (
     ReportDocument,
     parse_code_file,
     parse_decimal,
+    parse_symbols,
     write_code_file,
 )
 from asymcodes.linearq import MatrixModZq
@@ -215,6 +216,73 @@ class TestHostileCodeFiles:
             MatrixModZq.from_text("+3 1 2 generator\n1 2\n")
 
 
+@st.composite
+def messy_digit_files(draw):
+    """A digit-format code (every q <= 10) and the lines of its file, with
+    comments before the header, comment and blank lines in the body, and
+    some words written comma-separated.  Returns the code, the lines, and
+    the words in file order with the 1-based number of each one's line."""
+    n = draw(st.integers(1, 5))
+    sizes = tuple(draw(st.lists(st.integers(2, 10), min_size=n, max_size=n)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1) for q in sizes]),
+                         min_size=1, max_size=12, unique=True))
+    c = CodeBook.from_symbols(AlphabetSpec(sizes), rows, name="m")
+    header = write_code_file(c).splitlines()[1]
+    lines = ["# made by hand"] * draw(st.integers(0, 2)) + [header]
+    where = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
+        sep = "," if draw(st.integers(0, 3)) == 0 else ""
+        lines.append(sep.join(map(str, row)))
+        where.append(len(lines))
+    lines += draw(st.lists(st.sampled_from(["", "# end"]), max_size=2))
+    return c, lines, rows, where
+
+
+def _join(lines, crlf, final_newline):
+    eol = "\r\n" if crlf else "\n"
+    return eol.join(lines) + (eol if final_newline else "")
+
+
+class TestBodyDecode:
+    """The one-pass body decode reads what a line-by-line reader reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_digit_files(), st.booleans(), st.booleans())
+    def test_equals_the_line_reader(self, case, crlf, final_newline):
+        c, lines, _, where = case
+        text = _join(lines, crlf, final_newline)
+        body = [text.splitlines()[k - 1].strip() for k in where]
+        reference = CodeBook.from_symbols(c.alphabet, [parse_symbols(line, "") for line in body])
+        got = parse_code_file(text)
+        assert got == reference == c and got.name == "m"
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_digit_files(), st.sampled_from(["range", "duplicate"]), st.booleans(),
+           st.data())
+    def test_faults_name_their_line(self, case, fault, crlf, data):
+        c, lines, rows, where = case
+        j = data.draw(st.integers(0, len(rows) - 1))
+        sep = "," if "," in lines[where[j] - 1] else ""
+        if fault == "range":
+            symbols = list(rows[j])
+            i = data.draw(st.integers(0, c.n - 1))
+            symbols[i] = c.alphabet.sizes[i]
+            if symbols[i] == 10:
+                assume(c.n > 1)  # a lone "10" reads as two digits
+                sep = ","
+            bad = where[j]
+        else:
+            assume(len(rows) > 1)
+            k = data.draw(st.integers(0, len(rows) - 1).filter(lambda k: k != j))
+            symbols = rows[k]
+            bad = max(where[j], where[k])
+        lines[where[j] - 1] = sep.join(map(str, symbols))
+        what = "duplicate codeword" if fault == "duplicate" else "symbol"
+        with pytest.raises(CodeFileError, match=f"^line {bad}: {what}"):
+            parse_code_file(_join(lines, crlf, True))
+
+
 class TestReportDocument:
     def test_json_round_trip(self):
         doc = ReportDocument(command=["verify"], parameters={"t": 1},
@@ -270,6 +338,28 @@ class TestCliExitCodes:
         f.write_text("q=5 n=2\n00\n11\n22\n33\n44\n")
         assert main(["verify", "--in", f.as_posix(), "--model", "limited",
                      "--t", "1", "--l", "1", "--wrap"]) == 0
+
+    def test_verify_limited_model_names_witness(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=5 n=2\n00\n11\n22\n23\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(f), "--model", "limited", "--t", "1", "--l", "1",
+                     "--wrap", "--json", str(rep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "NOT VERIFIED\n"
+        assert captured.err == "witness: 22 and 23 at limited-magnitude distance 1\n"
+        results = json.loads(rep.read_text())["results"]
+        assert results["verified"] is False
+        assert results["witness"] == {"x": "22", "y": "23", "distance": 1}
+
+    def test_search_cyclic_rejects_out1(self, tmp_path, capsys):
+        out, out1 = tmp_path / "c.code", tmp_path / "d.code"
+        assert main(["search", "cyclic", "--m", "3", "--out", str(out),
+                     "--out1", str(out1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --out1 ")
+        assert not out.exists() and not out1.exists()
 
     def test_decode_exit_codes(self, tmp_path, capsys):
         f = tmp_path / "c.code"

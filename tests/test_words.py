@@ -571,22 +571,52 @@ class TestLimitedMagnitude:
         assert d_ell_distance(x, y, ell) == max(m_xy, m_yx)
 
     def test_lm_brute_force_agreement(self):
-        # matrix path in is_lm_code agrees with the scalar distance
+        # the matrix kernel agrees with the scalar distance, in the real row
+        # blocks and in blocks of 5 pairs; its pair is a closest one or, on
+        # a "no", one at distance <= t
         import random
 
         rng = random.Random(3)
-        for wrap in (False, True):
-            for _ in range(30):
-                q = rng.choice([3, 5])
-                n = rng.randrange(2, 5)
-                ell = 1
-                pool = list(itertools.product(range(q), repeat=n))
-                rows = rng.sample(pool, rng.randrange(2, 8))
-                c = CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows)
-                t = rng.choice([1, 2])
-                brute = all(
-                    d_ell_distance(Word(a, c.alphabet), Word(b, c.alphabet), ell, wrap)
-                    >= t + 1
-                    for a, b in itertools.combinations(c.symbol_rows, 2)
-                )
-                assert is_lm_code(c, t, ell, wrap) == brute
+        for block, wrap in itertools.product([words_mod._PAIR_BLOCK, 5], [False, True]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(words_mod, "_PAIR_BLOCK", block)
+                for _ in range(120):
+                    q = rng.randrange(2, 8)
+                    n = rng.randrange(1, 5)
+                    ell = rng.choice([1, 2, 3])
+                    if wrap and q <= 2 * ell:
+                        continue
+                    pool = list(itertools.product(range(q), repeat=n))
+                    rows = rng.sample(pool, rng.randrange(2, min(len(pool), 12) + 1))
+                    c = CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows)
+                    t = rng.choice([1, 2, 3])
+                    dist = {
+                        (i, j): d_ell_distance(c.words[i], c.words[j], ell, wrap)
+                        for i, j in itertools.combinations(range(len(c)), 2)
+                    }
+                    ok = is_lm_code(c, t, ell, wrap)
+                    assert ok == (min(dist.values()) >= t + 1)
+                    d, i, j = words_mod._lm_pair(c, t, ell, wrap)
+                    assert i < j and dist[(i, j)] == d
+                    assert d <= t if not ok else d == min(dist.values())
+
+    def test_lm_pair_spans_row_blocks(self):
+        # even symbols of Z5 are pairwise more than ell = 1 apart; the 729
+        # words span several blocks of the real size, and the one odd word
+        # sits among the last rows
+        far = [tuple(2 * s for s in word) for word in itertools.product(range(3), repeat=6)]
+        a = AlphabetSpec.uniform(5, 6)
+        c = CodeBook.from_symbols(a, far)
+        assert words_mod._PAIR_BLOCK // (len(c) - 1) < len(c) // 2
+        assert is_lm_code(c, 1, 1) and is_lm_code(c, 5, 1)
+        odd = (4,) * 5 + (3,)
+        near = CodeBook.from_symbols(a, far + [odd])
+        assert not is_lm_code(near, 1, 1)
+        d, i, j = words_mod._lm_pair(near, 1, 1)
+        assert odd in (near.symbol_rows[i], near.symbol_rows[j])
+        assert i < j and d == d_ell_distance(near.words[i], near.words[j], 1) == 1
+
+    def test_lm_needs_a_uniform_alphabet(self):
+        c = CodeBook.from_symbols(AlphabetSpec((3, 5)), [(0, 0), (2, 4)])
+        with pytest.raises(ValueError, match="uniform alphabet"):
+            is_lm_code(c, 1, 1)
