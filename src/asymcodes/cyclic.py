@@ -56,8 +56,8 @@ class SearchConfig:
 
     `time_budget` is a node budget, not seconds: the exact strategy expands
     at most 50 000 branch-and-bound nodes per unit (and at least 10 000),
-    and randomized-restart runs budget * 2000 / V greedy restarts on V
-    vertices.
+    and randomized-restart runs int(budget * 2000 / V) greedy restarts on
+    V vertices, clamped to [1, 20 000].
     """
 
     seed: int = 0
@@ -219,33 +219,38 @@ def _relabel(mask: int, label: list[int]) -> int:
     return out
 
 
+def _relabel_rows(masks: list[int], order: list[int]) -> list[int]:
+    """The masks in the order `order` (a permutation of range(V)), each
+    relabelled so that bit q stands for vertex order[q]: bit q of row p is
+    bit order[q] of masks[order[p]].  This is
+    [_relabel(masks[v], rank) for v in order], with rank the inverse of
+    order, in one array pass.  Every mask must lie below 2**V."""
+    V = len(order)
+    if not V:
+        return []
+    width = (V + 7) // 8
+    raw = np.frombuffer(b"".join(a.to_bytes(width, "little") for a in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(V, width), axis=1, bitorder="little")
+    index = np.asarray(order)
+    packed = np.packbits(bits[np.ix_(index, index)], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _tail_steps(w: list[int]) -> list[tuple[tuple[int, int], ...]]:
     """For weights w in non-increasing order: per position p, the
     (start, step) pair of each weight class that starts after p, where
-    step = w[start] - w[start - 1] is negative."""
+    step = w[start] - w[start - 1] is negative.
+
+    The weight of a candidate mask whose lowest bit is low is then
+    w[low] per candidate plus, for each (start, step) in tails[low], step
+    times the candidates from start on; the walk can stop at the first
+    class past the highest candidate.  Every step is negative, so every
+    partial sum bounds the total from above."""
     tails = [()] * len(w)
     for p in range(len(w) - 2, -1, -1):
         step = w[p + 1] - w[p]
         tails[p] = ((p + 1, step),) + tails[p + 1] if step else tails[p + 1]
     return tails
-
-
-def _tail_weight(cand: int, w: list[int], tails) -> int:
-    """sum(w[p] for p in _bits(cand)) for weights w in non-increasing
-    order and tails = _tail_steps(w): w[low] per candidate, where low is
-    the lowest candidate, plus each later class's step times the
-    candidates from that class on.  Classes before low are never visited,
-    and the walk stops at the first class past the highest candidate."""
-    if not cand:
-        return 0
-    low = (cand & -cand).bit_length() - 1
-    total = w[low] * cand.bit_count()
-    for start, step in tails[low]:
-        rest = cand >> start
-        if not rest:
-            break
-        total += step * rest.bit_count()
-    return total
 
 
 def _max_weight_clique(
@@ -265,14 +270,17 @@ def _max_weight_clique(
     based; seeding with a known clique keeps budget-exhausted results at
     least that good.
 
-    Internally bit p stands for the p-th vertex in branch order, so a
-    node's candidates are walked from the lowest set bit up, and the bound
-    (the candidates' total weight, `_tail_weight`) needs one popcount per
-    weight class from the lowest candidate's class to the highest's.  A
-    parent bounds each child before it recurses: a child is counted as a
-    node where it is made, and one that fails its bound, or has no
-    candidates, is settled there without a call.  Masks go back to the
-    caller's labels only on return.
+    Internally bit p stands for the p-th vertex in branch order
+    (`_relabel_rows` moves the adjacency there in one pass), so a node's
+    candidates are walked from the lowest set bit up, and the bound (the
+    candidates' total weight, walked as `_tail_steps` describes) needs one
+    popcount per weight class from the lowest candidate's class to the
+    highest's.  A parent bounds each child before it recurses: a child is
+    counted as a node where it is made, and one that fails its bound, or
+    has no candidates, is settled there without a call.  The walk stops at
+    the first partial sum below what the child needs, which prunes the
+    same children as the full sum.  Masks go back to the caller's labels
+    only on return.
     """
     V = len(weights)
     order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
@@ -280,7 +288,7 @@ def _max_weight_clique(
     for p, v in enumerate(order):
         rank[v] = p
     w = [weights[v] for v in order]
-    nbr = [_relabel(adj[v], rank) for v in order]
+    nbr = _relabel_rows(adj, order)
     sorted_keys = [keys[v] for v in order]
     tails = _tail_steps(w)
 
@@ -313,8 +321,18 @@ def _max_weight_clique(
             child = cand & nbr[p]
             child_w = cur_w + w[p]
             if child:
-                bound = _tail_weight(child, w, tails)
-                if child_w + bound >= best_w:
+                # the child's weight, walked while it can still reach best_w
+                need = best_w - child_w
+                q = (child & -child).bit_length() - 1
+                bound = w[q] * child.bit_count()
+                for start, step in tails[q]:
+                    if bound < need:
+                        break
+                    rest = child >> start
+                    if not rest:
+                        break
+                    bound += step * rest.bit_count()
+                if bound >= need:
                     branch(child, child_w, cur_mask | low, bound)
                     if exhausted:
                         return

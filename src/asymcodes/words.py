@@ -629,6 +629,8 @@ def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
     """True iff all distinct pairs have limited-magnitude distance >= t_tilde + 1."""
     if t_tilde < 1:
         raise ValueError("t_tilde must be >= 1")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     if not c.alphabet.is_uniform:
         raise ValueError("limited-magnitude distances need a uniform alphabet")
     q = c.alphabet.q

@@ -26,14 +26,13 @@ from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
     _ball1,
-    _bits,
     _extended_graph,
     _greedy,
     _max_weight_clique,
     _plain_graph,
+    _relabel,
+    _relabel_rows,
     _run_search,
-    _tail_steps,
-    _tail_weight,
     orbit_of,
 )
 from asymcodes.words import EnumerationCapExceeded
@@ -329,33 +328,55 @@ def split_instance(m):
 
 
 @st.composite
-def tail_weight_cases(draw):
-    """Non-increasing, tie-prone weights on up to 800 positions, and a mask
-    over them: random, empty, one bit, or bits in the last class only."""
-    w = sorted(
-        draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 7, 224]), max_size=800)), reverse=True
-    )
-    V = len(w)
-    kinds = ["empty"] + (["random", "single", "last class"] if V else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "empty":
-        mask = 0
-    elif kind == "random":
-        mask = draw(st.integers(0, (1 << V) - 1))
-    elif kind == "single":
-        mask = 1 << draw(st.integers(0, V - 1))
-    else:
-        first = w.index(w[-1])
-        mask = draw(st.integers(1, (1 << (V - first)) - 1)) << first
-    return w, mask
+def tie_prone_graphs(draw):
+    """Graphs on up to 120 vertices with tie-prone weights, zero included,
+    so that weight classes run long and some steps are zero; the edges are
+    drawn at a drawn density."""
+    weights = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 7, 224]), max_size=120))
+    V = len(weights)
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+    adj = [0] * V
+    for i, j in itertools.combinations(range(V), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    keys = draw(st.permutations(range(V)))
+    return weights, adj, keys
+
+
+@st.composite
+def permutation_cases(draw):
+    """Masks below 2**V and a permutation of range(V), for V at and around
+    the byte and word boundaries or drawn up to 300."""
+    V = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]) | st.integers(0, 300))
+    masks = draw(st.lists(st.integers(0, (1 << V) - 1), min_size=V, max_size=V))
+    order = draw(st.permutations(range(V)))
+    return masks, order
 
 
 class TestCliqueEngine:
-    @given(tail_weight_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_tail_weight_is_the_candidates_weight(self, case):
-        w, mask = case
-        assert _tail_weight(mask, w, _tail_steps(w)) == sum(w[p] for p in _bits(mask))
+    @given(tie_prone_graphs(), st.integers(1, 40), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_walk_expands_the_reference_nodes(self, graph, budget, seeded):
+        # the reference sums each bound vertex by vertex; the engine's walk
+        # stops early, and must prune exactly the same children
+        weights, adj, keys = graph
+        seed = None
+        if seeded:
+            order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
+            seed = _greedy(weights, adj, order)
+        args = (weights, adj, keys, budget, seed)
+        assert _max_weight_clique(*args) == reference_clique(*args)
+
+    @given(permutation_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_relabelled_in_one_pass(self, case):
+        masks, order = case
+        rank = [0] * len(order)
+        for p, v in enumerate(order):
+            rank[v] = p
+        assert _relabel_rows(masks, order) == [_relabel(masks[v], rank) for v in order]
 
     @given(weighted_graphs(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -464,6 +485,15 @@ class TestCliqueEngine:
         assert part0.meta["score"] == "534"
         assert part0.meta["proven_optimal"] == "no"
         assert part0.meta["nodes"] == "250001"
+
+    def test_largest_graph_budget_result_pinned(self):
+        # the m=8 plain graph has 754 vertices, the largest the exact
+        # strategy takes; one unit of budget is 50 000 nodes
+        assert len(_plain_graph(8)[0]) == 754
+        code = search_cyclic(8, SearchConfig(time_budget=1.0))
+        assert code.meta["score"] == "3238"
+        assert code.meta["proven_optimal"] == "no"
+        assert code.meta["nodes"] == "50001"
 
     def test_node_count_is_exact_strategy_only(self):
         nodes = search_cyclic(5).meta["nodes"]

@@ -352,6 +352,16 @@ class TestCliExitCodes:
         assert results["verified"] is False
         assert results["witness"] == {"x": "22", "y": "23", "distance": 1}
 
+    @pytest.mark.parametrize("ell", ["0", "-3"])
+    def test_verify_limited_model_rejects_ell_below_one(self, tmp_path, capsys, ell):
+        f = tmp_path / "c.code"
+        f.write_text("q=5 n=2\n00\n22\n23\n44\n")
+        assert main(["verify", "--in", str(f), "--model", "limited", "--t", "1",
+                     "--l", ell]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ell must be >= 1\n"
+
     def test_search_cyclic_rejects_out1(self, tmp_path, capsys):
         out, out1 = tmp_path / "c.code", tmp_path / "d.code"
         assert main(["search", "cyclic", "--m", "3", "--out", str(out),

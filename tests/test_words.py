@@ -616,6 +616,16 @@ class TestLimitedMagnitude:
         assert odd in (near.symbol_rows[i], near.symbol_rows[j])
         assert i < j and d == d_ell_distance(near.words[i], near.words[j], 1) == 1
 
+    @pytest.mark.parametrize("ell", [0, -3])
+    def test_lm_code_rejects_ell_below_one(self, ell):
+        # with ell <= 0 every differing coordinate would count as "more than
+        # ell apart", and 22 and 23 would read as far apart
+        c = book_from_strings(["00", "22", "23", "44"], q=5)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            is_lm_code(c, 1, ell)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            d_ell_distance(c.words[1], c.words[2], ell)
+
     def test_lm_needs_a_uniform_alphabet(self):
         c = CodeBook.from_symbols(AlphabetSpec((3, 5)), [(0, 0), (2, 4)])
         with pytest.raises(ValueError, match="uniform alphabet"):
