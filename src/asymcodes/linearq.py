@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .words import (
     DecodeFailure,
     _as_symbols,
     _check_symbols,
+    _index_symbols,
     check_cap,
 )
 
@@ -304,59 +306,99 @@ def double_code(c: CodeBook) -> CodeBook:
 
 
 @functools.lru_cache(maxsize=16)
-def _syndrome_table(H_outer: MatrixModZq, shortened: bool) -> dict[tuple[int, ...], int | None]:
-    """Syndrome -> the coordinate a single decrement hit, or None where it
-    would be the coordinate the shortened code drops.  Column j's syndrome
-    col_j and then -col_j are entered for j ascending, and the first entry
-    for a syndrome wins, so repeated columns and q = 2 (col = -col) resolve
-    to the lowest position, the first-of-pair one."""
-    q = H_outer.q
+def _syndrome_plan(H_outer: MatrixModZq, shortened: bool) -> tuple:
+    """The syndrome map of the concatenated code, precomposed and packed:
+    (coef, shifts, mask, table, alphabet).
+
+    The syndrome is linear in the received word y: s = H D y mod q, with D
+    the in-pair differences (d_j = y_2j+1 - y_2j, or for the shortened code
+    d_0 = y_0 and d_j = y_2j - y_2j-1).  Row k of H D, reduced into 0..q-1,
+    sits in `coef` from bit shifts[k] on, in a field as wide as `mask`
+    that holds n (q-1)^2, the most a row's sum can reach, so
+    sum(coef_i * y_i) carries every row's sum in its own field.
+
+    `table` maps a syndrome to the coordinate a single decrement hit, or
+    None where it would be the coordinate the shortened code drops.  Column
+    j's syndrome col_j and then -col_j are entered for j ascending, and the
+    first entry for a syndrome wins, so repeated columns and q = 2
+    (col = -col) resolve to the lowest position, the first-of-pair one.
+    `alphabet` is 0..q-1 as bytes, at most 256 of them.
+    """
+    q, m = H_outer.q, H_outer.ncols
+    n = 2 * m - 1 if shortened else 2 * m
+    hd = [[0] * n for _ in range(H_outer.nrows)]  # the rows of H D
     table: dict[tuple[int, ...], int | None] = {}
-    for j in range(H_outer.ncols):
-        col = H_outer.column(j)
-        # col: first-of-pair coordinate decremented; -col: second-of-pair
+    for j in range(m):
+        # d_j = y[second] - y[first], and the shortened pair 0 is y_0 alone:
+        # a decrement of y[first] adds col_j to the syndrome, one of
+        # y[second] subtracts it
         if shortened:
             first, second = (None, 0) if j == 0 else (2 * j - 1, 2 * j)
         else:
             first, second = 2 * j, 2 * j + 1
+        col = H_outer.column(j)
+        for row, x in zip(hd, col):
+            row[second] = x
+            if first is not None:
+                row[first] = -x % q
         table.setdefault(col, first)
         table.setdefault(tuple((-x) % q for x in col), second)
-    return table
+    width = (n * (q - 1) ** 2).bit_length()
+    shifts = tuple(k * width for k in range(len(hd)))
+    coef = tuple(sum(row[i] << s for row, s in zip(hd, shifts)) for i in range(n))
+    return coef, shifts, (1 << width) - 1, table, bytes(range(min(q, 256)))
+
+
+_UNMATCHED = object()
 
 
 def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tuple[int, ...]:
     """Correct at most one decrement error in a concatenated codeword.
 
-    Recovers the outer word as in-pair differences, looks the syndrome of
-    the single +-1 outer error up in a table cached per (H_outer, shortened),
-    and bumps the one decremented coordinate back up mod q, so wrap-around
-    decrements (0 -> q-1) are corrected too.  Raises ValueError for a symbol
-    outside 0..q-1, and DecodeFailure, naming the syndrome, when no single
-    decrement explains it.
+    The syndrome of the outer word (the in-pair differences) is one packed
+    product with the received word, precomposed per (H_outer, shortened);
+    the single +-1 outer error it names is looked up in a table cached with
+    it, and the one decremented coordinate is bumped back up mod q, so
+    wrap-around decrements (0 -> q-1) are corrected too.  Returns plain
+    ints.  Raises ValueError for a symbol that is not an integer (ints,
+    bools and numpy integers are) or lies outside 0..q-1, and
+    DecodeFailure, naming the syndrome, when no single decrement explains
+    it.
     """
     if H_outer.role != "parity":
         raise ValueError("expected the outer parity-check matrix")
     q, m = H_outer.q, H_outer.ncols
-    y = list(_as_symbols(received))
+    # a tuple first: bytes() of an array would read its buffer
+    y = _as_symbols(received)
     expect = 2 * m - 1 if shortened else 2 * m
     if len(y) != expect:
         raise ValueError(f"received word must have length {expect}")
-    _check_symbols(y, (q,) * expect)
+    coef, shifts, mask, table, alphabet = _syndrome_plan(H_outer, shortened)
+    try:
+        # bytes() takes each symbol by __index__, as operator.index does,
+        # and only in 0..255; deleting the alphabet's bytes leaves nothing
+        # iff every symbol is below q
+        y = bytes(y)
+        fits = not y.translate(None, alphabet)
+    except (TypeError, ValueError):
+        fits = False
+    if not fits:
+        # the integer rule and the range check, naming the coordinate;
+        # symbols past 255 of an alphabet that large pass on as ints
+        y = _index_symbols(y)
+        _check_symbols(y, (q,) * expect)
 
-    if shortened:
-        d = [y[0]] + [(b - a) % q for a, b in zip(y[1::2], y[2::2])]
-    else:
-        d = [(b - a) % q for a, b in zip(y[0::2], y[1::2])]
-    syndrome = tuple(sum(h * x for h, x in zip(row, d)) % q for row in H_outer.rows)
+    v = sum(map(operator.mul, coef, y))
+    syndrome = tuple((v >> s & mask) % q for s in shifts)
     if not any(syndrome):
         return tuple(y)
-    table = _syndrome_table(H_outer, shortened)
-    if syndrome not in table:
+    pos = table.get(syndrome, _UNMATCHED)
+    if pos is _UNMATCHED:
         raise DecodeFailure(f"syndrome {syndrome} matches no single +-1 outer error")
-    pos = table[syndrome]
     if pos is None:
         raise DecodeFailure(
             f"syndrome {syndrome} matches only a decrement of the dropped coordinate"
         )
+    y = list(y)
     y[pos] = (y[pos] + 1) % q
     return tuple(y)

@@ -9,6 +9,8 @@ ordered set of words over one alphabet profile.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,12 +116,31 @@ def _separator(sizes: Sequence[int]) -> str:
     return "" if all(q <= 10 for q in sizes) else ","
 
 
+def _index_symbols(symbols: Iterable) -> tuple[int, ...]:
+    """The one integer rule for symbols: ints (bools among them) and numpy
+    integers pass, by operator.index, and come back as a tuple of plain
+    ints; anything else, a float or a numpy bool included, raises
+    ValueError naming its coordinate."""
+    symbols = tuple(symbols)
+    try:
+        return tuple(map(operator.index, symbols))
+    except TypeError:
+        for i, s in enumerate(symbols):
+            try:
+                operator.index(s)
+            except TypeError:
+                raise ValueError(f"symbol {s!r} at coordinate {i} is not an integer") from None
+        raise
+
+
 def _check_symbols(symbols: Sequence[int], sizes: Sequence[int]) -> None:
-    """Raise ValueError unless the word fits the alphabet: one symbol per
-    coordinate, each inside its alphabet 0..q-1 (the first one outside is
-    named)."""
+    """Raise ValueError unless the word of integer symbols fits the
+    alphabet: one symbol per coordinate, each inside its alphabet 0..q-1
+    (the first one outside is named)."""
     if len(symbols) != len(sizes):
         raise ValueError(f"word length {len(symbols)} != alphabet length {len(sizes)}")
+    if min(symbols, default=0) >= 0 and all(map(operator.lt, symbols, sizes)):
+        return
     for i, (s, q) in enumerate(zip(symbols, sizes)):
         if not 0 <= s < q:
             raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
@@ -133,7 +154,7 @@ class Word:
     alphabet: AlphabetSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
+        object.__setattr__(self, "symbols", _index_symbols(self.symbols))
         _check_symbols(self.symbols, self.alphabet.sizes)
 
     def __len__(self) -> int:
@@ -163,16 +184,36 @@ class RowError(ValueError):
 
 
 def _row_array(rows, n: int) -> np.ndarray:
-    """Rows as a 2-D array of n columns: int64, or object for symbols past
-    int64, so that the range check still names them."""
+    """Rows as a 2-D integer array of n columns.  An array must have an
+    integer dtype.  Sequence rows follow the integer rule of
+    `_index_symbols`, and a RowError names the first row that breaks it;
+    they become uint8 when every symbol lies in 0..255, else int64, or
+    object for symbols past int64, so that the range check still names
+    them."""
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.shape[1] != n:
             raise ValueError(f"rows of shape {rows.shape} do not have {n} columns")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows of dtype {rows.dtype} are not integer symbols")
         return rows
     rows = [_as_symbols(r) for r in rows]
     for r, row in enumerate(rows):
         if len(row) != n:
             raise RowError(r, f"word length {len(row)} != alphabet length {n}")
+    try:
+        # bytes() takes each symbol by __index__, as operator.index does,
+        # and only in 0..255: the integer rule in one C pass for the rows
+        # of every alphabet up to 256 symbols
+        flat = bytes(itertools.chain.from_iterable(rows))
+    except (TypeError, ValueError):
+        pass
+    else:
+        return np.frombuffer(flat, dtype=np.uint8).reshape(len(rows), n)
+    for r, row in enumerate(rows):
+        try:
+            rows[r] = _index_symbols(row)
+        except ValueError as e:
+            raise RowError(r, str(e)) from None
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), n)
     except OverflowError:
@@ -492,23 +533,29 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     total decrement at most t; raises DecodeAmbiguity (candidates in lex
     order) / DecodeFailure otherwise.  Looks up the received word's up-ball,
     the words it can have come from, in the code book; the ball's size is
-    checked against the enumeration cap before it is listed.
+    checked against the enumeration cap before it is listed, by its exact
+    count only where the stars-and-bars bound exceeds the cap.  Symbols
+    follow the integer rule of `_index_symbols`.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    rs = tuple(map(int, _as_symbols(received)))
+    rs = received.symbols if isinstance(received, Word) else _index_symbols(received)
     if len(rs) != c.n:
         raise AlphabetMismatch("received word length does not match the code")
     if isinstance(received, Word) and received.alphabet != c.alphabet:
         raise AlphabetMismatch("received word alphabet does not match the code")
     sizes = c.alphabet.sizes
     _check_symbols(rs, sizes)
-    room = [q - 1 - s for s, q in zip(rs, sizes)]
+    gaps = list(map(operator.sub, sizes, rs))  # q - s: one more than the room
     # no word gains more than the rooms' sum, so a larger t lists the same ball
-    budget = min(t, sum(room))
-    check_cap(_up_ball_size(room, budget), f"radius-{t} up-ball")
-    book = c.symbol_set
-    hits = [y for y in _up_ball(rs, sizes, budget) if y in book]
+    budget = min(t, sum(gaps) - len(gaps))
+    # Stars and bars: the k coordinates with room take at most C(k+b, b)
+    # gain vectors of total <= b, room or not, so only a bound past the cap
+    # needs the exact count
+    k = len(gaps) - gaps.count(1)
+    if math.comb(k + budget, budget) > DEFAULT_ENUM_CAP:
+        check_cap(_up_ball_size([g - 1 for g in gaps], budget), f"radius-{t} up-ball")
+    hits = list(filter(c.symbol_set.__contains__, _up_ball(rs, sizes, budget)))
     if not hits:
         raise DecodeFailure(f"no codeword within {t} decrements of {rs}")
     candidates = [_trusted_word(y, c.alphabet) for y in hits]

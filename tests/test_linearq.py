@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from asymcodes import (
 )
 from asymcodes import words
 from asymcodes.linearq import nullspace, rank
-from asymcodes.words import DecodeFailure, EnumerationCapExceeded
+from asymcodes.words import DecodeFailure, EnumerationCapExceeded, Word
 
 from conftest import book_from_strings
 from reference_codes import CODE_5_27_Q3, LEE_5_2_PARTIAL_ROWS, TETRACODE
@@ -270,11 +271,16 @@ class TestDecodeConcat:
 
 def reference_decode_concat(H_outer, received, shortened=False):
     """The former decoder: compare the syndrome with col_j and -col_j for
-    every column j in turn."""
+    every column j in turn.  It raises what decode_concat raises, with the
+    same messages, on integer input."""
     q, m = H_outer.q, H_outer.ncols
-    y = list(received)
-    if len(y) != (2 * m - 1 if shortened else 2 * m):
-        raise ValueError("wrong length")
+    y = [int(s) for s in (received.symbols if isinstance(received, Word) else received)]
+    expect = 2 * m - 1 if shortened else 2 * m
+    if len(y) != expect:
+        raise ValueError(f"received word must have length {expect}")
+    for i, s in enumerate(y):
+        if not 0 <= s < q:
+            raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
     if shortened:
         d = [y[0]] + [(y[2 * j] - y[2 * j - 1]) % q for j in range(1, m)]
     else:
@@ -292,25 +298,31 @@ def reference_decode_concat(H_outer, received, shortened=False):
         else:
             continue
         if pos is None:
-            raise DecodeFailure("syndrome matches no feasible single decrement")
+            raise DecodeFailure(
+                f"syndrome {syndrome} matches only a decrement of the dropped coordinate")
         y[pos] = (y[pos] + 1) % q
         return tuple(y)
-    raise DecodeFailure("syndrome matches no single +-1 outer error")
+    raise DecodeFailure(f"syndrome {syndrome} matches no single +-1 outer error")
 
 
 def concat_outcome(decode, H, received, shortened):
+    """The decoded word with the type of every symbol, or the exception
+    type and message."""
     try:
-        return decode(H, received, shortened)
-    except DecodeFailure:
-        return DecodeFailure
+        got = decode(H, received, shortened)
+    except (DecodeFailure, ValueError) as e:
+        return type(e), str(e)
+    return got, tuple(map(type, got))
 
 
 @st.composite
 def concat_cases(draw):
-    """An arbitrary outer parity check over Z_q, q = 2..5, sometimes with a
-    repeated or negated column, and an arbitrary received word."""
-    q = draw(st.integers(2, 5))
-    r = draw(st.integers(1, 3))
+    """An arbitrary outer parity check over Z_q, q = 2..13 and r = 1..6
+    rows, so that the packed syndrome of the larger ones runs past 63 bits,
+    sometimes with a repeated or negated column, and an arbitrary received
+    word, now and then with a symbol just outside 0..q-1."""
+    q = draw(st.integers(2, 13))
+    r = draw(st.integers(1, 6))
     column = st.tuples(*[st.integers(0, q - 1)] * r).filter(any)
     cols = draw(st.lists(column, min_size=1, max_size=5))
     twin = draw(st.sampled_from(["none", "repeat", "negate"]))
@@ -322,8 +334,18 @@ def concat_cases(draw):
     H = MatrixModZq(q, tuple(zip(*cols)), "parity")
     shortened = draw(st.booleans())
     length = 2 * len(cols) - (1 if shortened else 0)
-    received = tuple(draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length)))
+    low, high = (-1, q) if draw(st.integers(0, 9)) == 0 else (0, q - 1)
+    received = tuple(draw(st.lists(st.integers(low, high), min_size=length, max_size=length)))
     return H, received, shortened
+
+
+def received_forms(received, q):
+    """The one received word as a tuple, a list, a numpy row and, inside
+    the alphabet, a Word."""
+    forms = [received, list(received), np.array(received, dtype=np.int64)]
+    if all(0 <= s < q for s in received):
+        forms.append(Word(received, AlphabetSpec.uniform(q, len(received))))
+    return forms
 
 
 class TestSyndromeTable:
@@ -331,8 +353,33 @@ class TestSyndromeTable:
     @given(concat_cases())
     def test_equals_reference_column_loop(self, case):
         H, received, shortened = case
-        assert concat_outcome(decode_concat, H, received, shortened) == concat_outcome(
-            reference_decode_concat, H, received, shortened)
+        want = concat_outcome(reference_decode_concat, H, received, shortened)
+        for form in received_forms(received, H.q):
+            assert concat_outcome(decode_concat, H, form, shortened) == want
+
+    def test_packed_syndrome_past_64_bits(self):
+        # q = 13, six rows and n = 16: each row's sum takes 12 bits, 72 in all
+        cols = [tuple(int(i == k) for i in range(6)) for k in range(6)]
+        cols += [(1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 5, 6)]
+        outer = nullspace(MatrixModZq(13, tuple(zip(*cols)), "parity"))
+        rng = random.Random(15)
+        for shortened in (False, True):
+            cc = concat_code(outer, shorten_to_odd=shortened)
+            H, gen = cc.outer_check, cc.generator.rows
+            assert (H.nrows, H.ncols) == (6, 8)
+            for _ in range(100):
+                coef = [rng.randrange(13) for _ in gen]
+                sent = tuple(sum(c * g[i] for c, g in zip(coef, gen)) % 13 for i in range(cc.length))
+                y = list(sent)
+                hit = rng.randrange(cc.length)
+                y[hit] = (y[hit] - 1) % 13
+                for word in (sent, tuple(y)):
+                    got = concat_outcome(decode_concat, H, word, shortened)
+                    assert got == concat_outcome(reference_decode_concat, H, word, shortened)
+                    assert got[0] == sent or (shortened and hit == 0)
+                noise = tuple(rng.randrange(13) for _ in range(cc.length))
+                assert concat_outcome(decode_concat, H, noise, shortened) == concat_outcome(
+                    reference_decode_concat, H, noise, shortened)
 
     def test_single_errors_on_binary_and_repeated_columns(self):
         # q = 2 makes col = -col, and column 2 repeats column 0: the first
@@ -360,6 +407,42 @@ class TestSyndromeTable:
         cc = concat_code(nullspace(hamming_parity_check(3, 2)))
         with pytest.raises(ValueError, match=where):
             decode_concat(cc.outer_check, received)
+
+    @pytest.mark.parametrize("received, where", [
+        ((0.5, 0, 0, 0, 0, 0, 0, 0), "symbol 0.5 at coordinate 0 is not an integer"),
+        ((0, 0, 0, 0, 0, 0, 0, 1.0), "symbol 1.0 at coordinate 7 is not an integer"),
+        (np.zeros(8), "symbol np.float64.0.0. at coordinate 0 is not an integer"),
+        ((0, 0, "1", 0, 0, 0, 0, 0), "symbol '1' at coordinate 2 is not an integer"),
+        (np.zeros(8, dtype=bool), "symbol np.False_ at coordinate 0 is not an integer"),
+    ])
+    def test_rejects_symbols_that_are_not_integers(self, received, where):
+        cc = concat_code(nullspace(hamming_parity_check(3, 2)))
+        with pytest.raises(ValueError, match=where):
+            decode_concat(cc.outer_check, received)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int8, bool])
+    def test_returns_plain_ints(self, kind):
+        # numpy integers and Python bools are integers; what comes back is ints
+        H = concat_code(nullspace(hamming_parity_check(3, 2))).outer_check
+        for row in [(0,) * 8, (0, 1, 1, 1, 0, 0, 0, 1), (0, 1) + (0,) * 6]:
+            want = reference_decode_concat(H, row)
+            if kind is bool:
+                forms = [tuple(map(bool, row)), list(map(bool, row))]
+            else:
+                y = np.array(row, dtype=kind)
+                forms = [y, tuple(y), list(y)]
+            for form in forms:
+                got = decode_concat(H, form)
+                assert got == want and set(map(type, got)) == {int}
+
+    def test_alphabet_past_256_symbols(self):
+        # symbols past 255 take the general route and decode the same
+        H = MatrixModZq(257, ((1, 2, 3),), "parity")
+        rng = random.Random(16)
+        for _ in range(200):
+            y = tuple(rng.choice([0, 255, 256, rng.randrange(257)]) for _ in range(6))
+            assert concat_outcome(decode_concat, H, y, False) == concat_outcome(
+                reference_decode_concat, H, y, False)
 
 
 class TestDouble:

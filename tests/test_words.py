@@ -410,6 +410,42 @@ class TestUpBallDecoder:
             reference_decode_asymmetric, c, received, 2
         )
 
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("code, received", [
+        (vt_code(8, 0), (0, 1, 0, 0, 1, 0, 0, 0)),
+        (CodeBook.from_symbols(AlphabetSpec((2, 3) * 3), [(1, 2) * 3, (0, 0, 1, 0, 0, 0)]), (0,) * 6),
+    ])
+    def test_cap_one_below_the_exact_up_ball_size(self, monkeypatch, code, received, t):
+        # the rooms hold the ball below the stars-and-bars bound, so the
+        # exact count decides, and the message names it
+        size = len(brute_up_ball(received, code.alphabet.sizes, t))
+        assert size < math.comb(6 + t, t)
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", size - 1)
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"radius-{t} up-ball: {size} exceeds enumeration cap {size - 1}"):
+            decode_asymmetric(code, received, t)
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", size)
+        assert decode_outcome(decode_asymmetric, code, received, t) == decode_outcome(
+            reference_decode_asymmetric, code, received, t
+        )
+
+    def test_exact_count_only_past_the_bound(self, monkeypatch):
+        # six coordinates with room and t = 2: C(8, 2) = 28 words at most
+        c = vt_code(8, 0)
+        received = (0, 1, 0, 0, 1, 0, 0, 0)
+
+        def counted(*args):
+            raise AssertionError("the up-ball was counted")
+
+        monkeypatch.setattr(words_mod, "_up_ball_size", counted)
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", math.comb(8, 2))
+        assert decode_outcome(decode_asymmetric, c, received, 2) == decode_outcome(
+            reference_decode_asymmetric, c, received, 2
+        )
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", math.comb(8, 2) - 1)
+        with pytest.raises(AssertionError, match="counted"):
+            decode_asymmetric(c, received, 2)
+
     def test_huge_t_equals_the_saturating_t(self):
         c = vt_code(8, 0)
         for received in [(0,) * 8, (1, 0, 1, 1, 0, 0, 1, 0), c.symbol_rows[3]]:
@@ -425,6 +461,56 @@ class TestUpBallDecoder:
     def test_rejects_symbols_outside_the_alphabet(self, received, where):
         with pytest.raises(ValueError, match=where):
             decode_asymmetric(vt_code(4, 0), received, 1)
+
+
+class TestIntegerRule:
+    """Symbols are integers by operator.index: ints, bools and numpy
+    integers pass as plain ints; a float or anything else raises ValueError
+    naming its coordinate (and row)."""
+
+    def test_word(self):
+        a = AlphabetSpec.uniform(2, 2)
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at coordinate 0 is not an integer"):
+            Word((1.5, 0), a)
+        with pytest.raises(ValueError, match=r"symbol np\.float64\(1\.0\) at coordinate 1"):
+            Word((0, np.float64(1.0)), a)
+        with pytest.raises(ValueError, match=r"symbol '1' at coordinate 0"):
+            Word(("1", 0), a)
+        for symbols in [(True, 0), (np.int64(1), np.uint8(0)), np.array([1, 0])]:
+            word = Word(symbols, a)
+            assert word.symbols == (1, 0) and set(map(type, word.symbols)) == {int}
+            assert str(word) == "10"
+
+    def test_decode_asymmetric(self):
+        c = vt_code(4, 0)
+        with pytest.raises(ValueError, match=r"symbol 1\.7 at coordinate 0 is not an integer"):
+            decode_asymmetric(c, (1.7, 0, 0, 0), 1)
+        with pytest.raises(ValueError, match=r"at coordinate 3 is not an integer"):
+            decode_asymmetric(c, (0, 0, 0, np.float64(0)), 1)
+        want = decode_asymmetric(c, (1, 0, 0, 0), 1).symbols
+        for received in [(True, False, False, False), np.array([1, 0, 0, 0]), (np.int8(1), 0, 0, 0)]:
+            got = decode_asymmetric(c, received, 1).symbols
+            assert got == want and set(map(type, got)) == {int}
+
+    def test_from_symbols(self):
+        a = AlphabetSpec.uniform(2, 2)
+        with pytest.raises(ValueError, match=r"row 0: symbol 1\.5 at coordinate 0 is not an integer") as caught:
+            CodeBook.from_symbols(a, [(1.5, 0), (0, 0)])
+        assert caught.value.row == 0
+        with pytest.raises(ValueError, match=r"row 1: symbol '1' at coordinate 1"):
+            CodeBook.from_symbols(a, [(0, 0), (0, "1")])
+        with pytest.raises(ValueError, match=r"row 2: symbol None at coordinate 0"):
+            CodeBook.from_symbols(a, [(0, 0), (0, 1), (None, 1)])
+        for array in [np.array([(1.0, 0.0)]), np.array([(True, False)]), np.array([("1", "0")])]:
+            with pytest.raises(ValueError, match=f"rows of dtype {array.dtype} are not integer symbols"):
+                CodeBook.from_symbols(a, array)
+        for rows in [[(True, False), (0, 0)],
+                     [(np.int64(1), np.uint8(0)), (0, 0)],
+                     [np.array([1, 0]), (0, 0)],
+                     np.array([(1, 0), (0, 0)], dtype=np.int8)]:
+            c = CodeBook.from_symbols(a, rows)
+            assert c.symbol_rows == ((0, 0), (1, 0))
+            assert set(map(type, c.symbol_rows[1])) == {int}
 
 
 @st.composite
