@@ -349,9 +349,6 @@ def _syndrome_plan(H_outer: MatrixModZq, shortened: bool) -> tuple:
     return coef, shifts, (1 << width) - 1, table, bytes(range(min(q, 256)))
 
 
-_UNMATCHED = object()
-
-
 def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tuple[int, ...]:
     """Correct at most one decrement error in a concatenated codeword.
 
@@ -392,9 +389,9 @@ def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tu
     syndrome = tuple((v >> s & mask) % q for s in shifts)
     if not any(syndrome):
         return tuple(y)
-    pos = table.get(syndrome, _UNMATCHED)
-    if pos is _UNMATCHED:
+    if syndrome not in table:
         raise DecodeFailure(f"syndrome {syndrome} matches no single +-1 outer error")
+    pos = table[syndrome]
     if pos is None:
         raise DecodeFailure(
             f"syndrome {syndrome} matches only a decrement of the dropped coordinate"

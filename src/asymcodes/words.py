@@ -184,18 +184,21 @@ class RowError(ValueError):
 
 
 def _row_array(rows, n: int) -> np.ndarray:
-    """Rows as a 2-D integer array of n columns.  An array must have an
-    integer dtype.  Sequence rows follow the integer rule of
-    `_index_symbols`, and a RowError names the first row that breaks it;
-    they become uint8 when every symbol lies in 0..255, else int64, or
-    object for symbols past int64, so that the range check still names
-    them."""
+    """Rows as a 2-D integer array of n columns.  An array of an integer
+    dtype passes as it is; an object array (symbols past int64) is read as
+    sequence rows, and any other dtype is rejected.  Sequence rows follow
+    the integer rule of `_index_symbols`, and a RowError names the first
+    row that breaks it; they become uint8 when every symbol lies in
+    0..255, else int64, or object for symbols past int64, so that the
+    range check still names them."""
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.shape[1] != n:
             raise ValueError(f"rows of shape {rows.shape} do not have {n} columns")
-        if rows.dtype.kind not in "iu":
+        if rows.dtype.kind in "iu":
+            return rows
+        if rows.dtype.kind != "O":
             raise ValueError(f"rows of dtype {rows.dtype} are not integer symbols")
-        return rows
+        rows = rows.tolist()
     rows = [_as_symbols(r) for r in rows]
     for r, row in enumerate(rows):
         if len(row) != n:
@@ -203,7 +206,8 @@ def _row_array(rows, n: int) -> np.ndarray:
     try:
         # bytes() takes each symbol by __index__, as operator.index does,
         # and only in 0..255: the integer rule in one C pass for the rows
-        # of every alphabet up to 256 symbols
+        # of every alphabet up to 256 symbols (the per-row route alone costs
+        # build-verify about 6 % of its wall time; see BENCH_15.json)
         flat = bytes(itertools.chain.from_iterable(rows))
     except (TypeError, ValueError):
         pass

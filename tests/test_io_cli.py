@@ -73,6 +73,19 @@ class TestCodeFile:
         with pytest.raises(CodeFileError, match="line 3"):
             parse_code_file("q=3 n=4\n0120\n0300\n")
 
+    def test_symbols_past_int64_parse(self):
+        # a body past int64 reaches CodeBook.from_symbols as an object array
+        q = 2**64
+        c = parse_code_file(f"q={q} n=2\n{q - 1},0\n3,{2**63}\n")
+        assert c.alphabet == AlphabetSpec.uniform(q, 2)
+        assert [tuple(w) for w in c] == [(3, 2**63), (q - 1, 0)]
+        assert parse_code_file(write_code_file(c)) == c
+
+    def test_symbol_past_int64_reports_line(self):
+        with pytest.raises(CodeFileError) as e:
+            parse_code_file(f"q=11 n=2\n0,10\n{10**30},1\n")
+        assert str(e.value) == f"line 3: symbol {10**30} at coordinate 0 outside 0..10"
+
     def test_duplicate_reports_line(self):
         with pytest.raises(CodeFileError, match="line 3"):
             parse_code_file("q=3 n=2\n01\n01\n")

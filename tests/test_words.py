@@ -507,10 +507,23 @@ class TestIntegerRule:
         for rows in [[(True, False), (0, 0)],
                      [(np.int64(1), np.uint8(0)), (0, 0)],
                      [np.array([1, 0]), (0, 0)],
-                     np.array([(1, 0), (0, 0)], dtype=np.int8)]:
+                     np.array([(1, 0), (0, 0)], dtype=np.int8),
+                     np.array([(1, 0), (0, 0)], dtype=object)]:
             c = CodeBook.from_symbols(a, rows)
             assert c.symbol_rows == ((0, 0), (1, 0))
             assert set(map(type, c.symbol_rows[1])) == {int}
+
+    def test_object_array_rows_follow_the_sequence_rule(self):
+        # an object array carries symbols past int64: read as sequence rows,
+        # each row under the integer rule and the range check, by row
+        big = AlphabetSpec.uniform(2**64, 2)
+        c = CodeBook.from_symbols(big, np.array([(2**64 - 1, 0), (3, 2**63)], dtype=object))
+        assert c.symbol_rows == ((3, 2**63), (2**64 - 1, 0))
+        a = AlphabetSpec.uniform(11, 2)
+        with pytest.raises(ValueError, match=rf"row 1: symbol {10**30} at coordinate 0 outside 0\.\.10"):
+            CodeBook.from_symbols(a, np.array([(0, 1), (10**30, 1)], dtype=object))
+        with pytest.raises(ValueError, match=r"row 0: symbol 1\.5 at coordinate 1 is not an integer"):
+            CodeBook.from_symbols(a, np.array([(0, 1.5), (2, 1)], dtype=object))
 
 
 @st.composite
