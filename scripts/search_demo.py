@@ -16,6 +16,7 @@ import time
 
 from asymcodes import SearchConfig, search_cyclic, search_extended
 from asymcodes.bounds import TABLE2_REFERENCE
+from asymcodes.cli import decimal, integer
 
 
 def node_rate(meta: dict, seconds: float) -> str:
@@ -27,36 +28,32 @@ def node_rate(meta: dict, seconds: float) -> str:
 
 
 def run(max_m: int, seed: int, budget: float):
-    for m in range(3, max_m + 1):
-        strategy = "exact-clique" if m <= 5 else "randomized-restart"
+    """Plain searches for m = 3..max_m (exact up to m = 5), then exact split
+    searches for m = 3..min(max_m, 5)."""
+    runs = [(m, False) for m in range(3, max_m + 1)]
+    runs += [(m, True) for m in range(3, min(max_m, 5) + 1)]
+    for m, split in runs:
+        search = search_extended if split else search_cyclic
+        strategy = "exact-clique" if split or m <= 5 else "randomized-restart"
         cfg = SearchConfig(seed=seed, time_budget=budget, strategy=strategy)
-        search_cyclic(m, SearchConfig(strategy="greedy"))
+        search(m, SearchConfig(strategy="greedy"))
         t0 = time.monotonic()
-        code = search_cyclic(m, cfg)
+        found = search(m, cfg)
         dt = time.monotonic() - t0
-        ref = TABLE2_REFERENCE[2 * m]["cyclic"]
+        meta = found[0].meta if split else found.meta
+        ref = TABLE2_REFERENCE[2 * m + split]["cyclic"]
+        label, shown = ("split", "") if split else ("plain", f"{strategy}, ")
         print(
-            f"plain m={m}: score {code.meta['score']} (bundled {ref}) "
-            f"optimal={code.meta['proven_optimal']} [{strategy}, {dt:.2f}s{node_rate(code.meta, dt)}]"
-        )
-    for m in range(3, min(max_m, 5) + 1):
-        cfg = SearchConfig(seed=seed, time_budget=budget, strategy="exact-clique")
-        search_extended(m, SearchConfig(strategy="greedy"))
-        t0 = time.monotonic()
-        part0, part1 = search_extended(m, cfg)
-        dt = time.monotonic() - t0
-        score = int(part0.meta["score"])
-        ref = TABLE2_REFERENCE[2 * m + 1]["cyclic"]
-        print(
-            f"split m={m}: score {score} (bundled {ref}) "
-            f"optimal={part0.meta['proven_optimal']} [{dt:.2f}s{node_rate(part0.meta, dt)}]"
+            f"{label} m={m}: score {meta['score']} (bundled {ref}) "
+            f"optimal={meta['proven_optimal']} [{shown}{dt:.2f}s{node_rate(meta, dt)}]"
         )
 
 
 if __name__ == "__main__":
+    # the CLI's flag readers: io.parse_ints and io.parse_decimal
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-m", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=float, default=30.0)
+    ap.add_argument("--max-m", type=integer, default=5)
+    ap.add_argument("--seed", type=integer, default=0)
+    ap.add_argument("--budget", type=decimal, default=30.0)
     args = ap.parse_args()
     run(args.max_m, args.seed, args.budget)

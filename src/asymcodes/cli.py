@@ -122,6 +122,8 @@ def _parse_word(text: str, alphabet: AlphabetSpec) -> Word:
 
 
 def _default_oracle_channel(c: CodeBook) -> ProductChannel:
+    """The decrement chain on every coordinate, which is Z on a binary one:
+    the channel of `verify --model ball` and of `simulate --channel auto`."""
     graphs = tuple(make_channel("chain", q) for q in c.alphabet.sizes)
     return ProductChannel(graphs)
 
@@ -327,10 +329,10 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = _read_code(args.code)
-    auto = args.channel == "auto"
-    ch = ProductChannel(tuple(
-        make_channel(("Z" if q == 2 else "chain") if auto else args.channel, q)
-        for q in code.alphabet.sizes))
+    if args.channel == "auto":
+        ch = _default_oracle_channel(code)
+    else:
+        ch = ProductChannel(tuple(make_channel(args.channel, q) for q in code.alphabet.sizes))
     result = simulate_channel(
         code,
         ch,

@@ -1,12 +1,15 @@
 """Shift-orbit machinery and a max-weight-clique search for shift-closed
 ternary codes whose binary images are large.
 
-Vertices of the search graph are rotation orbits that survive the radius-1
-ball test on the 0<->1 / 0<->2 ternary channel; two orbits are adjacent
-when their union still survives it.  An orbit's weight is the size of its
-binary image, sum over members of 2^(m - hamming weight).  The bundled
-generator tables are known good orbit representatives with verified image
-sizes, kept as regression data for the reports.
+Vertices of the plain search graph are rotation orbits that survive the
+radius-1 ball test on the 0<->1 / 0<->2 ternary channel; two orbits are
+adjacent when their union still survives it.  The split graph (odd binary
+lengths) holds every orbit twice, behind a literal bit 0 and bit 1; one
+builder and one search body serve both.  An orbit's weight is the size of
+its binary image, sum over members of 2^(m - hamming weight).  Only the
+enumeration cap and the exact strategy's node budget bound a search.
+The bundled generator tables are known good orbit representatives with
+verified image sizes, kept as regression data for the reports.
 """
 
 from __future__ import annotations
@@ -90,11 +93,9 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
     seen = set()
     for v in range(3**m):
         word = tuple((v // 3 ** (m - 1 - i)) % 3 for i in range(m))
-        if word in seen:
-            continue
-        members = _rotations(word)
-        seen.update(members)
-        reps.append(Orbit(members[0], members))
+        if word not in seen:
+            reps.append(orbit_of(word))
+            seen.update(reps[-1].members)
     return tuple(reps)
 
 
@@ -196,12 +197,26 @@ def _member_rows(orbits) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.repeat(np.arange(len(orbits)), [o.size for o in orbits])
 
 
-@lru_cache(maxsize=4)
-def _plain_graph(m: int):
-    """Self-compatible orbits plus pairwise-compatibility bitmasks."""
+@lru_cache(maxsize=8)
+def _search_graph(m: int, split: bool):
+    """The self-compatible orbits and, per vertex, the bitmask of the
+    vertices it does not conflict with (`_conflict_graph`).
+
+    The plain graph has vertex i for orbit i on T^m; the split graph has
+    vertex 2i + b for orbit i's members behind literal bit b, on the
+    bit x trit^m channel that `construct_extended` checks.  A literal bit
+    never makes an orbit's own balls meet, so both parts of an orbit are
+    kept, or neither is.
+    """
     orbits = enumerate_orbits(m)
-    keep, adj = _conflict_graph(*_member_rows(orbits), (3,) * m)
-    return tuple(o for o, k in zip(orbits, keep) if k), adj
+    rows, vertex = _member_rows(orbits)
+    sizes = (3,) * m
+    if split:
+        rows = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in (0, 1)])
+        vertex = np.concatenate([2 * vertex, 2 * vertex + 1])
+        sizes = (2,) + sizes
+    keep, adj = _conflict_graph(rows, vertex, sizes)
+    return tuple(o for o, k in zip(orbits, keep[::2] if split else keep) if k), adj
 
 
 def _bits(mask: int):
@@ -209,6 +224,12 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _members_key(keys: list, mask: int) -> tuple:
+    """The sorted keys of the mask's vertices: among cliques of equal
+    weight, the search keeps the one with the smallest."""
+    return tuple(sorted(keys[i] for i in _bits(mask)))
 
 
 def _relabel(mask: int, label: list[int]) -> int:
@@ -300,7 +321,7 @@ def _max_weight_clique(
         nonlocal best_w, best_mask, best_key
         if cur_w < best_w:
             return
-        key = tuple(sorted(sorted_keys[p] for p in _bits(mask)))
+        key = _members_key(sorted_keys, mask)
         if cur_w > best_w or best_key is None or key < best_key:
             best_w, best_mask, best_key = cur_w, mask, key
 
@@ -368,38 +389,32 @@ def _greedy(weights, adj, order):
 
 
 def _run_search(weights, adj, keys, cfg: SearchConfig):
-    """Dispatch on strategy; returns the search meta and the chosen mask."""
+    """Dispatch on strategy; returns the search meta and the chosen mask.
+    Every strategy starts from the greedy clique in (-weight, key) order."""
     V = len(weights)
     base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+    best_w, best_mask = _greedy(weights, adj, base_order)
     if cfg.strategy == "exact-clique":
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
-        seed_solution = _greedy(weights, adj, base_order)
         score, mask, optimal, nodes = _max_weight_clique(
-            weights, adj, keys, node_budget, seed_solution
+            weights, adj, keys, node_budget, (best_w, best_mask)
         )
         return _search_meta(cfg, score, optimal, nodes), mask
-    if cfg.strategy == "greedy":
-        w, mask = _greedy(weights, adj, base_order)
-        return _search_meta(cfg, w, False), mask
-    # randomized-restart: deterministic restart count derived from budget
-    import random
+    if cfg.strategy == "randomized-restart":
+        # deterministic restart count derived from budget
+        import random
 
-    rng = random.Random(cfg.seed)
-    restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
-    scale = [max(wt, 1) for wt in weights]
-
-    def members_key(mask):
-        return tuple(sorted(keys[i] for i in _bits(mask)))
-
-    best_w, best_mask = _greedy(weights, adj, base_order)
-    best_key = members_key(best_mask)
-    for _ in range(restarts):
-        r = [rng.random() / s for s in scale]
-        w, mask = _greedy(weights, adj, sorted(range(V), key=r.__getitem__))
-        if w >= best_w:
-            key = members_key(mask)
-            if w > best_w or key < best_key:
-                best_w, best_mask, best_key = w, mask, key
+        rng = random.Random(cfg.seed)
+        restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
+        scale = [max(wt, 1) for wt in weights]
+        best_key = _members_key(keys, best_mask)
+        for _ in range(restarts):
+            r = [rng.random() / s for s in scale]
+            w, mask = _greedy(weights, adj, sorted(range(V), key=r.__getitem__))
+            if w >= best_w:
+                key = _members_key(keys, mask)
+                if w > best_w or key < best_key:
+                    best_w, best_mask, best_key = w, mask, key
     return _search_meta(cfg, best_w, False), best_mask
 
 
@@ -415,12 +430,29 @@ def _search_meta(cfg: SearchConfig, score: int, optimal: bool, nodes: int | None
     return meta
 
 
-def _orbits_to_codebook(orbits, mask, m, name, meta) -> CodeBook:
-    rows = []
-    for i, o in enumerate(orbits):
-        if mask >> i & 1:
-            rows.extend(o.members)
+def _orbit_book(orbits, m: int, name: str, meta: dict | None = None) -> CodeBook:
+    """The code book of every member of the orbits; orbits listed twice
+    give their words once."""
+    rows = sorted({w for o in orbits for w in o.members})
     return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), rows, name=name, meta=meta)
+
+
+def _search(m: int, split: bool, cfg: SearchConfig | None) -> tuple[CodeBook, ...]:
+    """The search behind both entry points: one code book per part of the
+    chosen vertices (the plain search has one part)."""
+    cfg = cfg or SearchConfig()
+    orbits, adj = _search_graph(m, split)
+    parts = (0, 1) if split else (0,)
+    # vertex len(parts) * i + part is orbit i in that part
+    weights = [o.weight_score for o in orbits for _ in parts]
+    keys = [(part, o.representative) for o in orbits for part in parts]
+    meta, mask = _run_search(weights, list(adj), keys, cfg)
+    books = []
+    for part in parts:
+        name = f"extended-search-m{m}-part{part}" if split else f"cyclic-search-m{m}"
+        chosen = [o for i, o in enumerate(orbits) if mask >> (len(parts) * i + part) & 1]
+        books.append(_orbit_book(chosen, m, name, meta))
+    return tuple(books)
 
 
 def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
@@ -431,48 +463,13 @@ def search_cyclic(m: int, cfg: SearchConfig | None = None) -> CodeBook:
     whether the exact strategy proved optimality within its budget, and the
     exact strategy adds the number of branch-and-bound nodes it expanded.
     """
-    cfg = cfg or SearchConfig()
-    if cfg.strategy == "exact-clique" and m > 8:
-        raise ValueError("exact strategy supports m <= 8")
-    orbits, adj = _plain_graph(m)
-    weights = [o.weight_score for o in orbits]
-    keys = [o.representative for o in orbits]
-    meta, mask = _run_search(weights, list(adj), keys, cfg)
-    return _orbits_to_codebook(orbits, mask, m, f"cyclic-search-m{m}", meta)
-
-
-@lru_cache(maxsize=4)
-def _extended_graph(m: int):
-    """Two-layer graph for the split construction behind a literal bit.
-
-    Vertex 2i is plain orbit i in part 0, vertex 2i+1 the same orbit in
-    part 1: its members behind bit 0 or bit 1, on the bit x trit^m channel
-    that `construct_extended` checks.
-    """
-    orbits = _plain_graph(m)[0]
-    rows, vertex = _member_rows(orbits)
-    rows = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in (0, 1)])
-    _, adj = _conflict_graph(rows, np.concatenate([2 * vertex, 2 * vertex + 1]), (2,) + (3,) * m)
-    return orbits, adj
+    return _search(m, False, cfg)[0]
 
 
 def search_extended(m: int, cfg: SearchConfig | None = None) -> tuple[CodeBook, CodeBook]:
     """Search for the two shift-closed parts of the odd-length construction,
     maximizing the total binary image size."""
-    cfg = cfg or SearchConfig()
-    if cfg.strategy == "exact-clique" and m > 7:
-        raise ValueError("exact strategy supports m <= 7")
-    orbits, ext = _extended_graph(m)
-    # vertex 2i + part is orbit i in that part
-    weights = [o.weight_score for o in orbits for _ in (0, 1)]
-    keys = [(part, o.representative) for o in orbits for part in (0, 1)]
-    meta, mask = _run_search(weights, list(ext), keys, cfg)
-    parts = [0, 0]
-    for p in _bits(mask):
-        parts[p % 2] |= 1 << p // 2
-    part0 = _orbits_to_codebook(orbits, parts[0], m, f"extended-search-m{m}-part0", meta)
-    part1 = _orbits_to_codebook(orbits, parts[1], m, f"extended-search-m{m}-part1", dict(meta))
-    return part0, part1
+    return _search(m, True, cfg)
 
 
 # Bundled orbit-representative tables: shift-closed ternary codes with
@@ -546,13 +543,13 @@ BUILTIN_EXTENDED: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def _closure(gens: tuple[str, ...], m: int, name: str) -> CodeBook:
     """Every rotation of every generator; generators that share an orbit
     give each word once."""
-    rows = []
+    orbits = []
     for g in gens:
         word = tuple(int(ch) for ch in g)
         if len(word) != m:
             raise ValueError(f"generator {g} has wrong length for m={m}")
-        rows.extend(_rotations(word))
-    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), np.unique(rows, axis=0), name=name)
+        orbits.append(orbit_of(word))
+    return _orbit_book(orbits, m, name)
 
 
 def builtin_table_generators(m: int, extended: bool = False):

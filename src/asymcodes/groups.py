@@ -18,7 +18,7 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import AlphabetSpec, CodeBook, check_cap
+from .words import AlphabetSpec, CodeBook, _integer, check_cap
 
 GroupElement = tuple[int, ...]
 
@@ -30,7 +30,8 @@ class AbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
+        factors = tuple(_integer(d, "cyclic factor") for d in self.factors)
+        object.__setattr__(self, "factors", factors)
         if any(d < 2 for d in self.factors):
             raise ValueError("cyclic factors must be >= 2")
         if self.order < 2:
@@ -160,9 +161,10 @@ class Pairing:
     singleton: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs)
-        )
+        pairs = tuple((_integer(a, "coordinate"), _integer(b, "coordinate")) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if self.singleton is not None:
+            object.__setattr__(self, "singleton", _integer(self.singleton, "coordinate"))
         seen = set()
         for a, b in self.pairs:
             if a == b:

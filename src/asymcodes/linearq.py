@@ -24,6 +24,7 @@ from .words import (
     _as_symbols,
     _check_symbols,
     _index_symbols,
+    _integer,
     check_cap,
 )
 
@@ -50,9 +51,11 @@ class MatrixModZq:
     def __post_init__(self):
         if self.role not in ("generator", "parity"):
             raise ValueError("role must be 'generator' or 'parity'")
-        if self.q < 2:
+        q = _integer(self.q, "modulus")
+        object.__setattr__(self, "q", q)
+        if q < 2:
             raise ValueError("q must be >= 2")
-        rows = tuple(tuple(int(x) % self.q for x in r) for r in self.rows)
+        rows = tuple(tuple(_integer(x, "matrix entry") % q for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")

@@ -74,6 +74,16 @@ class DecodeAmbiguity(DecodingError):
         super().__init__(f"{len(self.candidates)} codewords qualify")
 
 
+def _integer(value, what: str) -> int:
+    """A number a value type reads, by the integer rule of `_index_symbols`
+    (operator.index): a float or any other non-integer raises ValueError
+    naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class AlphabetSpec:
     """Per-coordinate alphabet sizes; coordinate i ranges over 0..sizes[i]-1."""
@@ -81,7 +91,7 @@ class AlphabetSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(q) for q in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer(q, "alphabet size") for q in self.sizes))
         if len(self.sizes) < 1:
             raise ValueError("alphabet needs at least one coordinate")
         if any(q < 2 for q in self.sizes):
@@ -172,6 +182,11 @@ class Word:
 
 def _as_symbols(x) -> tuple[int, ...]:
     return x.symbols if isinstance(x, Word) else tuple(x)
+
+
+def _word_symbols(x) -> tuple[int, ...]:
+    """A Word's symbols, or any other operand's by the integer rule."""
+    return x.symbols if isinstance(x, Word) else _index_symbols(x)
 
 
 class RowError(ValueError):
@@ -324,7 +339,7 @@ class CodeBook:
         return iter(self.words)
 
     def __contains__(self, item) -> bool:
-        return _as_symbols(item) in self.symbol_set
+        return _word_symbols(item) in self.symbol_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeBook):
@@ -365,11 +380,11 @@ class WeightEnumerator:
 
 def weight_w(x: Word | Sequence[int]) -> int:
     """Integer sum of the symbols (not the Hamming weight)."""
-    return sum(_as_symbols(x))
+    return sum(_word_symbols(x))
 
 
 def _check_same_profile(x, y):
-    xs, ys = _as_symbols(x), _as_symbols(y)
+    xs, ys = _word_symbols(x), _word_symbols(y)
     if len(xs) != len(ys):
         raise AlphabetMismatch("words have different lengths")
     if isinstance(x, Word) and isinstance(y, Word) and x.alphabet != y.alphabet:
@@ -543,7 +558,7 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    rs = received.symbols if isinstance(received, Word) else _index_symbols(received)
+    rs = _word_symbols(received)
     if len(rs) != c.n:
         raise AlphabetMismatch("received word length does not match the code")
     if isinstance(received, Word) and received.alphabet != c.alphabet:

@@ -26,13 +26,12 @@ from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
     _ball1,
-    _extended_graph,
     _greedy,
     _max_weight_clique,
-    _plain_graph,
     _relabel,
     _relabel_rows,
     _run_search,
+    _search_graph,
     orbit_of,
 )
 from asymcodes.words import EnumerationCapExceeded
@@ -314,14 +313,14 @@ def reference_restarts(weights, adj, keys, cfg):
 def plain_instance(m):
     """(weights, adjacency, keys) of the plain search graph, as search_cyclic
     builds them."""
-    orbits, adj = _plain_graph(m)
+    orbits, adj = _search_graph(m, False)
     return [o.weight_score for o in orbits], list(adj), [o.representative for o in orbits]
 
 
 def split_instance(m):
     """(weights, adjacency, keys) of the split search graph, as
     search_extended builds them."""
-    orbits, ext = _extended_graph(m)
+    orbits, ext = _search_graph(m, True)
     weights = [o.weight_score for o in orbits for _ in (0, 1)]
     keys = [(part, o.representative) for o in orbits for part in (0, 1)]
     return weights, list(ext), keys
@@ -409,7 +408,7 @@ class TestCliqueEngine:
 
     @pytest.mark.parametrize("m, budget", [(5, 10**6), (5, 300), (6, 2_000)])
     def test_search_graphs_expand_the_reference_nodes(self, m, budget):
-        orbits, adj = _plain_graph(m)
+        orbits, adj = _search_graph(m, False)
         weights = [o.weight_score for o in orbits]
         keys = [o.representative for o in orbits]
         order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
@@ -448,7 +447,7 @@ class TestCliqueEngine:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_plain_graph_equals_pairwise_compatibility(self, m):
-        orbits, adj = _plain_graph(m)
+        orbits, adj = _search_graph(m, False)
         assert list(orbits) == [o for o in enumerate_orbits(m) if orbits_compatible(o, o)]
         V = len(orbits)
         for i, j in itertools.product(range(V), repeat=2):
@@ -458,8 +457,8 @@ class TestCliqueEngine:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_extended_graph_equals_definition(self, m):
-        orbits, ext = _extended_graph(m)
-        assert orbits == _plain_graph(m)[0]
+        orbits, ext = _search_graph(m, True)
+        assert orbits == _search_graph(m, False)[0]
         balls = [set().union(*(_ball1(w) for w in o.members)) for o in orbits]
         members = [set(o.members) for o in orbits]
         V = len(orbits)
@@ -487,13 +486,25 @@ class TestCliqueEngine:
         assert part0.meta["nodes"] == "250001"
 
     def test_largest_graph_budget_result_pinned(self):
-        # the m=8 plain graph has 754 vertices, the largest the exact
-        # strategy takes; one unit of budget is 50 000 nodes
-        assert len(_plain_graph(8)[0]) == 754
+        # the m=8 plain graph has 754 vertices; one unit of budget is
+        # 50 000 nodes
+        assert len(_search_graph(8, False)[0]) == 754
         code = search_cyclic(8, SearchConfig(time_budget=1.0))
         assert code.meta["score"] == "3238"
         assert code.meta["proven_optimal"] == "no"
         assert code.meta["nodes"] == "50001"
+
+    def test_budget_is_the_only_exact_bound(self):
+        # no limit on m but the cap: plain m=9 (2123 vertices) and split
+        # m=8 (1508 vertices) stop at one unit of node budget
+        code = search_cyclic(9, SearchConfig(time_budget=1.0))
+        assert (code.meta["score"], code.meta["proven_optimal"]) == ("12080", "no")
+        assert code.meta["nodes"] == "50001"
+        assert len(construct_even(code, check=True)) == 12080
+        part0, part1 = search_extended(8, SearchConfig(time_budget=1.0))
+        assert (part0.meta["score"], part0.meta["proven_optimal"]) == ("6134", "no")
+        assert part0.meta["nodes"] == "50001"
+        assert len(construct_extended(part0, part1, check=True)) == 6134
 
     def test_node_count_is_exact_strategy_only(self):
         nodes = search_cyclic(5).meta["nodes"]
@@ -511,18 +522,16 @@ class TestCliqueEngine:
     def test_graph_balls_are_checked_against_the_cap(self, monkeypatch):
         # the m=6 radius-1 balls hold 729 + 6 * (243 * 2 + 486) = 6561 words,
         # though its 729 words fit under the cap
-        _plain_graph.cache_clear()
-        _extended_graph.cache_clear()
+        _search_graph.cache_clear()
         try:
             monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6)
             with pytest.raises(EnumerationCapExceeded,
                                match="radius-1 error balls: 6561 exceeds enumeration cap 729"):
-                _plain_graph(6)
+                _search_graph(6, False)
             monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 6561)
-            assert len(_plain_graph(6)[0]) == 98
+            assert len(_search_graph(6, False)[0]) == 98
         finally:
-            _plain_graph.cache_clear()
-            _extended_graph.cache_clear()
+            _search_graph.cache_clear()
 
     def test_the_cap_is_the_only_size_bound(self, monkeypatch):
         # 3^14 words exceed the cap; no second bound on m answers first
@@ -533,8 +542,7 @@ class TestCliqueEngine:
             enumerate_orbits(0)
 
     def test_graph_caches_are_bounded(self):
-        assert _plain_graph.cache_info().maxsize == 4
-        assert _extended_graph.cache_info().maxsize == 4
+        assert _search_graph.cache_info().maxsize == 8
 
 
 EXPECTED_PLAIN = {3: 12, 4: 29, 5: 98, 6: 336, 7: 1200, 8: 3952}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from asymcodes import (
@@ -30,6 +31,12 @@ class TestGroup:
         G = AbelianGroup.parse("2x2x3")
         assert G.factors == (2, 2, 3) and G.order == 12
         assert str(G) == "2x2x3"
+
+    def test_factors_follow_the_integer_rule(self):
+        with pytest.raises(ValueError, match=r"cyclic factor 3\.9 is not an integer"):
+            AbelianGroup((3.9,))
+        G = AbelianGroup((np.int64(3), np.uint8(2)))
+        assert G.factors == (3, 2) and set(map(type, G.factors)) == {int}
 
     def test_element_order(self):
         G = AbelianGroup((2, 5))
@@ -126,6 +133,15 @@ class TestPairing:
             Pairing(((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             Pairing(((0, 1),), singleton=1)
+
+    def test_coordinates_follow_the_integer_rule(self):
+        with pytest.raises(ValueError, match=r"coordinate 1\.5 is not an integer"):
+            Pairing(((0, 1.5),))
+        with pytest.raises(ValueError, match=r"coordinate 2\.0 is not an integer"):
+            Pairing(((0, 1),), singleton=2.0)
+        p = Pairing(((np.int64(0), True),), singleton=np.int32(2))
+        assert p == Pairing(((0, 1),), singleton=2)
+        assert set(map(type, (*p.pairs[0], p.singleton))) == {int}
 
     def test_inverse_pairing_cyclic(self):
         p = canonical_pairing(AbelianGroup.cyclic(7))

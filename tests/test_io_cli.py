@@ -560,6 +560,21 @@ class TestCliExitCodes:
             {"m": 3, "extended": True, "oracle": False, "image_size": 28, "expected": 16,
              "ok": False}]
 
+    def test_simulate_auto_channel_is_the_decrement_chain(self, tmp_path, capsys):
+        # chain on a binary coordinate is Z, so auto is chain everywhere
+        f = tmp_path / "c.code"
+        f.write_text("q=2,3,3 n=3\n000\n011\n102\n120\n")
+        docs = []
+        for channel in ("auto", "chain"):
+            rep = tmp_path / f"{channel}.json"
+            assert main(["simulate", "--code", str(f), "--p", "0.2", "--trials", "300",
+                         "--seed", "5", "--channel", channel, "--json", str(rep)]) == 0
+            docs.append(json.loads(rep.read_text()))
+        assert docs[0]["parameters"].pop("channel") == "auto"
+        assert docs[1]["parameters"].pop("channel") == "chain"
+        assert docs[0] == docs[1]
+        capsys.readouterr()
+
     def test_simulate_probabilistic_path(self, tmp_path, capsys):
         f = tmp_path / "c.code"
         f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")

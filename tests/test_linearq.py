@@ -39,6 +39,15 @@ class TestMatrix:
         m = MatrixModZq(3, ((4, -1),), "generator")
         assert m.rows == ((1, 2),)
 
+    def test_numbers_follow_the_integer_rule(self):
+        with pytest.raises(ValueError, match=r"matrix entry 1\.7 is not an integer"):
+            MatrixModZq(5, ((1.7, 2),), "parity")
+        with pytest.raises(ValueError, match=r"modulus 5\.0 is not an integer"):
+            MatrixModZq(5.0, ((1, 2),), "parity")
+        m = MatrixModZq(np.int64(5), ((np.int8(7), True),), "parity")
+        assert (m.q, m.rows) == (5, ((2, 1),))
+        assert {type(m.q), *map(type, m.rows[0])} == {int}
+
     def test_text_round_trip(self):
         m = MatrixModZq(5, ((1, 2, 3), (0, 4, 1)), "parity")
         again = MatrixModZq.from_text(m.to_text())

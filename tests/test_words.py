@@ -525,6 +525,29 @@ class TestIntegerRule:
         with pytest.raises(ValueError, match=r"row 0: symbol 1\.5 at coordinate 1 is not an integer"):
             CodeBook.from_symbols(a, np.array([(0, 1.5), (2, 1)], dtype=object))
 
+    def test_alphabet_sizes(self):
+        with pytest.raises(ValueError, match=r"alphabet size 2\.9 is not an integer"):
+            AlphabetSpec((2.9, 3))
+        with pytest.raises(ValueError, match=r"alphabet size '3' is not an integer"):
+            AlphabetSpec((2, "3"))
+        a = AlphabetSpec((np.int64(2), np.uint8(3)))
+        assert a.sizes == (2, 3) and set(map(type, a.sizes)) == {int}
+
+    def test_metric_functions(self):
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at coordinate 0 is not an integer"):
+            asym_distance((1.5, 0), (0, 0))
+        with pytest.raises(ValueError, match=r"symbol 0\.5 at coordinate 0 is not an integer"):
+            weight_w((0.5, 1))
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at coordinate 0 is not an integer"):
+            d_ell_distance((0, 0), (1.5, 0), 1)
+        book = CodeBook.from_symbols(AlphabetSpec.uniform(2, 2), [(1, 0)])
+        with pytest.raises(ValueError, match=r"symbol 1\.0 at coordinate 0 is not an integer"):
+            (1.0, 0) in book
+        assert asym_distance(np.array([2, 0]), (np.int8(0), True)) == 2
+        assert weight_w((True, np.int64(2))) == 3
+        assert d_ell_distance((1, 0), np.array([0, 0]), 1) == 1
+        assert (True, 0) in book and np.array([1, 0]) in book and (0, 1) not in book
+
 
 @st.composite
 def alphabets_and_rows(draw, max_q=5):
