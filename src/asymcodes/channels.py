@@ -28,6 +28,7 @@ from .words import (
     AlphabetSpec,
     CodeBook,
     Word,
+    _integer,
     check_cap,
 )
 
@@ -42,6 +43,10 @@ class ChannelGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        q = _integer(self.q, "alphabet size")
+        edges = frozenset((_integer(a, "edge end"), _integer(b, "edge end")) for a, b in self.edges)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "edges", edges)
         if self.q < 2:
             raise ValueError("alphabet size must be >= 2")
         for a, b in self.edges:

@@ -6,9 +6,12 @@ Unless --unchecked is passed, construct vt and cr re-verify their output
 with the ball oracle on the decrement chain, construct ternary checks its
 input with the channel oracle, and construct concat checks the outer
 code's single-error condition and then that the output is a 1-code;
-construct hamming, lee and double verify nothing.  When the ball oracle
-answers "no" (verify --model ball, and the vt and cr re-check), the
-received word that two error balls share is printed with the two codewords.
+construct hamming, lee and double verify nothing.  verify and the vt, cr
+and concat re-checks answer and name their witness from one oracle or
+kernel call (the two metric kernels share one pair scan): the received
+word two error balls share, with their codewords (verify --model ball,
+the vt and cr re-check), or two codewords within distance t (asym,
+limited, the concat re-check).
 """
 
 from __future__ import annotations
@@ -73,12 +76,11 @@ from .words import (
     DecodeAmbiguity,
     DecodeFailure,
     EnumerationCapExceeded,
-    _lm_pair,
-    _min_asym_pair,
+    _asym_witness,
+    _lm_witness,
     _separator,
     decode_asymmetric,
     enum_cap_from_environment,
-    is_lm_code,
     is_t_code,
     min_asym_distance,
     Word,
@@ -128,16 +130,27 @@ def _default_oracle_channel(c: CodeBook) -> ProductChannel:
     return ProductChannel(graphs)
 
 
-def _ball_witness(c: CodeBook, t: int) -> dict | None:
-    """Check c with the ball oracle on the decrement chain.  On "no", print
-    the shared received word and the two codewords, and return them."""
-    overlap = ball_overlap(c, _default_oracle_channel(c), t)
-    if overlap is None:
+def _witness(c: CodeBook, model: str, t: int, ell: int = 1, wrap: bool = False) -> dict | None:
+    """Check c under a `verify` model with one oracle or kernel call: None
+    on "yes", else the witness, printed and as a report entry."""
+    if model == "ball":
+        overlap = ball_overlap(c, _default_oracle_channel(c), t)
+        if overlap is None:
+            return None
+        received, x, y = (str(w) for w in overlap)
+        print(f"witness: {received} lies in the radius-{t} error balls of {x} and {y}",
+              file=sys.stderr)
+        return {"received": received, "x": x, "y": y}
+    if model == "asym":
+        pair, metric = _asym_witness(c, t), "asymmetric"
+    else:
+        pair, metric = _lm_witness(c, t, ell, wrap), "limited-magnitude"
+    if pair is None:
         return None
-    received, x, y = (str(w) for w in overlap)
-    print(f"witness: {received} lies in the radius-{t} error balls of {x} and {y}",
-          file=sys.stderr)
-    return {"received": received, "x": x, "y": y}
+    d, i, j = pair
+    x, y = str(c.words[i]), str(c.words[j])
+    print(f"witness: {x} and {y} at {metric} distance {d}", file=sys.stderr)
+    return {"x": x, "y": y, "distance": d}
 
 
 def _cmd_construct(args) -> int:
@@ -198,7 +211,7 @@ def _cmd_construct(args) -> int:
                 print("error: code too large to enumerate into --out", file=sys.stderr)
                 return USAGE
             return OK
-        if not args.unchecked and not is_t_code(book, 1):
+        if not args.unchecked and _witness(book, "asym", 1) is not None:
             print("VERIFICATION FAILED: output is not a 1-code", file=sys.stderr)
             return VERIFY_FAILED
         if args.out:
@@ -227,7 +240,7 @@ def _cmd_construct(args) -> int:
         raise AssertionError(which)
 
     # vt / cr fall through to shared verify-and-write
-    if not args.unchecked and _ball_witness(code, 1) is not None:
+    if not args.unchecked and _witness(code, "ball", 1) is not None:
         print("VERIFICATION FAILED: output is not a 1-code", file=sys.stderr)
         return VERIFY_FAILED
     _emit_code(code, args.out)
@@ -235,33 +248,13 @@ def _cmd_construct(args) -> int:
     return OK
 
 
-def _pair_witness(code: CodeBook, pair: tuple[int, int, int], metric: str) -> dict:
-    """The closest pair (distance, i, j) of a "no", printed and as a report entry."""
-    d, i, j = pair
-    witness = {"x": str(code.words[i]), "y": str(code.words[j]), "distance": d}
-    print(f"witness: {witness['x']} and {witness['y']} at {metric} distance {d}",
-          file=sys.stderr)
-    return witness
-
-
 def _cmd_verify(args) -> int:
     code = _read_code(args.infile)
-    witness = None
-    if args.model == "asym":
-        ok = is_t_code(code, args.t)
-        detail = {"model": "asym", "t": args.t}
-        if not ok:
-            witness = _pair_witness(code, _min_asym_pair(code, stop_at=args.t), "asymmetric")
-    elif args.model == "ball":
-        witness = _ball_witness(code, args.t)
-        ok = witness is None
-        detail = {"model": "ball", "t": args.t}
-    else:
-        ok = is_lm_code(code, args.t, args.l, wrap=args.wrap)
-        detail = {"model": "limited", "t": args.t, "l": args.l, "wrap": args.wrap}
-        if not ok:
-            witness = _pair_witness(code, _lm_pair(code, args.t, args.l, args.wrap),
-                                    "limited-magnitude")
+    detail = {"model": args.model, "t": args.t}
+    if args.model == "limited":
+        detail.update(l=args.l, wrap=args.wrap)
+    witness = _witness(code, args.model, args.t, args.l, args.wrap)
+    ok = witness is None
     results = {"size": len(code), "n": code.n, "verified": ok}
     if witness:
         results["witness"] = witness

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import _balls
 from .ternary import image_channel
-from .words import AlphabetSpec, CodeBook, check_cap
+from .words import AlphabetSpec, CodeBook, _integer, check_cap
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
@@ -68,6 +68,7 @@ class SearchConfig:
     strategy: str = "exact-clique"
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError(f"time budget must be a positive finite number, got {self.time_budget}")
         if self.strategy not in ("exact-clique", "greedy", "randomized-restart"):

@@ -211,7 +211,9 @@ def canonical_pairing(arg: AbelianGroup | int, mode: str = "inverse") -> Pairing
     (0-based) and leave the middle coordinate as a bit.
     """
     if mode == "inverse":
-        G = arg if isinstance(arg, AbelianGroup) else AbelianGroup.cyclic(int(arg) + 1)
+        G = arg
+        if not isinstance(G, AbelianGroup):
+            G = AbelianGroup.cyclic(_integer(arg, "length") + 1)
         if G.order % 2 == 0:
             raise ValueError(
                 f"group {G} has even order; some element is self-inverse"
@@ -232,7 +234,7 @@ def canonical_pairing(arg: AbelianGroup | int, mode: str = "inverse") -> Pairing
             pairs.append((i, j))
         return Pairing(tuple(pairs))
     if mode == "vt-odd":
-        n = int(arg)
+        n = _integer(arg, "length")
         if n % 2 == 0:
             raise ValueError("vt-odd pairing requires odd length")
         pairs = tuple((i, n - 1 - i) for i in range((n - 1) // 2))

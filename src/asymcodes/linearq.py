@@ -26,6 +26,7 @@ from .words import (
     _index_symbols,
     _integer,
     check_cap,
+    weight_enumerator,
 )
 
 
@@ -63,6 +64,11 @@ class MatrixModZq:
             for j in range(self.ncols):
                 if all(r[j] == 0 for r in rows):
                     raise ValueError(f"parity-check column {j} is all zero")
+        # hashed once: every decode_concat call looks its plan up by H
+        object.__setattr__(self, "_hash", hash((q, rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nrows(self) -> int:
@@ -228,12 +234,13 @@ def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
 
 
 def min_hamming_distance(M: MatrixModZq) -> int:
-    """Minimum nonzero Hamming weight of the linear code (exhaustive)."""
-    book = codewords_of(M)
-    weights = [sum(1 for s in w if s) for w in book.symbol_rows if any(w)]
-    if not weights:
-        raise ValueError("code has no nonzero codeword")
-    return min(weights)
+    """Minimum nonzero Hamming weight of the linear code: the smallest
+    w >= 1 with A_w > 0 in its weight enumerator (exhaustive)."""
+    counts = weight_enumerator(codewords_of(M)).counts
+    for w in range(1, len(counts)):
+        if counts[w]:
+            return w
+    raise ValueError("code has no nonzero codeword")
 
 
 @dataclass(frozen=True)

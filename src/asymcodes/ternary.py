@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ProductChannel, corrects_t_errors, make_channel
+from .channels import ProductChannel, ball_overlap, corrects_t_errors, make_channel
 from .groups import Pairing
 from .words import AlphabetSpec, CodeBook, check_cap
 
@@ -106,12 +106,14 @@ def image_channel(sizes: tuple[int, ...]) -> ProductChannel:
 
 
 def _image(c: CodeBook, check: bool, label: str) -> CodeBook:
-    """Check that c corrects one error on its product channel, then expand
-    each trit into an adjacent bit pair and pass each bit through, in
-    position order."""
+    """Check that c corrects one error on its product channel (a failure
+    names the received word two error balls share), then expand each trit
+    into an adjacent bit pair and pass each bit through, in position order."""
     sizes = c.alphabet.sizes
     if check and not corrects_t_errors(c, image_channel(sizes), 1):
-        raise ValueError("input does not correct one error on its product channel")
+        received, x, y = ball_overlap(c, image_channel(sizes), 1)
+        raise ValueError("input does not correct one error on its product channel: "
+                         f"{received} lies in the radius-1 error balls of {x} and {y}")
     widths = [2 if q == 3 else 1 for q in sizes]
     ends = np.cumsum(widths).tolist()
     targets = [tuple(range(e - w, e)) for w, e in zip(widths, ends)]

@@ -431,6 +431,36 @@ def _gain(to: np.ndarray, frm: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _pair_scan(rows: int, block, floor: int, best=None, window=None) -> tuple[int, int, int]:
+    """The closest-pair scan of both metric kernels: (distance, i, j), i < j,
+    for a closest pair of rows, or the first one seen at distance <= floor.
+    block(a, b, e) gives the distances of rows a..b-1 to rows a+1..e-1;
+    window(i, d) is the row past which none lies within d of row i.  Only a
+    strictly closer pair replaces `best` (the seed, or None), so with no
+    seed and no window a "yes" gives the first closest pair in (i, j) order.
+    """
+
+    def end(i):
+        return rows if window is None else window(i, best[0])
+
+    a = 0
+    while a < rows - 1 and (best is None or best[0] > floor):
+        b = min(rows, a + max(1, _PAIR_BLOCK // (end(a) - a)))
+        b = min(b, a + max(1, _PAIR_BLOCK // (end(b - 1) - a)))
+        e = end(b - 1)
+        if e > a + 1:
+            d = block(a, b, e)
+            # row a+r meets column a+1+k; mask the pairs with k < r (j <= i)
+            top = (np.iinfo if d.dtype.kind in "iu" else np.finfo)(d.dtype).max
+            d[:, : b - a - 1][np.tri(b - a, b - a - 1, -1, dtype=bool)] = top
+            flat = int(d.argmin())
+            if best is None or d.flat[flat] < best[0]:
+                r, k = divmod(flat, e - a - 1)
+                best = (int(d.flat[flat]), a + r, a + 1 + k)
+        a = b
+    return best
+
+
 def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, int]:
     """The kernel of `min_asym_distance`: (distance, i, j) for a closest pair.
 
@@ -445,51 +475,27 @@ def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, i
     order = np.argsort(weight, kind="stable")
     packed, weight = packed[order], weight[order]
     dtype = np.min_scalar_type(packed.shape[1] * 64 + 1)
-    worst = np.iinfo(dtype).max
-    # Distinct words are at distance >= 1, so reaching `floor` ends the scan.
-    floor = 1 if stop_at is None else max(1, stop_at)
-
-    def found(pair):
-        d, i, j = pair
-        i, j = sorted((int(order[i]), int(order[j])))
-        return int(d), i, j
-
     # Seed with neighbours in weight order.  With rows sorted by weight the
     # gain from the lighter word is the larger one-sided count, i.e. d_a.
-    d = _gain(packed[1:], packed[:-1], dtype)
-    i = int(d.argmin())
-    best = (d[i], i, i + 1)
-    if best[0] <= floor:
-        return found(best)
+    seed = _gain(packed[1:], packed[:-1], dtype)
+    s = int(seed.argmin())
 
-    def window_end(i):
-        # rows past this one are at distance >= best from row i (Kløve)
-        return int(np.searchsorted(weight, weight[i] + best[0], side="left"))
+    def window(i, d):
+        # rows past this one are at distance >= d from row i (Kløve)
+        return int(np.searchsorted(weight, weight[i] + d, side="left"))
 
-    a, rows = 0, len(c)
-    while a < rows - 1:
-        b = min(rows, a + max(1, _PAIR_BLOCK // (window_end(a) - a)))
-        b = min(b, a + max(1, _PAIR_BLOCK // (window_end(b - 1) - a)))
-        e = window_end(b - 1)
-        if e > a + 1:
-            d = _gain(packed[None, a + 1 : e], packed[a:b, None], dtype)
-            # row a+r meets column a+1+k; mask the pairs with k < r (j <= i)
-            d[:, : b - a - 1][np.tri(b - a, b - a - 1, -1, dtype=bool)] = worst
-            flat = int(d.argmin())
-            if d.flat[flat] < best[0]:
-                r, k = divmod(flat, e - a - 1)
-                best = (d.flat[flat], a + r, a + 1 + k)
-                if best[0] <= floor:
-                    return found(best)
-        a = b
-    return found(best)
+    d, i, j = _pair_scan(
+        len(c),
+        lambda a, b, e: _gain(packed[None, a + 1 : e], packed[a:b, None], dtype),
+        floor=1 if stop_at is None else max(1, stop_at),  # distinct words are >= 1 apart
+        best=(int(seed[s]), s, s + 1),
+        window=window,
+    )
+    return (d, *sorted((int(order[i]), int(order[j]))))
 
 
-def min_asym_distance(c: CodeBook, stop_at: int | None = None) -> int:
+def min_asym_distance(c: CodeBook) -> int:
     """Exhaustive minimum asymmetric distance over all codeword pairs.
-
-    With stop_at set, returns early once a pair at distance <= stop_at is
-    seen (the returned value is then only guaranteed to be <= stop_at).
 
     Every word is packed in thermometer code (symbol s on a q-ary coordinate
     is s ones in q-1 bits), so the one-sided gain going x -> y is
@@ -497,19 +503,25 @@ def min_asym_distance(c: CodeBook, stop_at: int | None = None) -> int:
     symbol sum w; as gain(x->y) - gain(y->x) = w(y) - w(x), the gain from the
     lighter word is d_a.  Kløve's bound d_a(x, y) >= |w(x) - w(y)| confines
     the search to pairs whose sums differ by less than the best distance
-    found so far, which neighbours in weight order seed.  Pairs are compared
-    in row blocks of about 2^16 pairs.
+    found so far, which neighbours in weight order seed.  `is_lm_code`
+    shares the block scan, and `is_t_code` answers from one scan.
     """
-    return _min_asym_pair(c, stop_at)[0]
+    return _min_asym_pair(c)[0]
+
+
+def _asym_witness(c: CodeBook, t: int) -> tuple[int, int, int] | None:
+    """None iff `is_t_code`, else (distance, i, j) for a pair within t."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if len(c) < 2:
+        return None
+    pair = _min_asym_pair(c, stop_at=t)
+    return pair if pair[0] <= t else None
 
 
 def is_t_code(c: CodeBook, t: int) -> bool:
     """True iff every pair of distinct codewords has asymmetric distance > t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if len(c) < 2:
-        return True
-    return min_asym_distance(c, stop_at=t) > t
+    return _asym_witness(c, t) is None
 
 
 def weight_enumerator(c: CodeBook) -> WeightEnumerator:
@@ -654,9 +666,9 @@ def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[i
 
     Each count of `d_ell_distance` is a bilinear form in one-hot codewords:
     with OH the words' one-hot rows and K the count's q x q table on every
-    coordinate, the count for words x and y is (OH K)[x] . OH[y].  Rows are
-    compared in blocks of about 2^16 pairs by matrix products; a count is
-    at most n, so float32 holds it exactly for every n below 2^24.
+    coordinate, the count for words x and y is (OH K)[x] . OH[y], one
+    matrix product per `_pair_scan` block; a count is at most n, so float32
+    holds it exactly for every n below 2^24.
     """
     if len(c) < 2:
         raise ValueError("need at least two codewords")
@@ -666,33 +678,19 @@ def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[i
     onehot[np.arange(rows)[:, None], np.arange(n) * q + mat] = 1
     # K[x_i, :] on every coordinate: one row per word and count
     left = _lm_kernels(q, ell, wrap)[:, mat].reshape(3, rows, n * q)
-    worst = n + 2
-    best = (worst, 0, 1)
-    a = 0
-    while a < rows - 1:
-        b = min(rows, a + max(1, _PAIR_BLOCK // (rows - a - 1)))
-        right = onehot[a + 1 :].T
+
+    def block(a, b, e):
+        right = onehot[a + 1 : e].T
         up, down, over = (k[a:b] @ right for k in left)
         d = np.maximum(up, down)
         d[over > 0] = n + 1
-        # row a+r meets column a+1+k: mask each word against itself (k =
-        # r-1); a pair with k < r repeats its mirror, as the distance is
-        # symmetric
-        diag = np.arange(1, b - a)
-        d[diag, diag - 1] = worst
-        flat = int(d.argmin())
-        if d.flat[flat] < best[0]:
-            r, k = divmod(flat, rows - a - 1)
-            i, j = sorted((a + r, a + 1 + k))
-            best = (int(d.flat[flat]), i, j)
-            if best[0] <= t_tilde:
-                return best
-        a = b
-    return best
+        return d
+
+    return _pair_scan(rows, block, floor=t_tilde)
 
 
-def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
-    """True iff all distinct pairs have limited-magnitude distance >= t_tilde + 1."""
+def _lm_witness(c: CodeBook, t_tilde: int, ell: int, wrap: bool) -> tuple[int, int, int] | None:
+    """None iff `is_lm_code`, else (distance, i, j) for a pair within t_tilde."""
     if t_tilde < 1:
         raise ValueError("t_tilde must be >= 1")
     if ell < 1:
@@ -702,4 +700,12 @@ def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
     q = c.alphabet.q
     if wrap and q <= 2 * ell:
         raise ValueError(f"wrap-around direction is ambiguous for q={q}, ell={ell}")
-    return len(c) < 2 or _lm_pair(c, t_tilde, ell, wrap)[0] > t_tilde
+    if len(c) < 2:
+        return None
+    pair = _lm_pair(c, t_tilde, ell, wrap)
+    return pair if pair[0] <= t_tilde else None
+
+
+def is_lm_code(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> bool:
+    """True iff all distinct pairs have limited-magnitude distance >= t_tilde + 1."""
+    return _lm_witness(c, t_tilde, ell, wrap) is None

@@ -46,6 +46,16 @@ class TestMakeChannel:
     def test_z_channel(self):
         assert make_channel("Z", 2).edges == frozenset({(1, 0)})
 
+    def test_graph_numbers_follow_the_integer_rule(self):
+        # a float q used to pass and then break out_map with a TypeError
+        with pytest.raises(ValueError, match=r"alphabet size 2\.0 is not an integer"):
+            ChannelGraph(2.0, frozenset({(1, 0)}))
+        with pytest.raises(ValueError, match=r"edge end 1\.0 is not an integer"):
+            ChannelGraph(2, frozenset({(1.0, 0)}))
+        g = ChannelGraph(np.int64(2), {(np.int8(1), False)})
+        assert g == make_channel("Z", 2) and g.out_map == ((), (0,))
+        assert {type(g.q), *(type(x) for e in g.edges for x in e)} == {int}
+
     def test_bad_combinations(self):
         with pytest.raises(ValueError):
             make_channel("Z", 3)

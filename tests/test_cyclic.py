@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +182,14 @@ class TestSearch:
         assert int(part0.meta["score"]) >= 53
         image = construct_extended(part0, part1)
         assert is_t_code(image, 1)
+
+    def test_seed_follows_the_integer_rule(self):
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            SearchConfig(seed=1.5)
+        cfg = SearchConfig(seed=np.int64(3), strategy="randomized-restart", time_budget=1)
+        assert type(cfg.seed) is int
+        assert search_cyclic(4, cfg) == search_cyclic(4, SearchConfig(
+            seed=3, strategy="randomized-restart", time_budget=1))
 
     @pytest.mark.parametrize("budget", [float("inf"), float("nan"), 0.0, -1.0])
     def test_rejects_budgets_that_are_not_positive_and_finite(self, budget):

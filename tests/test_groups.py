@@ -143,6 +143,15 @@ class TestPairing:
         assert p == Pairing(((0, 1),), singleton=2)
         assert set(map(type, (*p.pairs[0], p.singleton))) == {int}
 
+    @pytest.mark.parametrize("mode, n", [("inverse", 6), ("vt-odd", 7)])
+    def test_length_follows_the_integer_rule(self, mode, n):
+        # int() read 6.9 as 6 and paired a word of length 6
+        with pytest.raises(ValueError, match=rf"length {n}\.9 is not an integer"):
+            canonical_pairing(n + 0.9, mode)
+        with pytest.raises(ValueError, match=rf"length {n}\.0 is not an integer"):
+            canonical_pairing(float(n), mode)
+        assert canonical_pairing(np.int64(n), mode) == canonical_pairing(n, mode)
+
     def test_inverse_pairing_cyclic(self):
         p = canonical_pairing(AbelianGroup.cyclic(7))
         assert p.pairs == ((0, 5), (1, 4), (3, 2))

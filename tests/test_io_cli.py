@@ -365,6 +365,28 @@ class TestCliExitCodes:
         assert results["verified"] is False
         assert results["witness"] == {"x": "22", "y": "23", "distance": 1}
 
+    @pytest.mark.parametrize("model, rows, flags", [
+        ("asym", "q=2 n=4\n0000\n0011\n0111\n1100\n", []),
+        ("limited", "q=5 n=2\n00\n11\n22\n23\n", ["--l", "1", "--wrap"]),
+    ])
+    def test_verify_answers_and_names_the_pair_from_one_scan(
+        self, monkeypatch, tmp_path, capsys, model, rows, flags
+    ):
+        from asymcodes import words
+
+        scans, scan = [], words._pair_scan
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(words, "_pair_scan", counted)
+        f = tmp_path / "c.code"
+        f.write_text(rows)
+        assert main(["verify", "--in", str(f), "--model", model, "--t", "1", *flags]) == 1
+        assert capsys.readouterr().err.startswith("witness: ")
+        assert len(scans) == 1
+
     @pytest.mark.parametrize("ell", ["0", "-3"])
     def test_verify_limited_model_rejects_ell_below_one(self, tmp_path, capsys, ell):
         f = tmp_path / "c.code"
@@ -643,6 +665,19 @@ class TestBallModel:
         assert main(["construct", "vt", "--n", "4", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "witness: 0011 lies in the radius-1 error balls of 0011 and 0111",
+            "VERIFICATION FAILED: output is not a 1-code",
+        ]
+        assert not out.exists()
+
+
+    def test_concat_recheck_names_witness(self, monkeypatch, tmp_path, capsys):
+        from asymcodes.linearq import ConcatCode
+
+        monkeypatch.setattr(ConcatCode, "codebook", lambda self: book_from_strings(["0011", "0111"]))
+        out = tmp_path / "c.code"
+        assert main(["construct", "concat", "--outer-hamming", "3,2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "witness: 0011 and 0111 at asymmetric distance 1",
             "VERIFICATION FAILED: output is not a 1-code",
         ]
         assert not out.exists()

@@ -48,6 +48,23 @@ class TestMatrix:
         assert (m.q, m.rows) == (5, ((2, 1),))
         assert {type(m.q), *map(type, m.rows[0])} == {int}
 
+    def test_hash_is_taken_once_and_a_second_decode_hits_the_plan_cache(self):
+        from asymcodes import linearq
+
+        H = MatrixModZq(5, LEE_5_2_PARTIAL_ROWS, "parity")
+        again = MatrixModZq(5, tuple(map(list, LEE_5_2_PARTIAL_ROWS)), "parity")
+        assert again == H and again is not H and hash(again) == hash(H)
+        # the rows are hashed when the matrix is made, not at each lookup
+        spoiled = MatrixModZq(5, LEE_5_2_PARTIAL_ROWS, "parity")
+        object.__setattr__(spoiled, "rows", None)
+        assert hash(spoiled) == hash(H)
+        linearq._syndrome_plan.cache_clear()
+        word = (0,) * 2 * H.ncols
+        assert decode_concat(H, word) == word
+        assert linearq._syndrome_plan.cache_info().hits == 0
+        assert decode_concat(again, word) == word
+        assert linearq._syndrome_plan.cache_info().hits == 1
+
     def test_text_round_trip(self):
         m = MatrixModZq(5, ((1, 2, 3), (0, 4, 1)), "parity")
         again = MatrixModZq.from_text(m.to_text())

@@ -172,14 +172,13 @@ class TestMinDistanceKernel:
     def test_stop_at(self, block, c, stop_at):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(words_mod, "_PAIR_BLOCK", block)
-            got = min_asym_distance(c, stop_at=stop_at)
             d, i, j = words_mod._min_asym_pair(c, stop_at=stop_at)
         true = brute_min(c)
         if true <= stop_at:
-            assert got <= stop_at
+            assert d <= stop_at
         else:
-            assert got == true
-        assert got == d == asym_distance(c.words[i], c.words[j])
+            assert d == true
+        assert d == asym_distance(c.words[i], c.words[j])
 
     def test_wide_lee_profile_needs_two_columns(self):
         # [20,18]_5 Lee profile: 80 thermometer bits, two uint64 columns
@@ -721,6 +720,31 @@ class TestLimitedMagnitude:
                     d, i, j = words_mod._lm_pair(c, t, ell, wrap)
                     assert i < j and dist[(i, j)] == d
                     assert d <= t if not ok else d == min(dist.values())
+
+    @pytest.mark.parametrize("block", [words_mod._PAIR_BLOCK, 5])
+    def test_lm_pair_names_the_first_closest_pair_on_yes(self, block):
+        # on a "yes" every pair is compared, and only a strictly closer pair
+        # replaces the best: the pair is the first closest one in (i, j) order
+        import random
+
+        rng = random.Random(17)
+        yes = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words_mod, "_PAIR_BLOCK", block)
+            for _ in range(300):
+                q, n, ell = rng.randrange(2, 6), rng.randrange(1, 5), rng.choice([1, 2])
+                pool = list(itertools.product(range(q), repeat=n))
+                rows = rng.sample(pool, rng.randrange(2, min(len(pool), 10) + 1))
+                c = CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows)
+                first = min(
+                    (d_ell_distance(c.words[i], c.words[j], ell), i, j)
+                    for i, j in itertools.combinations(range(len(c)), 2)
+                )
+                if first[0] < 2:
+                    continue
+                yes += 1
+                assert words_mod._lm_pair(c, rng.randrange(1, first[0]), ell) == first
+        assert yes > 20
 
     def test_lm_pair_spans_row_blocks(self):
         # even symbols of Z5 are pairwise more than ell = 1 apart; the 729
