@@ -249,11 +249,16 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code = _read_code(args.infile)
     detail = {"model": args.model, "t": args.t}
+    ell = 1 if args.l is None else args.l
     if args.model == "limited":
-        detail.update(l=args.l, wrap=args.wrap)
-    witness = _witness(code, args.model, args.t, args.l, args.wrap)
+        detail.update(l=ell, wrap=args.wrap)
+    elif args.l is not None or args.wrap:
+        print(f"error: --l and --wrap apply only to --model limited, not {args.model}",
+              file=sys.stderr)
+        return USAGE
+    code = _read_code(args.infile)
+    witness = _witness(code, args.model, args.t, ell, args.wrap)
     ok = witness is None
     results = {"size": len(code), "n": code.n, "verified": ok}
     if witness:
@@ -445,8 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "distance; ball: disjoint radius-t error balls on the "
                         "decrement chain")
     v.add_argument("--t", type=integer, required=True)
-    v.add_argument("--l", type=integer, default=1)
-    v.add_argument("--wrap", action="store_true")
+    v.add_argument("--l", type=integer, default=None,
+                   help="--model limited only: largest error magnitude (default 1)")
+    v.add_argument("--wrap", action="store_true",
+                   help="--model limited only: errors wrap around modulo q")
     v.add_argument("--json", default=None)
     v.set_defaults(func=_cmd_verify)
 

@@ -86,6 +86,7 @@ class AbelianGroup:
 def best_cr_group(n: int) -> AbelianGroup:
     """The order-(n+1) group, elementary abelian per prime, that maximizes
     the size of the zero-sum checksum code of length n."""
+    n = _integer(n, "length")
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n + 1
@@ -111,12 +112,16 @@ def cr_code(
 
     g_i runs over the non-identity elements of G in lexicographic order,
     so n = |G| - 1.  For q > 2 every non-identity element must have order
-    at least q; groups violating that are rejected.
+    at least q; groups violating that are rejected.  The code is listed by
+    meet in the middle: every word of the first n // 2 coordinates joins
+    the words of the other ceil(n / 2) whose weighted sum completes it to
+    g, so only the two half-tables and the code itself are allocated, each
+    checked against the enumeration cap first.
     """
-    if g is None:
-        g = G.identity
+    g = G.identity if g is None else tuple(_integer(x, "target component") for x in g)
     if not G.contains(g):
         raise ValueError(f"target {g} is not an element of {G}")
+    q = _integer(q, "q")
     if q < 2:
         raise ValueError("q must be >= 2")
     coeffs = G.nonidentity_elements
@@ -128,21 +133,43 @@ def cr_code(
                 f"group {G} has elements of order < q={q} (e.g. {low[0]}); "
                 "the nonbinary construction requires order >= q"
             )
-    check_cap(q**n, f"q^n = {q}^{n} words")
+    label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
+    h = n // 2
+    check_cap(q ** (n - h), f"half-words q^{n - h} = {q}^{n - h}")
 
-    # every word of length n, in lex order
-    digits = np.indices((q,) * n, dtype=np.min_scalar_type(q - 1)).reshape(n, q**n).T
-    mask = np.ones(q**n, dtype=bool)
+    # every prefix (length h) and suffix (length n - h), each in lex order
+    prefixes, suffixes = (
+        np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, q**k).T
+        for k in (h, n - h)
+    )
+    # a suffix's weighted sum, and the sum a prefix needs from its suffix,
+    # as mixed-radix indices of group elements
+    have = np.zeros(len(suffixes), dtype=np.int64)
+    need = np.zeros(len(prefixes), dtype=np.int64)
     for j, d in enumerate(G.factors):
         comp = np.array([e[j] for e in coeffs], dtype=np.int64)
-        sums = (digits @ comp) % d
-        mask &= sums == g[j]
-    label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
-    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), digits[mask], name=label)
+        have = have * d + (suffixes @ comp[h:]) % d
+        need = need * d + (g[j] - prefixes @ comp[:h]) % d
+    # suffixes grouped by sum, lex order kept within each group
+    order = np.argsort(have, kind="stable")
+    bucket = np.bincount(have, minlength=G.order)
+    counts = bucket[need]
+    size = int(counts.sum())
+    check_cap(size, f"checksum code {label}")
+
+    # prefix i, then each suffix of its bucket: the code in lex order.
+    # Codeword r's suffix sits as far into its bucket as r sits into its
+    # prefix's run of codewords.
+    shift = (np.cumsum(bucket) - bucket)[need] - (np.cumsum(counts) - counts)
+    owner = np.repeat(np.arange(len(prefixes)), counts)
+    picked = order[np.arange(size) + shift[owner]]
+    rows = np.concatenate([prefixes[owner], suffixes[picked]], axis=1)
+    return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=label)
 
 
 def vt_code(n: int, g: int = 0, q: int = 2) -> CodeBook:
     """Cyclic-group checksum code: sum of i * x_i = g mod n+1, coefficients 1..n."""
+    n, g = _integer(n, "length"), _integer(g, "target")
     if not 0 <= g <= n:
         raise ValueError("g must satisfy 0 <= g <= n")
     return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, name=f"vt-{n}-g{g}-q{q}")

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +58,12 @@ class TestBestGroup:
     def test_order(self):
         for n in range(1, 40):
             assert best_cr_group(n).order == n + 1
+
+    def test_length_follows_the_integer_rule(self):
+        # the error names the length given, not the group order n + 1
+        with pytest.raises(ValueError, match=r"^length 6\.0 is not an integer$"):
+            best_cr_group(6.0)
+        assert best_cr_group(np.int64(8)) == best_cr_group(8)
 
 
 class TestCrCode:
@@ -117,12 +127,141 @@ class TestCrCode:
 
 
     def test_the_one_cap_bounds_the_enumeration(self, monkeypatch):
-        # vt_code(6) lists all 2^6 = 64 words before it keeps the checksum class
-        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 63)
-        with pytest.raises(EnumerationCapExceeded, match="64 exceeds enumeration cap 63"):
+        # vt_code(6) lists the 2^3 = 8 words of the larger half, then joins
+        # them into the 10 codewords; the cap bounds both before listing
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 9)
+        with pytest.raises(EnumerationCapExceeded,
+                           match="checksum code vt-6-g0-q2: 10 exceeds enumeration cap 9"):
             vt_code(6)
-        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 64)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10)
         assert len(vt_code(6)) == 10
+
+    def test_a_cap_below_the_half_table_refuses_before_listing(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("a half-table was listed")
+
+        monkeypatch.setattr(np, "indices", listed)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 7)
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"half-words q\^3 = 2\^3: 8 exceeds enumeration cap 7"):
+            vt_code(6)
+        # under the default cap, q^30 half-words are refused at once
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
+        with pytest.raises(EnumerationCapExceeded, match=r"2\^30: 1073741824 exceeds"):
+            vt_code(60)
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda: cr_code(AbelianGroup.cyclic(7), (1.5,)), "target component 1.5"),
+        (lambda: cr_code(AbelianGroup((3, 3)), (0, 2.0)), "target component 2.0"),
+        (lambda: cr_code(AbelianGroup.cyclic(7), q=2.0), "q 2.0"),
+        (lambda: vt_code(6, 1.0), "target 1.0"),
+        (lambda: vt_code(6.0), "length 6.0"),
+        (lambda: vt_code(6, q=3.0), "q 3.0"),
+    ], ids=["cr-target", "cr-product-target", "cr-q", "vt-target", "vt-length", "vt-q"])
+    def test_numbers_follow_the_integer_rule(self, call, value):
+        with pytest.raises(ValueError, match=rf"^{re.escape(value)} is not an integer$"):
+            call()
+
+    def test_integer_targets_read_as_their_value(self):
+        # operator.index reads True as 1, as at every other integer boundary
+        G = AbelianGroup.cyclic(7)
+        c = cr_code(G, (True,), q=np.int64(3))
+        assert c == cr_code(G, (1,), q=3) and c.name == "cr-7-g1-q3"
+        assert cr_code(G, (np.uint8(1),)).name == "cr-7-g1-q2"
+        assert vt_code(np.int64(6), np.int32(1)).name == "vt-6-g1-q2"
+
+
+def _brute_force_cr(G: AbelianGroup, q: int):
+    """Every word of {0..q-1}^n in lex order, and its weighted sum in each
+    factor of G, from the definition."""
+    coeffs = G.nonidentity_elements
+    n = len(coeffs)
+    digits = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.uint8)
+    sums = [
+        sum(digits[:, i].astype(np.int64) * e[j] for i, e in enumerate(coeffs)) % d
+        for j, d in enumerate(G.factors)
+    ]
+    return digits, sums
+
+
+_REFERENCE_GROUPS = [(m,) for m in range(2, 19)] + [
+    (2, 2), (2, 2, 2), (3, 3), (2, 3), (2, 2, 3), (4, 4), (2, 4), (2, 2, 2, 2),
+    (2, 6), (2, 8), (2, 2, 4), (3, 5), (3, 6), (5, 3),
+]
+
+
+class TestCrCodeReference:
+    @pytest.mark.parametrize("factors", _REFERENCE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_equals_the_whole_space_filter(self, factors):
+        G = AbelianGroup(factors)
+        n = G.order - 1
+        for q in (2, 3, 4):
+            if q**n > 2 * 10**5:
+                continue
+            if any(G.element_order(e) < q for e in G.nonidentity_elements):
+                with pytest.raises(ValueError, match=rf"group {G} has elements of order < q={q}"):
+                    cr_code(G, q=q)
+                continue
+            digits, sums = _brute_force_cr(G, q)
+            for g in itertools.product(*map(range, factors)):
+                keep = np.logical_and.reduce([s == x for s, x in zip(sums, g)])
+                c = cr_code(G, g, q)
+                assert np.array_equal(c.matrix(), digits[keep]), (factors, q, g)
+                assert c.name == f"cr-{G}-g{''.join(map(str, g))}-q{q}"
+
+    def test_reference_cases_cover_every_q_and_both_parities(self):
+        # a group of even order has an element of order 2 (Cauchy), so
+        # q > 2 occurs only at even lengths
+        covered = {
+            (q, (G.order - 1) % 2)
+            for G in map(AbelianGroup, _REFERENCE_GROUPS)
+            for q in (2, 3, 4)
+            if q ** (G.order - 1) <= 2 * 10**5
+            and all(G.element_order(e) >= q for e in G.nonidentity_elements)
+        }
+        assert covered == {(2, 0), (2, 1), (3, 0), (4, 0)}
+
+
+def _zero_sum_count(G: AbelianGroup, q: int = 2) -> int:
+    """Words of {0..q-1}^n with weighted sum the identity, by a DP over the
+    coordinates on the counts per group element: O(n * |G| * q)."""
+    counts = {G.identity: 1}
+    for e in G.nonidentity_elements:
+        step = {}
+        for s, k in counts.items():
+            x = s
+            for _ in range(q):
+                step[x] = step.get(x, 0) + k
+                x = G.add(x, e)
+        counts = step
+    return counts.get(G.identity, 0)
+
+
+class TestCrSizesPastThePaper:
+    @pytest.mark.parametrize("n, size", [(17, 7296), (18, 13798), (19, 26216), (20, 49940)])
+    def test_sizes_match_the_group_dp(self, n, size):
+        G = best_cr_group(n)
+        assert _zero_sum_count(G) == size
+        assert len(cr_code(G)) == size
+
+    def test_the_dp_matches_small_codes(self):
+        for n in range(1, 13):
+            G = best_cr_group(n)
+            assert _zero_sum_count(G) == len(cr_code(G)), n
+        assert _zero_sum_count(AbelianGroup.cyclic(7), 3) == len(cr_code(AbelianGroup.cyclic(7), q=3))
+
+    def test_n18_allocates_the_half_tables_and_the_code_only(self):
+        # listing all 2^18 words at once traces about 43 MiB
+        G = best_cr_group(18)
+        G.nonidentity_elements
+        tracemalloc.start()
+        try:
+            c = cr_code(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 13798
+        assert peak < 4 * 2**20
 
 
 class TestPairing:

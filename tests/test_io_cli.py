@@ -397,6 +397,35 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == "error: ell must be >= 1\n"
 
+    @pytest.mark.parametrize("model", ["asym", "ball"])
+    @pytest.mark.parametrize("flags", [["--l", "3"], ["--wrap"], ["--l", "1", "--wrap"]])
+    def test_verify_refuses_limited_flags_on_other_models(self, tmp_path, capsys, model, flags):
+        f = tmp_path / "c.code"
+        f.write_text("q=5 n=2\n00\n22\n44\n")
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--in", str(f), "--model", model, "--t", "1", *flags,
+                     "--json", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --l and --wrap apply only to --model limited, not {model}\n"
+        )
+        assert not rep.exists()
+
+    def test_verify_limited_defaults_ell_to_one_in_its_report(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=5 n=2\n00\n22\n44\n")
+        reports = []
+        for i, flags in enumerate([[], ["--l", "1"]]):
+            rep = tmp_path / f"v{i}.json"
+            assert main(["verify", "--in", str(f), "--model", "limited", "--t", "1",
+                         *flags, "--json", str(rep)]) == 0
+            reports.append(rep.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["parameters"] == {
+            "in": str(f), "model": "limited", "t": 1, "l": 1, "wrap": False,
+        }
+
     def test_search_cyclic_rejects_out1(self, tmp_path, capsys):
         out, out1 = tmp_path / "c.code", tmp_path / "d.code"
         assert main(["search", "cyclic", "--m", "3", "--out", str(out),
