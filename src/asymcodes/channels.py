@@ -368,7 +368,7 @@ def ball_overlap(
     holders = np.logical_and.reduce([index == w for index, w in zip(limbs, word)])
     x, y = np.sort(owner[holders])[:2]
     received = _symbols_of([np.array([w]) for w in word], c.alphabet.sizes)[0]
-    return BallOverlap(Word(received.tolist(), c.alphabet), c.words[x], c.words[y])
+    return BallOverlap(Word(received.tolist(), c.alphabet), c.word(x), c.word(y))
 
 
 def corrects_t_errors(

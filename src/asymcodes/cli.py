@@ -148,7 +148,7 @@ def _witness(c: CodeBook, model: str, t: int, ell: int = 1, wrap: bool = False) 
     if pair is None:
         return None
     d, i, j = pair
-    x, y = str(c.words[i]), str(c.words[j])
+    x, y = str(c.word(i)), str(c.word(j))
     print(f"witness: {x} and {y} at {metric} distance {d}", file=sys.stderr)
     return {"x": x, "y": y, "distance": d}
 

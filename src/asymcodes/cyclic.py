@@ -86,18 +86,30 @@ def orbit_of(w: tuple[int, ...]) -> Orbit:
 
 def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
     """All rotation classes of ternary length-m words, representatives in
-    lexicographic order."""
+    lexicographic order, members in lexicographic order within each.
+
+    Words are their base-3 indices, which sort as the words do.  Turning
+    index i left by one place is (i mod 3^(m-1)) * 3 + i // 3^(m-1); a
+    word's representative is the least of its m turns, so numbering the
+    distinct representatives numbers the orbits in their order."""
     if m < 1:
         raise ValueError("orbit enumeration needs m >= 1")
     check_cap(3**m, f"3^{m} words")
-    reps = []
-    seen = set()
-    for v in range(3**m):
-        word = tuple((v // 3 ** (m - 1 - i)) % 3 for i in range(m))
-        if word not in seen:
-            reps.append(orbit_of(word))
-            seen.update(reps[-1].members)
-    return tuple(reps)
+    top = 3 ** (m - 1)
+    turned = np.arange(3**m, dtype=np.int64)
+    rep = turned.copy()
+    for _ in range(m - 1):
+        turned = turned % top * 3 + turned // top
+        np.minimum(rep, turned, out=rep)
+    _, orbit = np.unique(rep, return_inverse=True)
+    index = np.argsort(orbit, kind="stable")  # by orbit, then by word
+    digits = np.empty((len(index), m), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        index, digits[:, i] = np.divmod(index, 3)
+    words = list(map(tuple, digits.tolist()))
+    ends = np.cumsum(np.bincount(orbit)).tolist()
+    return tuple(Orbit(words[start], tuple(words[start:end]))
+                 for start, end in zip([0] + ends[:-1], ends))
 
 
 def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -154,15 +166,20 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
 def _incidence(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
     """(word, vertex) pairs of the rows' radius-1 balls on the image channel
     of `sizes`, sorted by word, then vertex: row k belongs to vertex[k], and
-    words are numbered from 0.  The balls come from the one ball enumerator,
-    `channels._balls`, which checks their size against the cap first."""
-    holder, limbs = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
-    holder = vertex[holder]  # the vertex whose ball lists each entry
-    order = np.lexsort([holder, *limbs[::-1]])
-    fresh = np.zeros(len(order), dtype=bool)
-    for index in limbs:
-        fresh[1:] |= np.diff(index[order]) != 0
-    return np.cumsum(fresh), holder[order]
+    a word is named by its mixed-radix index.  The balls come from the one
+    ball enumerator, `channels._balls`, which checks their size against the
+    cap first.  One sort of the packed key index * V + vertex orders them."""
+    V = int(vertex.max()) + 1
+    # The search graphs own all 3^m (split: 2 * 3^m) words, so V is at most
+    # that many and the key stays below (2 * 3^m)^2, under 2^63 up to
+    # m = 19; the cap (10^6 ball words by default) refuses such listings
+    # long before.  The word index is then one int64 limb too.
+    if math.prod(sizes) * V >= 2**63:
+        raise OverflowError(f"{V} vertices on {math.prod(sizes)} words overflow the int64 key")
+    holder, (index,) = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
+    key = index * V + vertex[holder]
+    key.sort()
+    return np.divmod(key, V)
 
 
 def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
@@ -259,19 +276,20 @@ def _relabel_rows(masks: list[int], order: list[int]) -> list[int]:
 
 
 def _tail_steps(w: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """For weights w in non-increasing order: per position p, the
-    (start, step) pair of each weight class that starts after p, where
-    step = w[start] - w[start - 1] is negative.
+    """For weights w in non-decreasing order: per position p, the
+    (mask, step) pair of each weight class below p's, heaviest first, where
+    mask = (1 << s) - 1 holds the positions below the class's first, s, and
+    step = w[s - 1] - w[s] is negative.
 
-    The weight of a candidate mask whose lowest bit is low is then
-    w[low] per candidate plus, for each (start, step) in tails[low], step
-    times the candidates from start on; the walk can stop at the first
-    class past the highest candidate.  Every step is negative, so every
-    partial sum bounds the total from above."""
+    The weight of a candidate mask whose highest bit is top is then w[top]
+    per candidate plus, for each (mask, step) in tails[top], step times the
+    candidates in mask; the walk can stop at the first mask that holds no
+    candidate.  Every step is negative, so every partial sum bounds the
+    total from above."""
     tails = [()] * len(w)
-    for p in range(len(w) - 2, -1, -1):
-        step = w[p + 1] - w[p]
-        tails[p] = ((p + 1, step),) + tails[p + 1] if step else tails[p + 1]
+    for p in range(1, len(w)):
+        step = w[p - 1] - w[p]
+        tails[p] = (((1 << p) - 1, step),) + tails[p - 1] if step else tails[p - 1]
     return tails
 
 
@@ -292,27 +310,29 @@ def _max_weight_clique(
     based; seeding with a known clique keeps budget-exhausted results at
     least that good.
 
-    Internally bit p stands for the p-th vertex in branch order
+    Internally the p-th vertex in branch order is bit V - 1 - p
     (`_relabel_rows` moves the adjacency there in one pass), so a node's
-    candidates are walked from the lowest set bit up, and the bound (the
-    candidates' total weight, walked as `_tail_steps` describes) needs one
-    popcount per weight class from the lowest candidate's class to the
-    highest's.  A parent bounds each child before it recurses: a child is
-    counted as a node where it is made, and one that fails its bound, or
-    has no candidates, is settled there without a call.  The walk stops at
-    the first partial sum below what the child needs, which prunes the
-    same children as the full sum.  Masks go back to the caller's labels
-    only on return.
+    next candidate is its highest set bit, one `bit_length`, and is dropped
+    with one mask of the bits below it.  The bound (the candidates' total
+    weight, walked as `_tail_steps` describes) needs one popcount per
+    weight class from the heaviest candidate's class down to the lightest's.
+    A parent bounds each child before it recurses: a child is counted as a
+    node where it is made, and one that fails its bound, or has no
+    candidates, is settled there without a call.  The walk stops at the
+    first partial sum below what the child needs, which prunes the same
+    children as the full sum.  Masks go back to the caller's labels only
+    on return.
     """
     V = len(weights)
-    order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
+    order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))[::-1]
     rank = [0] * V
-    for p, v in enumerate(order):
-        rank[v] = p
+    for b, v in enumerate(order):
+        rank[v] = b
     w = [weights[v] for v in order]
     nbr = _relabel_rows(adj, order)
     sorted_keys = [keys[v] for v in order]
     tails = _tail_steps(w)
+    below = [(1 << b) - 1 for b in range(V)]
 
     best_w, best_mask, best_key = -1, 0, None
     nodes = 0
@@ -334,8 +354,7 @@ def _max_weight_clique(
         it tries every vertex and is not considered."""
         nonlocal nodes, exhausted
         while cand:
-            low = cand & -cand
-            p = low.bit_length() - 1
+            p = cand.bit_length() - 1
             nodes += 1
             if nodes > node_budget:
                 exhausted = True
@@ -345,22 +364,22 @@ def _max_weight_clique(
             if child:
                 # the child's weight, walked while it can still reach best_w
                 need = best_w - child_w
-                q = (child & -child).bit_length() - 1
-                bound = w[q] * child.bit_count()
-                for start, step in tails[q]:
+                top = child.bit_length() - 1
+                bound = w[top] * child.bit_count()
+                for mask, step in tails[top]:
                     if bound < need:
                         break
-                    rest = child >> start
+                    rest = child & mask
                     if not rest:
                         break
                     bound += step * rest.bit_count()
                 if bound >= need:
-                    branch(child, child_w, cur_mask | low, bound)
+                    branch(child, child_w, cur_mask | 1 << p, bound)
                     if exhausted:
                         return
             elif child_w >= best_w:
-                consider(child_w, cur_mask | low)
-            cand ^= low
+                consider(child_w, cur_mask | 1 << p)
+            cand &= below[p]
             if remaining is not None:
                 remaining -= w[p]
                 if cand and cur_w + remaining < best_w:

@@ -11,6 +11,7 @@ condition, nonbinary symbols.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -118,7 +119,12 @@ def cr_code(
     g, so only the two half-tables and the code itself are allocated, each
     checked against the enumeration cap first.
     """
-    g = G.identity if g is None else tuple(_integer(x, "target component") for x in g)
+    if g is None:
+        g = G.identity
+    elif not isinstance(g, Iterable):
+        raise ValueError(f"target {g!r} is not a tuple of group components")
+    else:
+        g = tuple(_integer(x, "target component") for x in g)
     if not G.contains(g):
         raise ValueError(f"target {g} is not an element of {G}")
     q = _integer(q, "q")

@@ -324,6 +324,10 @@ class CodeBook:
     def words(self) -> tuple[Word, ...]:
         return tuple(_trusted_word(r, self.alphabet) for r in self.symbol_rows)
 
+    def word(self, i: int) -> Word:
+        """The i-th codeword in lex order, built alone: `words` builds all."""
+        return _trusted_word(tuple(self._symbol_array[i].tolist()), self.alphabet)
+
     def matrix(self) -> np.ndarray:
         """Codewords as a fresh int64 array, one row per word, lex order."""
         return self._symbol_array.astype(np.int64)

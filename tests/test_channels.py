@@ -14,6 +14,7 @@ from asymcodes import (
     ProductChannel,
     Word,
     ball_overlap,
+    construct_extended,
     corrects_t_errors,
     decode_asymmetric,
     error_ball,
@@ -23,7 +24,7 @@ from asymcodes import (
     simulate_channel,
     vt_code,
 )
-from asymcodes import channels, words
+from asymcodes import channels, cyclic, words
 from asymcodes.words import AlphabetMismatch, DecodingError, EnumerationCapExceeded
 
 from conftest import book_from_strings
@@ -322,6 +323,20 @@ class TestBallOverlap:
         got = ball_overlap(c, ch, 1)
         assert [str(w) for w in got] == ["0000", "0000", "0100"]
         assert (got.received, got.x, got.y) == tuple(got)
+
+    def test_no_builds_only_its_witness_words(self):
+        # the split m=7 image (2 144 words of length 15) and its last word
+        # with its first 1 dropped: a "no" makes no Word of the other words
+        part0, part1 = cyclic.builtin_table_generators(7, extended=True)
+        image = construct_extended(part0, part1)
+        rows = image.matrix()
+        x = rows[-1].copy()
+        x[np.flatnonzero(x)[0]] = 0
+        c = CodeBook.from_symbols(image.alphabet, np.vstack([rows, x]))
+        got = ball_overlap(c, ProductChannel.power(make_channel("Z", 2), 15), 1)
+        assert "words" not in vars(c)
+        assert [str(w) for w in got] == ["001111111101001", "001111111111001", "011111111101001"]
+        assert got.x == Word(tuple(map(int, "001111111111001")), c.alphabet)
 
     def test_long_binary_words(self):
         # 70 bits: the word index takes two int64 limbs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from asymcodes.cyclic import (
     BUILTIN_PLAIN,
     _ball1,
     _greedy,
+    _incidence,
     _max_weight_clique,
     _relabel,
     _relabel_rows,
@@ -70,6 +72,18 @@ class TestOrbits:
     def test_representatives_sorted(self):
         reps = [o.representative for o in enumerate_orbits(5)]
         assert reps == sorted(reps)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_the_word_by_word_loop(self, m):
+        # the orbits as first listed: every word in lex order, a new orbit
+        # at each word no earlier orbit holds
+        expected, seen = [], set()
+        for v in range(3**m):
+            word = tuple((v // 3 ** (m - 1 - i)) % 3 for i in range(m))
+            if word not in seen:
+                expected.append(orbit_of(word))
+                seen.update(expected[-1].members)
+        assert enumerate_orbits(m) == tuple(expected)
 
 
 class TestCompatibility:
@@ -363,6 +377,20 @@ def permutation_cases(draw):
     return masks, order
 
 
+# SHA-256 of each search graph: its representatives, one byte per trit,
+# then its adjacency masks, (V + 7) // 8 little-endian bytes each
+GRAPH_DIGESTS = {
+    (6, False): "f672264352da264de3da5453a045f9846c67295fb174b2c2bf0ecd381e2d8ac1",
+    (7, False): "035dad7df6b8d70d5deedaa662732e324a47f997cbd14429d4c28c8902f25814",
+    (8, False): "380c018473c42ede1793eca94fb33417a529559f7f7b783ae68a3e9fdca4d0cb",
+    (9, False): "e5f66f39e302b9674fa48e8ae83e8237ae915f0f3e408e5977235b3810723c99",
+    (5, True): "f97c0a7bb9614c993a04edf542760265ae56e7bc97b14fd7d9007dc10f5b47ad",
+    (6, True): "ba36e3b7749b4b8525517df77c4aa9152b3d4427177876213c3d3e555dda347b",
+    (7, True): "2f16aba317fa33cd0e34225aa58be904ca348a9cad6e9ef9edbf26d46831e40e",
+    (8, True): "bf2648b473ee392d8dceef28725eee268be4535f0f6e5f57d66b2da58dac87fc",
+}
+
+
 class TestCliqueEngine:
     @given(tie_prone_graphs(), st.integers(1, 40), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -481,6 +509,26 @@ class TestCliqueEngine:
             assert bool(ext[2 * i] >> (2 * j + 1) & 1) == cross
             assert bool(ext[2 * j + 1] >> (2 * i) & 1) == cross
         assert all(e >> (2 * V) == 0 for e in ext)
+
+    @pytest.mark.parametrize("m, split", sorted(GRAPH_DIGESTS))
+    def test_graph_bytes_pinned(self, m, split):
+        # the set-based reference is too slow past m = 6 (plain) and 5
+        # (split); these digests are of the graphs the lexsort-based
+        # builder gave, so every later builder must give them byte for byte
+        orbits, adj = _search_graph(m, split)
+        digest = hashlib.sha256()
+        for o in orbits:
+            digest.update(bytes(o.representative))
+        width = (len(adj) + 7) // 8
+        for a in adj:
+            digest.update(a.to_bytes(width, "little"))
+        assert digest.hexdigest() == GRAPH_DIGESTS[m, split]
+
+    def test_incidence_key_refuses_to_overflow(self):
+        # word index * V + vertex must fit in int64; checked before listing
+        rows, vertex = np.zeros((1, 3), dtype=np.int64), np.array([2**62])
+        with pytest.raises(OverflowError, match="overflow the int64 key"):
+            _incidence(rows, vertex, (3, 3, 3))
 
     def test_budget_exhausted_results_pinned(self):
         # 5 units of node budget are 250 000 nodes; the node that runs out

@@ -121,6 +121,12 @@ class TestCrCode:
         with pytest.raises(ValueError):
             cr_code(AbelianGroup.cyclic(7), (9,))
 
+    def test_plain_integer_target_is_named(self):
+        # a target is a tuple of components, even in a cyclic group
+        with pytest.raises(ValueError, match=r"^target 3 is not a tuple of group components$"):
+            cr_code(AbelianGroup.cyclic(7), 3)
+        assert cr_code(AbelianGroup.cyclic(7), (3,)) == cr_code(AbelianGroup.cyclic(7), [3])
+
     def test_nonbinary_vt_is_one_code(self):
         c = vt_code(6, 0, q=3)
         assert is_t_code(c, 1)
