@@ -103,10 +103,11 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
         np.minimum(rep, turned, out=rep)
     _, orbit = np.unique(rep, return_inverse=True)
     index = np.argsort(orbit, kind="stable")  # by orbit, then by word
-    digits = np.empty((len(index), m), dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        index, digits[:, i] = np.divmod(index, 3)
-    words = list(map(tuple, digits.tolist()))
+    digits = []  # the last digit first
+    for _ in range(m):
+        index, digit = np.divmod(index, 3)
+        digits.append(digit.tolist())
+    words = list(zip(*digits[::-1]))
     ends = np.cumsum(np.bincount(orbit)).tolist()
     return tuple(Orbit(words[start], tuple(words[start:end]))
                  for start, end in zip([0] + ends[:-1], ends))
@@ -176,10 +177,15 @@ def _incidence(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
     # long before.  The word index is then one int64 limb too.
     if math.prod(sizes) * V >= 2**63:
         raise OverflowError(f"{V} vertices on {math.prod(sizes)} words overflow the int64 key")
-    holder, (index,) = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
-    key = index * V + vertex[holder]
+    holder, (key,) = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
+    # in place, so that at most three listing-sized arrays are alive
+    key *= V
+    key += vertex[holder]
+    del holder
     key.sort()
-    return np.divmod(key, V)
+    word = key // V
+    key %= V  # now the vertex
+    return word, key
 
 
 def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
