@@ -336,7 +336,6 @@ class TestBallOverlap:
         got = ball_overlap(c, ProductChannel.power(make_channel("Z", 2), 15), 1)
         assert "words" not in vars(c)
         assert [str(w) for w in got] == ["001111111101001", "001111111111001", "011111111101001"]
-        assert got.x == Word(tuple(map(int, "001111111111001")), c.alphabet)
 
     def test_long_binary_words(self):
         # 70 bits: the word index takes two int64 limbs
