@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import _balls
 from .ternary import image_channel
-from .words import AlphabetSpec, CodeBook, _integer, check_cap
+from .words import AlphabetSpec, CodeBook, _integer, _lex_words
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
@@ -84,9 +84,9 @@ def orbit_of(w: tuple[int, ...]) -> Orbit:
     return Orbit(members[0], members)
 
 
-def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
-    """All rotation classes of ternary length-m words, representatives in
-    lexicographic order, members in lexicographic order within each.
+def _orbit_rows(m: int) -> tuple[np.ndarray, list[int]]:
+    """The rows of `_lex_words(3, m)` grouped by rotation orbit, and each
+    orbit's end: orbits by representative, members in lex order within each.
 
     Words are their base-3 indices, which sort as the words do.  Turning
     index i left by one place is (i mod 3^(m-1)) * 3 + i // 3^(m-1); a
@@ -94,7 +94,7 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
     distinct representatives numbers the orbits in their order."""
     if m < 1:
         raise ValueError("orbit enumeration needs m >= 1")
-    check_cap(3**m, f"3^{m} words")
+    words = _lex_words(3, m, f"3^{m} words")
     top = 3 ** (m - 1)
     turned = np.arange(3**m, dtype=np.int64)
     rep = turned.copy()
@@ -103,14 +103,15 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
         np.minimum(rep, turned, out=rep)
     _, orbit = np.unique(rep, return_inverse=True)
     index = np.argsort(orbit, kind="stable")  # by orbit, then by word
-    digits = []  # the last digit first
-    for _ in range(m):
-        index, digit = np.divmod(index, 3)
-        digits.append(digit.tolist())
-    words = list(zip(*digits[::-1]))
-    ends = np.cumsum(np.bincount(orbit)).tolist()
-    return tuple(Orbit(words[start], tuple(words[start:end]))
-                 for start, end in zip([0] + ends[:-1], ends))
+    return words[index], np.cumsum(np.bincount(orbit)).tolist()
+
+
+def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
+    """All rotation classes of ternary length-m words, representatives in
+    lexicographic order, members in lexicographic order within each."""
+    rows, ends = _orbit_rows(m)
+    words = list(zip(*rows.T.tolist()))
+    return tuple(Orbit(words[s], tuple(words[s:e])) for s, e in zip([0] + ends[:-1], ends))
 
 
 def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -215,12 +216,6 @@ def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]
     return keep, tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
 
 
-def _member_rows(orbits) -> tuple[np.ndarray, np.ndarray]:
-    """Every orbit's members as rows, and the orbit index of each row."""
-    rows = np.array([w for o in orbits for w in o.members], dtype=np.int64)
-    return rows, np.repeat(np.arange(len(orbits)), [o.size for o in orbits])
-
-
 @lru_cache(maxsize=8)
 def _search_graph(m: int, split: bool):
     """The self-compatible orbits and, per vertex, the bitmask of the
@@ -233,7 +228,8 @@ def _search_graph(m: int, split: bool):
     kept, or neither is.
     """
     orbits = enumerate_orbits(m)
-    rows, vertex = _member_rows(orbits)
+    rows, ends = _orbit_rows(m)
+    vertex = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     sizes = (3,) * m
     if split:
         rows = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in (0, 1)])

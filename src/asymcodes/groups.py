@@ -19,7 +19,7 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import AlphabetSpec, CodeBook, _integer, check_cap
+from .words import AlphabetSpec, CodeBook, _integer, _lex_words, check_cap
 
 GroupElement = tuple[int, ...]
 
@@ -130,8 +130,12 @@ def cr_code(
     q = _integer(q, "q")
     if q < 2:
         raise ValueError("q must be >= 2")
+    n = G.order - 1
+    label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
+    h = n // 2
+    # every suffix (length n - h) and prefix (length h) in lex order, larger first
+    suffixes, prefixes = (_lex_words(q, k, f"half-words q^{k} = {q}^{k}") for k in (n - h, h))
     coeffs = G.nonidentity_elements
-    n = len(coeffs)
     if q > 2:
         low = [e for e in coeffs if G.element_order(e) < q]
         if low:
@@ -139,15 +143,6 @@ def cr_code(
                 f"group {G} has elements of order < q={q} (e.g. {low[0]}); "
                 "the nonbinary construction requires order >= q"
             )
-    label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
-    h = n // 2
-    check_cap(q ** (n - h), f"half-words q^{n - h} = {q}^{n - h}")
-
-    # every prefix (length h) and suffix (length n - h), each in lex order
-    prefixes, suffixes = (
-        np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, q**k).T
-        for k in (h, n - h)
-    )
     # a suffix's weighted sum, and the sum a prefix needs from its suffix,
     # as mixed-radix indices of group elements
     have = np.zeros(len(suffixes), dtype=np.int64)

@@ -11,7 +11,6 @@ dropping that coordinate gives the odd-length [2m-1, m+k-1]_q variant.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .words import (
     _check_symbols,
     _index_symbols,
     _integer,
-    check_cap,
+    _lex_words,
     weight_enumerator,
 )
 
@@ -98,7 +97,7 @@ class MatrixModZq:
         except ValueError as e:
             raise ValueError(f"bad matrix header {lines[0]!r}") from e
         rows = []
-        for ln in lines[1 : r + 1]:
+        for ln in lines[1:]:
             row = tuple(parse_ints(ln.split()))
             if len(row) != ncols:
                 raise ValueError(f"row {len(rows)} has {len(row)} entries, expected {ncols}")
@@ -155,6 +154,15 @@ def nullspace(M: MatrixModZq) -> MatrixModZq:
     return MatrixModZq(q, tuple(basis), "generator")
 
 
+def _leading_columns(q: int, r: int, top: int, full: bool) -> MatrixModZq:
+    """Parity check of the length-r columns over Z_q whose first nonzero entry
+    lies in 1..top, in lex order; full=False drops those whose first entry is 0."""
+    words = _lex_words(q, r, f"q^r = {q}^{r} column vectors")
+    first = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+    keep = (first >= 1) & (first <= top) & ((words[:, 0] != 0) | full)
+    return MatrixModZq(q, tuple(map(tuple, words[keep].T.tolist())), "parity")
+
+
 def hamming_parity_check(q: int, r: int) -> MatrixModZq:
     """Parity check whose columns are all nonzero vectors with leading 1,
     in lexicographic order: (q^r - 1)/(q - 1) columns, distance 3."""
@@ -162,13 +170,7 @@ def hamming_parity_check(q: int, r: int) -> MatrixModZq:
         raise ValueError("q must be prime")
     if r < 2:
         raise ValueError("r must be >= 2")
-    cols = [
-        v
-        for v in itertools.product(range(q), repeat=r)
-        if any(v) and next(x for x in v if x) == 1
-    ]
-    rows = tuple(tuple(c[i] for c in cols) for i in range(r))
-    return MatrixModZq(q, rows, "parity")
+    return _leading_columns(q, r, 1, True)
 
 
 def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
@@ -182,16 +184,7 @@ def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
         raise ValueError("q must be an odd prime")
     if r < 1:
         raise ValueError("r must be >= 1")
-    half = (q - 1) // 2
-    cols = [
-        v
-        for v in itertools.product(range(q), repeat=r)
-        if any(v) and next(x for x in v if x) <= half
-    ]
-    if not full:
-        cols = [v for v in cols if v[0] != 0]
-    rows = tuple(tuple(c[i] for c in cols) for i in range(r))
-    return MatrixModZq(q, rows, "parity")
+    return _leading_columns(q, r, (q - 1) // 2, full)
 
 
 def is_single_rq_correcting(H: MatrixModZq) -> bool:
@@ -227,8 +220,7 @@ def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
         gen = M
     q, n = gen.q, gen.ncols
     k = gen.nrows
-    check_cap(q**k, f"q^k = {q}^{k} codewords")
-    coefs = np.indices((q,) * k).reshape(k, q**k).T
+    coefs = _lex_words(q, k, f"q^k = {q}^{k} codewords")
     rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
     return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=name)
 

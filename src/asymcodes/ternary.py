@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ProductChannel, ball_overlap, corrects_t_errors, make_channel
+from .channels import ProductChannel, ball_overlap, make_channel
 from .groups import Pairing
 from .words import AlphabetSpec, CodeBook, check_cap
 
@@ -110,8 +110,8 @@ def _image(c: CodeBook, check: bool, label: str) -> CodeBook:
     names the received word two error balls share), then expand each trit
     into an adjacent bit pair and pass each bit through, in position order."""
     sizes = c.alphabet.sizes
-    if check and not corrects_t_errors(c, image_channel(sizes), 1):
-        received, x, y = ball_overlap(c, image_channel(sizes), 1)
+    if check and (overlap := ball_overlap(c, image_channel(sizes), 1)):
+        received, x, y = overlap
         raise ValueError("input does not correct one error on its product channel: "
                          f"{received} lies in the radius-1 error balls of {x} and {y}")
     widths = [2 if q == 3 else 1 for q in sizes]

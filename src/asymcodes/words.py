@@ -51,11 +51,28 @@ def check_cap(size: int, what: str) -> None:
     """Raise EnumerationCapExceeded if an enumeration of `size` items would
     exceed DEFAULT_ENUM_CAP.  Every exhaustive operation calls this before
     it allocates.  Under a cap below 1, a bad ASYMCODES_ENUM_CAP raises its
-    ValueError."""
+    ValueError.  A size of 2^64 or more is named by its bit length."""
     if size > DEFAULT_ENUM_CAP:
-        if DEFAULT_ENUM_CAP < 1:
-            enum_cap_from_environment()
-        raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
+        _refuse(what, size)
+
+
+def _refuse(what: str, size) -> None:
+    if DEFAULT_ENUM_CAP < 1:
+        enum_cap_from_environment()
+    if isinstance(size, int) and size >= 2**64:  # str() stops at 4300 digits
+        size = f"at least 2^{size.bit_length() - 1}"
+    raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
+
+
+def _lex_words(q: int, k: int, what: str) -> np.ndarray:
+    """Every length-k word over 0..q-1 as a (q^k, k) array in lex order and
+    the narrowest unsigned dtype: the one full listing of a word space, checked
+    against the cap before it allocates.  As q >= 2, q^k exceeds the cap once
+    k passes its bit length; past that and 64, k alone refuses, as q^k."""
+    if k > max(DEFAULT_ENUM_CAP.bit_length(), 64):
+        _refuse(what, f"{q}^{k}")
+    check_cap(q**k, what)
+    return np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, q**k).T
 
 
 class DecodingError(Exception):

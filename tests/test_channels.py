@@ -406,7 +406,7 @@ class TestBallOverlap:
         from asymcodes import cyclic
         from asymcodes.ternary import image_channel
 
-        rows, _ = cyclic._member_rows(cyclic.enumerate_orbits(8))
+        rows, _ = cyclic._orbit_rows(8)
         ch = image_channel((3,) * 8)
         tracemalloc.start()
         try:

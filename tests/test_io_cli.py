@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,18 @@ class TestHostileCodeFiles:
                 MatrixModZq.from_text(f"3 1 2 generator\n{row}\n")
         with pytest.raises(ValueError, match="bad matrix header"):
             MatrixModZq.from_text("+3 1 2 generator\n1 2\n")
+
+    def test_matrix_rows_beyond_the_header_count_are_rejected(self, tmp_path, capsys):
+        from asymcodes.linearq import hamming_parity_check, nullspace
+
+        text = nullspace(hamming_parity_check(3, 2)).to_text()
+        assert text.startswith("3 2 4 generator\n")
+        with pytest.raises(ValueError, match="^expected 2 rows, found 3$"):
+            MatrixModZq.from_text(text + "1 1 1 1\n")
+        f = tmp_path / "outer.txt"
+        f.write_text(text + "1 1 1 1\n")
+        assert main(["construct", "concat", "--outer-gen", str(f)]) == 2
+        assert capsys.readouterr().err == "error: expected 2 rows, found 3\n"
 
 
 @st.composite
@@ -729,6 +742,18 @@ class TestBadSettings:
         assert result.stdout == ""
         assert result.stderr == (
             f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        ("search cyclic --m 10000", "3^10000 words: 3^10000"),
+        ("construct vt --n 30000", "half-words q^15000 = 2^15000: 2^15000"),
+        ("construct hamming --q 3 --r 9000", "q^r = 3^9000 column vectors: 3^9000"),
+    ])
+    def test_huge_word_spaces_are_refused_at_once(self, args, message):
+        start = time.perf_counter()
+        result = _run_cli(args.split(), ASYMCODES_ENUM_CAP="1000000")
+        assert time.perf_counter() - start < 10
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"error: {message} exceeds enumeration cap 1000000\n"
 
     def test_bad_enum_cap_variable_leaves_import_working(self):
         # a library caller can catch the error, which comes where a cap applies

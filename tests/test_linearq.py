@@ -122,6 +122,28 @@ class TestParityChecks:
             assert H.ncols == (q**r - 1) // 2
             assert is_single_rq_correcting(H)
 
+    @pytest.mark.parametrize("q, r", [(2, 2), (2, 5), (3, 2), (3, 5), (5, 1), (5, 3), (7, 3), (11, 2)])
+    def test_equal_the_column_comprehensions(self, q, r):
+        def leading(top, full=True):
+            cols = [v for v in itertools.product(range(q), repeat=r)
+                    if any(v) and next(x for x in v if x) <= top]
+            if not full:
+                cols = [v for v in cols if v[0] != 0]
+            return tuple(tuple(c[i] for c in cols) for i in range(r))
+
+        if r >= 2:
+            assert hamming_parity_check(q, r).rows == leading(1)
+        if q > 2:
+            for full in (True, False):
+                assert lee_parity_check(q, r, full=full).rows == leading((q - 1) // 2, full)
+
+    def test_cap_bounds_the_column_listing(self, monkeypatch):
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 100)
+        with pytest.raises(EnumerationCapExceeded, match=r"\b3\^6 column vectors: 729 exceeds"):
+            hamming_parity_check(3, 6)
+        with pytest.raises(EnumerationCapExceeded, match=r"\b5\^4 column vectors: 625 exceeds"):
+            lee_parity_check(5, 4)
+
 
 class TestRqCondition:
     def test_reference_matrix_passes(self):

@@ -30,7 +30,7 @@ from asymcodes import (
     weight_enumerator,
 )
 
-from asymcodes import ternary, words
+from asymcodes import channels, words
 from asymcodes.ternary import EXPANSIONS, _expansion_size
 from asymcodes.words import EnumerationCapExceeded
 
@@ -208,13 +208,17 @@ class TestConstructEven:
         assert len(out) == weight_enumerator(ternary_12_source).evaluate(2, 1)
 
     def test_rejection_names_the_shared_word(self, monkeypatch, ternary_12_source):
-        # the witness is looked up on the failure path only
+        # one ball listing checks the input and, on a failure, names the witness
+        listings = []
+        balls = channels._balls
+        monkeypatch.setattr(channels, "_balls", lambda *a: listings.append(1) or balls(*a))
         with pytest.raises(ValueError) as e:
             construct_even(book_from_strings(["11", "12"], q=3))
         assert str(e.value) == ("input does not correct one error on its product channel: "
                                 "10 lies in the radius-1 error balls of 11 and 12")
-        monkeypatch.setattr(ternary, "ball_overlap", None)
+        assert len(listings) == 1
         assert len(construct_even(ternary_12_source)) == 12
+        assert len(listings) == 2
 
     def test_rejects_non_channel_code(self):
         bad = book_from_strings(["11", "12"], q=3)

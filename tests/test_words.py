@@ -651,6 +651,65 @@ class TestMatrixCache:
         assert empty.matrix().shape == (0, 4) and empty.matrix().dtype == np.int64
 
 
+class TestLexWords:
+    @pytest.mark.parametrize("q", [2, 3, 5, 257])
+    @pytest.mark.parametrize("k", range(5))
+    def test_lists_every_word_in_lex_order_or_refuses(self, q, k):
+        if q**k > words_mod.DEFAULT_ENUM_CAP:
+            with pytest.raises(EnumerationCapExceeded, match=f"^w: {q**k} exceeds"):
+                words_mod._lex_words(q, k, "w")
+            return
+        got = words_mod._lex_words(q, k, "w")
+        assert got.shape == (q**k, k)
+        assert got.dtype == (np.uint8 if q <= 256 else np.uint16)
+        assert list(map(tuple, got.tolist())) == list(itertools.product(range(q), repeat=k))
+
+    def test_k_zero_is_one_empty_word(self):
+        assert words_mod._lex_words(3, 0, "w").shape == (1, 0)
+
+    def test_k_past_the_cap_bit_length_refuses_by_name(self):
+        # q**k would take a second to build and 20 MB to hold; check_cap
+        # would name it by its bit length
+        with pytest.raises(EnumerationCapExceeded, match=r"^w: 3\^100000000 exceeds enumeration cap"):
+            words_mod._lex_words(3, 10**8, "w")
+
+    def test_a_bad_cap_setting_is_named_first(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 0)
+        monkeypatch.setenv("ASYMCODES_ENUM_CAP", "abc")
+        for k in (1, 10**8):
+            with pytest.raises(ValueError, match="ASYMCODES_ENUM_CAP must be a positive integer"):
+                words_mod._lex_words(3, k, "w")
+
+    def test_check_cap_names_any_size(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 7)
+        with pytest.raises(EnumerationCapExceeded, match="^w: 8 exceeds enumeration cap 7$"):
+            words_mod.check_cap(8, "w")
+        with pytest.raises(EnumerationCapExceeded, match=f"^w: {2**64 - 1} exceeds"):
+            words_mod.check_cap(2**64 - 1, "w")
+        # str() refuses integers past 4300 digits
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^w: at least 2\^16609 exceeds enumeration cap 7$"):
+            words_mod.check_cap(10**5000, "w")
+
+    def test_a_cap_of_one_refuses_every_listing_before_it_allocates(self, monkeypatch):
+        from asymcodes import (best_cr_group, codewords_of, cr_code, enumerate_orbits,
+                               hamming_parity_check, lee_parity_check)
+        from asymcodes.linearq import MatrixModZq
+
+        def listed(*args, **kwargs):
+            raise AssertionError("a word space was listed")
+
+        monkeypatch.setattr(np, "indices", listed)
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 1)
+        for call in (lambda: cr_code(best_cr_group(6)),
+                     lambda: codewords_of(MatrixModZq(3, ((1, 1, 1),))),
+                     lambda: hamming_parity_check(3, 2),
+                     lambda: lee_parity_check(5, 1),
+                     lambda: enumerate_orbits(1)):
+            with pytest.raises(EnumerationCapExceeded):
+                call()
+
+
 class TestLimitedMagnitude:
     def test_identity(self):
         x = w((2, 0), q=5)
