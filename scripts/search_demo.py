@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 
 from asymcodes import SearchConfig, search_cyclic, search_extended
 from asymcodes.bounds import TABLE2_REFERENCE
@@ -27,22 +28,24 @@ def node_rate(meta: dict, seconds: float) -> str:
     return f", {nodes} nodes, {nodes / seconds:,.0f} nodes/s"
 
 
-def run(max_m: int, seed: int, budget: float):
-    """Plain searches for m = 3..max_m (exact up to m = 5), then exact split
-    searches for m = 3..min(max_m, 5)."""
+def run(max_m: int, exact: SearchConfig):
+    """Plain searches for m = 3..max_m (exact up to m = 5, randomized-restart
+    beyond, both with the seed and budget of `exact`), then exact split
+    searches for m = 3..min(max_m, 5).  Lengths past Table 2 show no
+    bundled score."""
+    restarts = replace(exact, strategy="randomized-restart")
     runs = [(m, False) for m in range(3, max_m + 1)]
     runs += [(m, True) for m in range(3, min(max_m, 5) + 1)]
     for m, split in runs:
         search = search_extended if split else search_cyclic
-        strategy = "exact-clique" if split or m <= 5 else "randomized-restart"
-        cfg = SearchConfig(seed=seed, time_budget=budget, strategy=strategy)
+        cfg = exact if split or m <= 5 else restarts
         search(m, SearchConfig(strategy="greedy"))
         t0 = time.monotonic()
         found = search(m, cfg)
         dt = time.monotonic() - t0
         meta = found[0].meta if split else found.meta
-        ref = TABLE2_REFERENCE[2 * m + split]["cyclic"]
-        label, shown = ("split", "") if split else ("plain", f"{strategy}, ")
+        ref = TABLE2_REFERENCE.get(2 * m + split, {"cyclic": "–"})["cyclic"]
+        label, shown = ("split", "") if split else ("plain", f"{cfg.strategy}, ")
         print(
             f"{label} m={m}: score {meta['score']} (bundled {ref}) "
             f"optimal={meta['proven_optimal']} [{shown}{dt:.2f}s{node_rate(meta, dt)}]"
@@ -56,4 +59,8 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=integer, default=0)
     ap.add_argument("--budget", type=decimal, default=30.0)
     args = ap.parse_args()
-    run(args.max_m, args.seed, args.budget)
+    try:
+        exact = SearchConfig(seed=args.seed, time_budget=args.budget)
+    except ValueError as e:
+        ap.error(str(e))  # a usage error: exit 2, no traceback
+    run(args.max_m, exact)

@@ -14,7 +14,9 @@ verified image sizes, kept as regression data for the reports.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,9 +94,10 @@ def _orbit_rows(m: int) -> tuple[np.ndarray, list[int]]:
     index i left by one place is (i mod 3^(m-1)) * 3 + i // 3^(m-1); a
     word's representative is the least of its m turns, so numbering the
     distinct representatives numbers the orbits in their order."""
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("orbit enumeration needs m >= 1")
-    words = _lex_words(3, m, f"3^{m} words")
+    words = _lex_words(3, m, "words")
     top = 3 ** (m - 1)
     turned = np.arange(3**m, dtype=np.int64)
     rep = turned.copy()
@@ -119,7 +122,7 @@ def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
 
     Kept on purpose, with `_self_compatible` and `orbits_compatible`: this
     set-based definition is the reference that the tests check the search
-    graphs (`_conflict_graph`) against.
+    graphs (`_instance`) against.
     """
     out = {w}
     for i, s in enumerate(w):
@@ -189,16 +192,42 @@ def _incidence(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
     return word, key
 
 
-def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
-    """Conflict graph of the vertices that own the rows, from `_incidence`.
+@dataclass(frozen=True)
+class _Instance:
+    """One search graph and all that the strategies read of it.  Orbit i's
+    words are rows[starts[i]:starts[i + 1]] in lex order, its representative
+    first.  Per vertex: the binary image size (`Orbit.weight_score`), a key
+    (the representative's base-3 index plus part * 3^m, which sorts as
+    (part, representative) does) and the mask of the vertices it does not
+    conflict with."""
 
-    A vertex is kept iff its own words' balls are disjoint: no (word,
-    vertex) pair is listed twice.  Two kept vertices conflict iff one word
-    lies in both their balls.  Returns the keep mask and, per kept vertex,
-    the bitmask of the kept vertices it does not conflict with.
+    rows: np.ndarray
+    starts: tuple[int, ...]
+    weights: tuple[int, ...]
+    keys: tuple[int, ...]
+    adj: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _instance(m: int, split: bool) -> _Instance:
+    """The search instance on the kept orbits of one `_orbit_rows(m)` listing.
+
+    The plain graph has vertex i for orbit i on T^m; the split graph has
+    vertex 2i + b for orbit i's members behind literal bit b, on the
+    bit x trit^m channel that `construct_extended` checks.  A vertex is kept
+    iff `_incidence` lists none of its (word, vertex) pairs twice: its own
+    balls are disjoint.  A literal bit never makes an orbit's own balls
+    meet, so both parts of an orbit are kept, or neither is.  Two kept
+    vertices conflict iff one word lies in both their balls.
     """
-    word, holder = _incidence(rows, vertex, sizes)
-    keep = np.ones(vertex.max() + 1, dtype=bool)
+    rows, ends = _orbit_rows(m)
+    sizes = np.diff(ends, prepend=0)
+    vertex = np.repeat(np.arange(len(ends)), sizes)
+    parts = (0, 1) if split else (0,)
+    word, holder = _incidence(
+        np.vstack([np.insert(rows, 0, bit, axis=1) for bit in parts]) if split else rows,
+        np.concatenate([len(parts) * vertex + part for part in parts]), (2,) * split + (3,) * m)
+    keep = np.ones(len(parts) * len(ends), dtype=bool)
     keep[holder[1:][(word[1:] == word[:-1]) & (holder[1:] == holder[:-1])]] = False
     held = keep[holder]
     word, label = word[held], (np.cumsum(keep) - 1)[holder[held]]
@@ -212,31 +241,17 @@ def _conflict_graph(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]
             break
         x, y = label[:-d][same], label[d:][same]
         adj[x, y] = adj[y, x] = False
-    bits = np.packbits(adj, axis=1, bitorder="little")
-    return keep, tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
-
-
-@lru_cache(maxsize=8)
-def _search_graph(m: int, split: bool):
-    """The self-compatible orbits and, per vertex, the bitmask of the
-    vertices it does not conflict with (`_conflict_graph`).
-
-    The plain graph has vertex i for orbit i on T^m; the split graph has
-    vertex 2i + b for orbit i's members behind literal bit b, on the
-    bit x trit^m channel that `construct_extended` checks.  A literal bit
-    never makes an orbit's own balls meet, so both parts of an orbit are
-    kept, or neither is.
-    """
-    orbits = enumerate_orbits(m)
-    rows, ends = _orbit_rows(m)
-    vertex = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-    sizes = (3,) * m
-    if split:
-        rows = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in (0, 1)])
-        vertex = np.concatenate([2 * vertex, 2 * vertex + 1])
-        sizes = (2,) + sizes
-    keep, adj = _conflict_graph(rows, vertex, sizes)
-    return tuple(o for o, k in zip(orbits, keep[::2] if split else keep) if k), adj
+    adj = tuple(int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(adj, axis=1, bitorder="little"))
+    kept = keep[:: len(parts)]
+    rows, sizes = rows[kept[vertex]], sizes[kept].tolist()
+    rows.flags.writeable = False
+    starts = (0, *itertools.accumulate(sizes))
+    reps = rows[list(starts[:-1])]
+    zeros = (reps == 0).sum(axis=1).tolist()
+    index = (reps @ 3 ** np.arange(m - 1, -1, -1)).tolist()
+    return _Instance(rows, starts, tuple(s << z for s, z in zip(sizes, zeros) for _ in parts),
+                     tuple(i + part * 3**m for i in index for part in parts), adj)
 
 
 def _bits(mask: int):
@@ -410,22 +425,21 @@ def _greedy(weights, adj, order):
     return total, mask
 
 
-def _run_search(weights, adj, keys, cfg: SearchConfig):
+def _run_search(inst: _Instance, cfg: SearchConfig):
     """Dispatch on strategy; returns the search meta and the chosen mask.
     Every strategy starts from the greedy clique in (-weight, key) order."""
+    weights, adj, keys = inst.weights, inst.adj, inst.keys
     V = len(weights)
     base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
     best_w, best_mask = _greedy(weights, adj, base_order)
+    optimal, counted = False, {}
     if cfg.strategy == "exact-clique":
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
-        score, mask, optimal, nodes = _max_weight_clique(
-            weights, adj, keys, node_budget, (best_w, best_mask)
-        )
-        return _search_meta(cfg, score, optimal, nodes), mask
-    if cfg.strategy == "randomized-restart":
+        best_w, best_mask, optimal, nodes = _max_weight_clique(weights, adj, keys, node_budget,
+                                                               (best_w, best_mask))
+        counted = {"nodes": str(nodes)}
+    elif cfg.strategy == "randomized-restart":
         # deterministic restart count derived from budget
-        import random
-
         rng = random.Random(cfg.seed)
         restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
         scale = [max(wt, 1) for wt in weights]
@@ -437,43 +451,27 @@ def _run_search(weights, adj, keys, cfg: SearchConfig):
                 key = _members_key(keys, mask)
                 if w > best_w or key < best_key:
                     best_w, best_mask, best_key = w, mask, key
-    return _search_meta(cfg, best_w, False), best_mask
-
-
-def _search_meta(cfg: SearchConfig, score: int, optimal: bool, nodes: int | None = None):
-    meta = {
-        "score": str(score),
-        "strategy": cfg.strategy,
-        "seed": str(cfg.seed),
-        "proven_optimal": "yes" if optimal else "no",
-    }
-    if nodes is not None:
-        meta["nodes"] = str(nodes)
-    return meta
-
-
-def _orbit_book(orbits, m: int, name: str, meta: dict | None = None) -> CodeBook:
-    """The code book of every member of the orbits; orbits listed twice
-    give their words once."""
-    rows = sorted({w for o in orbits for w in o.members})
-    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), rows, name=name, meta=meta)
+    meta = {"score": str(best_w), "strategy": cfg.strategy, "seed": str(cfg.seed),
+            "proven_optimal": "yes" if optimal else "no"}
+    return meta | counted, best_mask
 
 
 def _search(m: int, split: bool, cfg: SearchConfig | None) -> tuple[CodeBook, ...]:
     """The search behind both entry points: one code book per part of the
     chosen vertices (the plain search has one part)."""
+    m = _integer(m, "m")  # before the cache: 3.0 == 3 would find m = 3's instance
     cfg = cfg or SearchConfig()
-    orbits, adj = _search_graph(m, split)
+    inst = _instance(m, split)
+    meta, mask = _run_search(inst, cfg)
     parts = (0, 1) if split else (0,)
-    # vertex len(parts) * i + part is orbit i in that part
-    weights = [o.weight_score for o in orbits for _ in parts]
-    keys = [(part, o.representative) for o in orbits for part in parts]
-    meta, mask = _run_search(weights, list(adj), keys, cfg)
+    sizes = np.diff(inst.starts)
     books = []
     for part in parts:
+        # vertex len(parts) * i + part is orbit i in that part
+        chosen = [bool(mask >> (len(parts) * i + part) & 1) for i in range(len(sizes))]
         name = f"extended-search-m{m}-part{part}" if split else f"cyclic-search-m{m}"
-        chosen = [o for i, o in enumerate(orbits) if mask >> (len(parts) * i + part) & 1]
-        books.append(_orbit_book(chosen, m, name, meta))
+        books.append(CodeBook.from_symbols(AlphabetSpec.uniform(3, m),
+                                           inst.rows[np.repeat(chosen, sizes)], name=name, meta=meta))
     return tuple(books)
 
 
@@ -565,18 +563,19 @@ BUILTIN_EXTENDED: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def _closure(gens: tuple[str, ...], m: int, name: str) -> CodeBook:
     """Every rotation of every generator; generators that share an orbit
     give each word once."""
-    orbits = []
+    rows = set()
     for g in gens:
         word = tuple(int(ch) for ch in g)
         if len(word) != m:
             raise ValueError(f"generator {g} has wrong length for m={m}")
-        orbits.append(orbit_of(word))
-    return _orbit_book(orbits, m, name)
+        rows.update(_rotations(word))
+    return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), rows, name=name)
 
 
 def builtin_table_generators(m: int, extended: bool = False):
     """Orbit closure of the bundled generators: a shift-closed CodeBook for
     even-length plain codes, or a (part0, part1) pair for the split ones."""
+    m = _integer(m, "m")  # 3.0 == 3 would find m = 3's generators
     if extended:
         if m not in BUILTIN_EXTENDED:
             raise ValueError(f"no bundled extended generators for m={m}")

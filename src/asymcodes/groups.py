@@ -134,7 +134,7 @@ def cr_code(
     label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
     h = n // 2
     # every suffix (length n - h) and prefix (length h) in lex order, larger first
-    suffixes, prefixes = (_lex_words(q, k, f"half-words q^{k} = {q}^{k}") for k in (n - h, h))
+    suffixes, prefixes = (_lex_words(q, k, "half-words") for k in (n - h, h))
     coeffs = G.nonidentity_elements
     if q > 2:
         low = [e for e in coeffs if G.element_order(e) < q]

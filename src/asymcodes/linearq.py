@@ -157,7 +157,7 @@ def nullspace(M: MatrixModZq) -> MatrixModZq:
 def _leading_columns(q: int, r: int, top: int, full: bool) -> MatrixModZq:
     """Parity check of the length-r columns over Z_q whose first nonzero entry
     lies in 1..top, in lex order; full=False drops those whose first entry is 0."""
-    words = _lex_words(q, r, f"q^r = {q}^{r} column vectors")
+    words = _lex_words(q, r, "column vectors")
     first = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
     keep = (first >= 1) & (first <= top) & ((words[:, 0] != 0) | full)
     return MatrixModZq(q, tuple(map(tuple, words[keep].T.tolist())), "parity")
@@ -220,7 +220,7 @@ def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
         gen = M
     q, n = gen.q, gen.ncols
     k = gen.nrows
-    coefs = _lex_words(q, k, f"q^k = {q}^{k} codewords")
+    coefs = _lex_words(q, k, "codewords")
     rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
     return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=name)
 

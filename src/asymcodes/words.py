@@ -67,11 +67,13 @@ def _refuse(what: str, size) -> None:
 def _lex_words(q: int, k: int, what: str) -> np.ndarray:
     """Every length-k word over 0..q-1 as a (q^k, k) array in lex order and
     the narrowest unsigned dtype: the one full listing of a word space, checked
-    against the cap before it allocates.  As q >= 2, q^k exceeds the cap once
-    k passes its bit length; past that and 64, k alone refuses, as q^k."""
+    against the cap before it allocates.  A refusal names the listing as
+    `q^k what: size`.  As q >= 2, q^k exceeds the cap once k passes its bit
+    length; past that and 64, k alone refuses, `what: q^k`, without
+    building q^k."""
     if k > max(DEFAULT_ENUM_CAP.bit_length(), 64):
         _refuse(what, f"{q}^{k}")
-    check_cap(q**k, what)
+    check_cap(q**k, f"{q}^{k} {what}")
     return np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, q**k).T
 
 

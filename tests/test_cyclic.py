@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,18 +24,18 @@ from asymcodes import (
     search_extended,
     weight_enumerator,
 )
-from asymcodes import words
+from asymcodes import cyclic, words
 from asymcodes.cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
     _ball1,
     _greedy,
     _incidence,
+    _instance,
     _max_weight_clique,
     _relabel,
     _relabel_rows,
     _run_search,
-    _search_graph,
     orbit_of,
 )
 from asymcodes.words import EnumerationCapExceeded
@@ -333,20 +334,14 @@ def reference_restarts(weights, adj, keys, cfg):
     return best_w, best_mask
 
 
-def plain_instance(m):
-    """(weights, adjacency, keys) of the plain search graph, as search_cyclic
-    builds them."""
-    orbits, adj = _search_graph(m, False)
-    return [o.weight_score for o in orbits], list(adj), [o.representative for o in orbits]
+def kept_orbits(m):
+    """The orbits of the set-based reference whose own balls are disjoint."""
+    return [o for o in enumerate_orbits(m) if orbits_compatible(o, o)]
 
 
-def split_instance(m):
-    """(weights, adjacency, keys) of the split search graph, as
-    search_extended builds them."""
-    orbits, ext = _search_graph(m, True)
-    weights = [o.weight_score for o in orbits for _ in (0, 1)]
-    keys = [(part, o.representative) for o in orbits for part in (0, 1)]
-    return weights, list(ext), keys
+def instance_members(inst):
+    """Each orbit's words in the instance, as the tuples of `Orbit.members`."""
+    return [tuple(map(tuple, inst.rows[s:e].tolist())) for s, e in zip(inst.starts, inst.starts[1:])]
 
 
 @st.composite
@@ -445,16 +440,16 @@ class TestCliqueEngine:
 
     @pytest.mark.parametrize("m, budget", [(5, 10**6), (5, 300), (6, 2_000)])
     def test_search_graphs_expand_the_reference_nodes(self, m, budget):
-        orbits, adj = _search_graph(m, False)
-        weights = [o.weight_score for o in orbits]
-        keys = [o.representative for o in orbits]
-        order = sorted(range(len(orbits)), key=lambda i: (-weights[i], keys[i]))
-        args = (weights, list(adj), keys, budget, _greedy(weights, adj, order))
+        inst = _instance(m, False)
+        weights, adj, keys = inst.weights, list(inst.adj), inst.keys
+        order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
+        args = (weights, adj, keys, budget, _greedy(weights, adj, order))
         assert _max_weight_clique(*args) == reference_clique(*args)
 
     @pytest.mark.parametrize("m, budget", [(5, 10**6), (6, 2_000)])
     def test_split_graphs_expand_the_reference_nodes(self, m, budget):
-        weights, adj, keys = split_instance(m)
+        inst = _instance(m, True)
+        weights, adj, keys = inst.weights, list(inst.adj), inst.keys
         order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
         args = (weights, adj, keys, budget, _greedy(weights, adj, order))
         assert _max_weight_clique(*args) == reference_clique(*args)
@@ -469,24 +464,27 @@ class TestCliqueEngine:
         assert part0.meta["nodes"] == "26458"
 
     @pytest.mark.parametrize(
-        "instance, m",
-        [(plain_instance, 6), (plain_instance, 7), (plain_instance, 8),
-         (split_instance, 5), (split_instance, 6)],
+        "m, split",
+        [(6, False), (7, False), (8, False), (5, True), (6, True)],
+        ids=["plain_instance-6", "plain_instance-7", "plain_instance-8",
+             "split_instance-5", "split_instance-6"],
     )
-    def test_restarts_equal_the_reference_loop(self, instance, m):
-        weights, adj, keys = instance(m)
+    def test_restarts_equal_the_reference_loop(self, m, split):
+        inst = _instance(m, split)
         for seed in range(5):
             cfg = SearchConfig(seed=seed, strategy="randomized-restart")
-            best_w, best_mask = reference_restarts(weights, adj, keys, cfg)
+            best_w, best_mask = reference_restarts(inst.weights, list(inst.adj), inst.keys, cfg)
             expected = {"score": str(best_w), "strategy": "randomized-restart",
                         "seed": str(seed), "proven_optimal": "no"}
-            assert _run_search(weights, adj, keys, cfg) == (expected, best_mask), seed
+            meta, mask = _run_search(inst, cfg)
+            assert (meta, mask) == (expected, best_mask), seed
+            assert list(meta) == list(expected)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_plain_graph_equals_pairwise_compatibility(self, m):
-        orbits, adj = _search_graph(m, False)
-        assert list(orbits) == [o for o in enumerate_orbits(m) if orbits_compatible(o, o)]
-        V = len(orbits)
+        inst, orbits = _instance(m, False), kept_orbits(m)
+        assert instance_members(inst) == [o.members for o in orbits]
+        adj, V = inst.adj, len(orbits)
         for i, j in itertools.product(range(V), repeat=2):
             expected = i != j and orbits_compatible(orbits[i], orbits[j])
             assert bool(adj[i] >> j & 1) == expected, (m, i, j)
@@ -494,8 +492,11 @@ class TestCliqueEngine:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_extended_graph_equals_definition(self, m):
-        orbits, ext = _search_graph(m, True)
-        assert orbits == _search_graph(m, False)[0]
+        inst, orbits = _instance(m, True), kept_orbits(m)
+        plain = _instance(m, False)
+        assert inst.starts == plain.starts and np.array_equal(inst.rows, plain.rows)
+        assert instance_members(inst) == [o.members for o in orbits]
+        ext = inst.adj
         balls = [set().union(*(_ball1(w) for w in o.members)) for o in orbits]
         members = [set(o.members) for o in orbits]
         V = len(orbits)
@@ -515,12 +516,12 @@ class TestCliqueEngine:
         # the set-based reference is too slow past m = 6 (plain) and 5
         # (split); these digests are of the graphs the lexsort-based
         # builder gave, so every later builder must give them byte for byte
-        orbits, adj = _search_graph(m, split)
+        inst = _instance(m, split)
         digest = hashlib.sha256()
-        for o in orbits:
-            digest.update(bytes(o.representative))
-        width = (len(adj) + 7) // 8
-        for a in adj:
+        for start in inst.starts[:-1]:
+            digest.update(bytes(inst.rows[start]))
+        width = (len(inst.adj) + 7) // 8
+        for a in inst.adj:
             digest.update(a.to_bytes(width, "little"))
         assert digest.hexdigest() == GRAPH_DIGESTS[m, split]
 
@@ -545,7 +546,7 @@ class TestCliqueEngine:
     def test_largest_graph_budget_result_pinned(self):
         # the m=8 plain graph has 754 vertices; one unit of budget is
         # 50 000 nodes
-        assert len(_search_graph(8, False)[0]) == 754
+        assert len(_instance(8, False).weights) == 754
         code = search_cyclic(8, SearchConfig(time_budget=1.0))
         assert code.meta["score"] == "3238"
         assert code.meta["proven_optimal"] == "no"
@@ -579,16 +580,16 @@ class TestCliqueEngine:
     def test_graph_balls_are_checked_against_the_cap(self, monkeypatch):
         # the m=6 radius-1 balls hold 729 + 6 * (243 * 2 + 486) = 6561 words,
         # though its 729 words fit under the cap
-        _search_graph.cache_clear()
+        _instance.cache_clear()
         try:
             monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6)
             with pytest.raises(EnumerationCapExceeded,
                                match="radius-1 error balls: 6561 exceeds enumeration cap 729"):
-                _search_graph(6, False)
+                _instance(6, False)
             monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 6561)
-            assert len(_search_graph(6, False)[0]) == 98
+            assert len(_instance(6, False).weights) == 98
         finally:
-            _search_graph.cache_clear()
+            _instance.cache_clear()
 
     def test_the_cap_is_the_only_size_bound(self, monkeypatch):
         # 3^14 words exceed the cap; no second bound on m answers first
@@ -599,7 +600,88 @@ class TestCliqueEngine:
             enumerate_orbits(0)
 
     def test_graph_caches_are_bounded(self):
-        assert _search_graph.cache_info().maxsize == 8
+        assert _instance.cache_info().maxsize == 8
+
+
+INSTANCE_CASES = [(m, False) for m in range(1, 7)] + [(m, True) for m in range(1, 6)]
+
+
+class TestInstance:
+    """The search instance against the Orbit reference."""
+
+    @pytest.mark.parametrize("m, split", INSTANCE_CASES)
+    def test_weights_are_the_orbit_weight_scores(self, m, split):
+        parts = 2 if split else 1
+        weights = _instance(m, split).weights
+        assert weights == tuple(o.weight_score for o in kept_orbits(m) for _ in range(parts))
+        assert all(type(w) is int for w in weights)
+
+    @pytest.mark.parametrize("m, split", INSTANCE_CASES)
+    def test_keys_sort_as_part_and_representative(self, m, split):
+        parts = 2 if split else 1
+        keys, orbits = _instance(m, split).keys, kept_orbits(m)
+        assert len(keys) == parts * len(orbits) and all(type(k) is int for k in keys)
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        assert by_key == sorted(range(len(keys)), key=lambda v: (v % parts, orbits[v // parts].representative))
+
+    @pytest.mark.parametrize("m, split", INSTANCE_CASES)
+    def test_rows_hold_each_orbit_s_members(self, m, split):
+        inst = _instance(m, split)
+        assert instance_members(inst) == [o.members for o in kept_orbits(m)]
+        assert inst.starts[0] == 0 and inst.starts[-1] == len(inst.rows)
+        assert not inst.rows.flags.writeable
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_one_orbit_listing_per_build(self, monkeypatch, split):
+        listings = []
+        orbit_rows = cyclic._orbit_rows
+
+        def counted(m):
+            listings.append(m)
+            return orbit_rows(m)
+
+        def unused(m):
+            raise AssertionError("the search built Orbit tuples")
+
+        monkeypatch.setattr(cyclic, "_orbit_rows", counted)
+        monkeypatch.setattr(cyclic, "enumerate_orbits", unused)
+        _instance.cache_clear()
+        try:
+            search = search_extended if split else search_cyclic
+            search(5, SearchConfig(strategy="greedy"))
+            search(5, SearchConfig(strategy="greedy"))
+        finally:
+            _instance.cache_clear()
+        assert listings == [5]
+
+
+class TestIntegerLength:
+    """m follows the integer rule at every entry point, before any cache
+    could take 3.0 for 3."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("m", [3.0, "3", 3.5])
+    @pytest.mark.parametrize(
+        "call",
+        [search_cyclic, search_extended, enumerate_orbits, builtin_table_generators,
+         lambda m: builtin_table_generators(m, extended=True)],
+        ids=["search_cyclic", "search_extended", "enumerate_orbits", "builtin_plain",
+             "builtin_extended"],
+    )
+    def test_m_that_is_not_an_integer_is_refused(self, call, m, warm):
+        _instance.cache_clear()
+        try:
+            if warm:
+                call(3)
+            with pytest.raises(ValueError, match=f"^{re.escape(f'm {m!r} is not an integer')}$"):
+                call(m)
+        finally:
+            _instance.cache_clear()
+
+    def test_integer_types_are_read_as_ints(self):
+        assert search_cyclic(np.int64(4)) == search_cyclic(4)
+        assert enumerate_orbits(np.uint8(3)) == enumerate_orbits(3)
+        assert builtin_table_generators(np.int32(4)) == builtin_table_generators(4)
 
 
 EXPECTED_PLAIN = {3: 12, 4: 29, 5: 98, 6: 336, 7: 1200, 8: 3952}

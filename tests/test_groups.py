@@ -149,11 +149,11 @@ class TestCrCode:
         monkeypatch.setattr(np, "indices", listed)
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 7)
         with pytest.raises(EnumerationCapExceeded,
-                           match=r"half-words q\^3 = 2\^3: 8 exceeds enumeration cap 7"):
+                           match=r"2\^3 half-words: 8 exceeds enumeration cap 7"):
             vt_code(6)
         # under the default cap, q^30 half-words are refused at once
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
-        with pytest.raises(EnumerationCapExceeded, match=r"2\^30: 1073741824 exceeds"):
+        with pytest.raises(EnumerationCapExceeded, match=r"2\^30 half-words: 1073741824 exceeds"):
             vt_code(60)
 
     @pytest.mark.parametrize("call, value", [

@@ -744,9 +744,9 @@ class TestBadSettings:
             f"error: ASYMCODES_ENUM_CAP must be a positive integer, got {value!r}\n")
 
     @pytest.mark.parametrize("args, message", [
-        ("search cyclic --m 10000", "3^10000 words: 3^10000"),
-        ("construct vt --n 30000", "half-words q^15000 = 2^15000: 2^15000"),
-        ("construct hamming --q 3 --r 9000", "q^r = 3^9000 column vectors: 3^9000"),
+        ("search cyclic --m 10000", "words: 3^10000"),
+        ("construct vt --n 30000", "half-words: 2^15000"),
+        ("construct hamming --q 3 --r 9000", "column vectors: 3^9000"),
     ])
     def test_huge_word_spaces_are_refused_at_once(self, args, message):
         start = time.perf_counter()
@@ -817,3 +817,25 @@ class TestCliDeterminism:
             main(["construct", "vt", "--n", "8", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+SEARCH_DEMO = Path(__file__).parents[1] / "scripts" / "search_demo.py"
+
+
+class TestSearchDemo:
+    @pytest.mark.parametrize("budget", ["0", "nan", "inf"])
+    def test_a_bad_budget_is_a_usage_error(self, budget):
+        result = _run_python([str(SEARCH_DEMO), "--budget", budget])
+        assert result.returncode == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            f"search_demo.py: error: time budget must be a positive finite number, "
+            f"got {float(budget)}")
+
+    def test_lengths_past_table2_have_no_bundled_score(self):
+        result = _run_python([str(SEARCH_DEMO), "--max-m", "9", "--budget", "1"])
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[5].startswith("plain m=8: score ") and "(bundled 3952)" in lines[5]
+        assert lines[6].startswith("plain m=9: score ") and "(bundled –)" in lines[6]
+        assert lines[-1].startswith("split m=5: score 154 (bundled 154) optimal=yes")

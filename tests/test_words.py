@@ -656,7 +656,7 @@ class TestLexWords:
     @pytest.mark.parametrize("k", range(5))
     def test_lists_every_word_in_lex_order_or_refuses(self, q, k):
         if q**k > words_mod.DEFAULT_ENUM_CAP:
-            with pytest.raises(EnumerationCapExceeded, match=f"^w: {q**k} exceeds"):
+            with pytest.raises(EnumerationCapExceeded, match=f"^{q}\\^{k} w: {q**k} exceeds"):
                 words_mod._lex_words(q, k, "w")
             return
         got = words_mod._lex_words(q, k, "w")
