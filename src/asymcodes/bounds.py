@@ -14,14 +14,14 @@ from math import comb, log2
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
 from .linearq import MatrixModZq, codewords_of, hamming_parity_check
-from .words import CodeBook, is_lm_code, weight_enumerator
+from .words import CodeBook, _at_least, _integer, is_lm_code, weight_enumerator
 
 
 def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
     """Largest |C| allowed by ball packing for t_tilde errors of magnitude
     at most ell each: floor(q^n / sum_{i<=t} C(n,i) ell^i)."""
-    if q < 2 or n < 1 or t_tilde < 0 or ell < 1:
-        raise ValueError("parameters must be positive (t_tilde >= 0)")
+    q, n = _at_least(q, 2, "q"), _at_least(n, 1, "n")
+    t_tilde, ell = _at_least(t_tilde, 0, "t_tilde"), _at_least(ell, 1, "ell")
     denom = sum(comb(n, i) * ell**i for i in range(t_tilde + 1))
     return q**n // denom
 
@@ -40,10 +40,9 @@ def is_perfect(c: CodeBook, t_tilde: int, ell: int) -> bool:
 def best_d3_dimension(q: int, n: int) -> int:
     """Largest dimension of a distance-3 linear code of length n over F_q:
     n - r with r minimal such that (q^r - 1) / (q - 1) >= n."""
+    q, n = _integer(q, "q"), _at_least(n, 3, "n")
     if q not in (2, 3):
         raise ValueError("supported for q in {2, 3}")
-    if n < 3:
-        raise ValueError("n must be >= 3")
     r = 2
     while (q**r - 1) // (q - 1) < n:
         r += 1
@@ -53,8 +52,7 @@ def best_d3_dimension(q: int, n: int) -> int:
 def canonical_d3_ternary_check(m: int) -> MatrixModZq:
     """Deterministic [m, m-r, 3]_3 representative: the first m columns of
     the lexicographic length-(3^r-1)/2 parity check."""
-    if m < 3:
-        raise ValueError("m must be >= 3")
+    m = _at_least(m, 3, "m")
     H = hamming_parity_check(3, m - best_d3_dimension(3, m))
     rows = tuple(row[:m] for row in H.rows)
     return MatrixModZq(3, rows, "parity")

@@ -6,10 +6,12 @@ generic oracle `corrects_t_errors` checks that error balls of radius t
 around distinct codewords are pairwise disjoint, which is the uniform
 correctability criterion used to validate every construction in this
 package; `ball_overlap` names a received word two balls share.  One ball
-enumerator lists the balls for the oracle, `error_ball`, the decoding
-table of `simulate_channel` and the search graphs of `cyclic`.  It reads
-only the channel graphs, never the distance metrics of `words`, so the
-oracle and the metric path check each other.
+enumerator, `_balls`, lists the balls for the oracle, `error_ball`, the
+decoding table of `simulate_channel` and the search graphs of `cyclic`,
+sorted by word and then by owner, so the balls that share a word sit
+next to each other; only this module builds, compares or reads the word
+indices.  It reads only the channel graphs, never the distance metrics
+of `words`, so the oracle and the metric path check each other.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .words import (
     AlphabetSpec,
     CodeBook,
     Word,
+    _at_least,
     _integer,
     check_cap,
 )
@@ -273,10 +276,14 @@ def _balls(
     counting: str,
     coord_radius: int,
 ):
-    """The one ball enumerator: owners and limb indices of every word in the
-    radius balls around `rows`, after checking their total size against the cap."""
+    """The one ball enumerator: owners (row indices) and limb indices of
+    every word in the radius balls around `rows`, sorted by word, then by
+    owner, after checking their total size against the cap.  One limb whose
+    word count times the row count stays below 2^63 sorts one packed key,
+    index * rows + owner, in place; longer words lexsort (limbs..., owner)."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
+    coord_radius = _at_least(coord_radius, 0, "coord_radius")
     # No word spends more than the dearest move of every coordinate, so a
     # larger radius lists the same balls.
     budget = min(radius, sum(_largest_cost(g, counting, coord_radius) for g in ch.coordinates))
@@ -286,19 +293,35 @@ def _balls(
     cols = rows.T
     total = _ball_count(cols, moves, budget)
     check_cap(total, f"radius-{radius} error balls")
-    return _expand(cols, moves, budget, ch.alphabet.sizes, total)
+    sizes = ch.alphabet.sizes
+    owner, limbs = _expand(cols, moves, budget, sizes, total)
+    count = len(rows)
+    if math.prod(sizes) * count >= 2**63:  # several limbs, or a key past int64
+        order = np.lexsort((owner, *limbs[::-1]))
+        return owner[order], [index[order] for index in limbs]
+    (index,) = limbs
+    index *= count
+    index += owner
+    index.sort()
+    np.remainder(index, count, out=owner)
+    index //= count
+    return owner, limbs
+
+
+def _same_word(limbs: list[np.ndarray], d: int) -> np.ndarray:
+    """Entry k of a word-sorted listing, for k below its length minus d:
+    True iff its word equals the word d entries on."""
+    return np.logical_and.reduce([index[d:] == index[:-d] for index in limbs])
 
 
 def _coverage(owner: np.ndarray, limbs: list[np.ndarray]):
-    """The distinct words of the balls in lexicographic order, as limb
-    indices, and the owner of each, or -1 where several balls hold it."""
-    order = np.lexsort(limbs[::-1])
-    ranked = [index[order] for index in limbs]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.logical_or.reduce([r[1:] != r[:-1] for r in ranked])
+    """The distinct words of a `_balls` listing in lexicographic order, as
+    limb indices, and the owner of each, or -1 where several balls hold it."""
+    first = np.ones(len(owner), dtype=bool)
+    first[1:] = ~_same_word(limbs, 1)
     starts = np.flatnonzero(first)
-    alone = np.diff(starts, append=len(order)) == 1
-    return [r[starts] for r in ranked], np.where(alone, owner[order[starts]], -1)
+    alone = np.diff(starts, append=len(owner)) == 1
+    return [index[starts] for index in limbs], np.where(alone, owner[starts], -1)
 
 
 def _symbols_of(limbs: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
@@ -324,8 +347,7 @@ def error_ball(
     (several steps may hit the same coordinate).  coordinate counting: at
     most `radius` coordinates move, each along at most `coord_radius` steps.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    radius = _at_least(radius, 0, "radius")
     _check_compatible(x.alphabet, ch)
     rows = np.array([x.symbols], dtype=np.int64)
     _, limbs = _balls(rows, ch, radius, counting, coord_radius)
@@ -352,23 +374,19 @@ def ball_overlap(
 
     Otherwise the witness: the lexicographically first received word that
     two balls share, and the first two codewords whose balls hold it.
-    Every ball is listed once, as mixed-radix word indices; one sort then
-    puts any word that two balls share next to itself.  The total ball
+    Every ball is listed once, sorted by word, then by owner: the first two
+    adjacent entries that share a word are the witness.  The total ball
     size is counted, and checked against the cap, before anything is listed.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _at_least(t, 0, "t")
     _check_compatible(c.alphabet, ch)
     owner, limbs = _balls(c.matrix(), ch, t, counting, coord_radius)
-    words, holder = _coverage(owner, limbs)
-    shared = np.flatnonzero(holder < 0)
+    shared = np.flatnonzero(_same_word(limbs, 1))
     if not len(shared):
         return None
-    word = [w[shared[0]] for w in words]
-    holders = np.logical_and.reduce([index == w for index, w in zip(limbs, word)])
-    x, y = np.sort(owner[holders])[:2]
-    received = _symbols_of([np.array([w]) for w in word], c.alphabet.sizes)[0]
-    return BallOverlap(Word(received.tolist(), c.alphabet), c.word(x), c.word(y))
+    k = shared[0]
+    received = _symbols_of([index[k : k + 1] for index in limbs], c.alphabet.sizes)[0]
+    return BallOverlap(Word(received.tolist(), c.alphabet), c.word(owner[k]), c.word(owner[k + 1]))
 
 
 def corrects_t_errors(
@@ -424,12 +442,9 @@ def simulate_channel(
         raise ValueError("provide exactly one of p and force_errors")
     if p is not None and not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if force_errors is not None and force_errors < 0:
-        raise ValueError("force_errors must be >= 0")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if force_errors is not None:
+        force_errors = _at_least(force_errors, 0, "force_errors")
+    trials, seed, t = _at_least(trials, 0, "trials"), _integer(seed, "seed"), _at_least(t, 0, "t")
     _check_compatible(c.alphabet, ch)
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import _balls
+from .channels import _balls, _same_word
 from .ternary import image_channel
 from .words import AlphabetSpec, CodeBook, _integer, _lex_words
 
@@ -168,30 +168,6 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     return True
 
 
-def _incidence(rows: np.ndarray, vertex: np.ndarray, sizes: tuple[int, ...]):
-    """(word, vertex) pairs of the rows' radius-1 balls on the image channel
-    of `sizes`, sorted by word, then vertex: row k belongs to vertex[k], and
-    a word is named by its mixed-radix index.  The balls come from the one
-    ball enumerator, `channels._balls`, which checks their size against the
-    cap first.  One sort of the packed key index * V + vertex orders them."""
-    V = int(vertex.max()) + 1
-    # The search graphs own all 3^m (split: 2 * 3^m) words, so V is at most
-    # that many and the key stays below (2 * 3^m)^2, under 2^63 up to
-    # m = 19; the cap (10^6 ball words by default) refuses such listings
-    # long before.  The word index is then one int64 limb too.
-    if math.prod(sizes) * V >= 2**63:
-        raise OverflowError(f"{V} vertices on {math.prod(sizes)} words overflow the int64 key")
-    holder, (key,) = _balls(rows, image_channel(sizes), 1, "magnitude", 1)
-    # in place, so that at most three listing-sized arrays are alive
-    key *= V
-    key += vertex[holder]
-    del holder
-    key.sort()
-    word = key // V
-    key %= V  # now the vertex
-    return word, key
-
-
 @dataclass(frozen=True)
 class _Instance:
     """One search graph and all that the strategies read of it.  Orbit i's
@@ -214,29 +190,35 @@ def _instance(m: int, split: bool) -> _Instance:
 
     The plain graph has vertex i for orbit i on T^m; the split graph has
     vertex 2i + b for orbit i's members behind literal bit b, on the
-    bit x trit^m channel that `construct_extended` checks.  A vertex is kept
-    iff `_incidence` lists none of its (word, vertex) pairs twice: its own
-    balls are disjoint.  A literal bit never makes an orbit's own balls
-    meet, so both parts of an orbit are kept, or neither is.  Two kept
-    vertices conflict iff one word lies in both their balls.
+    bit x trit^m channel that `construct_extended` checks.  The radius-1
+    balls come from `channels._balls`, sorted by word, then by row; rows
+    of one vertex are consecutive, so each word's entries stay grouped by
+    vertex once rows are mapped to vertices.  A vertex is kept iff none of
+    its (word, vertex) pairs is listed twice: its own balls are disjoint.
+    A literal bit never makes an orbit's own balls meet, so both parts of
+    an orbit are kept, or neither is.  Two kept vertices conflict iff one
+    word lies in both their balls.
     """
     rows, ends = _orbit_rows(m)
     sizes = np.diff(ends, prepend=0)
     vertex = np.repeat(np.arange(len(ends)), sizes)
     parts = (0, 1) if split else (0,)
-    word, holder = _incidence(
-        np.vstack([np.insert(rows, 0, bit, axis=1) for bit in parts]) if split else rows,
-        np.concatenate([len(parts) * vertex + part for part in parts]), (2,) * split + (3,) * m)
+    listed = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in parts]) if split else rows
+    holder, words = _balls(listed, image_channel((2,) * split + (3,) * m), 1, "magnitude", 1)
+    # in place, so that the listing's two arrays are the largest alive
+    np.take(np.concatenate([len(parts) * vertex + part for part in parts]), holder,
+            out=holder, mode="clip")
     keep = np.ones(len(parts) * len(ends), dtype=bool)
-    keep[holder[1:][(word[1:] == word[:-1]) & (holder[1:] == holder[:-1])]] = False
+    keep[holder[1:][_same_word(words, 1) & (holder[1:] == holder[:-1])]] = False
     held = keep[holder]
-    word, label = word[held], (np.cumsum(keep) - 1)[holder[held]]
+    words, label = [index[held] for index in words], (np.cumsum(keep) - 1)[holder[held]]
+    del holder, held
     adj = np.ones((int(keep.sum()),) * 2, dtype=bool)
     np.fill_diagonal(adj, False)
     # a word's holders sit together: pair every entry with the one d places
     # on while any such pair shares its word
-    for d in range(1, len(word)):
-        same = word[d:] == word[:-d]
+    for d in range(1, len(label)):
+        same = _same_word(words, d)
         if not same.any():
             break
         x, y = label[:-d][same], label[d:][same]

@@ -19,7 +19,7 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import AlphabetSpec, CodeBook, _integer, _lex_words, check_cap
+from .words import AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, check_cap
 
 GroupElement = tuple[int, ...]
 
@@ -127,9 +127,7 @@ def cr_code(
         g = tuple(_integer(x, "target component") for x in g)
     if not G.contains(g):
         raise ValueError(f"target {g} is not an element of {G}")
-    q = _integer(q, "q")
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q = _at_least(q, 2, "q")
     n = G.order - 1
     label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
     h = n // 2
@@ -171,6 +169,8 @@ def cr_code(
 def vt_code(n: int, g: int = 0, q: int = 2) -> CodeBook:
     """Cyclic-group checksum code: sum of i * x_i = g mod n+1, coefficients 1..n."""
     n, g = _integer(n, "length"), _integer(g, "target")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0 <= g <= n:
         raise ValueError("g must satisfy 0 <= g <= n")
     return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, name=f"vt-{n}-g{g}-q{q}")

@@ -22,6 +22,7 @@ from .words import (
     DecodeFailure,
     _as_symbols,
     _check_symbols,
+    _at_least,
     _index_symbols,
     _integer,
     _lex_words,
@@ -166,10 +167,9 @@ def _leading_columns(q: int, r: int, top: int, full: bool) -> MatrixModZq:
 def hamming_parity_check(q: int, r: int) -> MatrixModZq:
     """Parity check whose columns are all nonzero vectors with leading 1,
     in lexicographic order: (q^r - 1)/(q - 1) columns, distance 3."""
-    if not _is_prime(q):
+    if not _is_prime(_integer(q, "q")):
         raise ValueError("q must be prime")
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    r = _at_least(r, 2, "r")
     return _leading_columns(q, r, 1, True)
 
 
@@ -180,10 +180,10 @@ def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
     full=True keeps all (q^r - 1)/2 such columns; full=False drops the
     (q^(r-1) - 1)/2 of them whose first entry is 0.
     """
+    q = _integer(q, "q")
     if not _is_prime(q) or q % 2 == 0:
         raise ValueError("q must be an odd prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _at_least(r, 1, "r")
     return _leading_columns(q, r, (q - 1) // 2, full)
 
 

@@ -103,6 +103,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _at_least(value, low: int, what: str) -> int:
+    """`_integer`, then a ValueError naming `what` below `low`."""
+    value = _integer(value, what)
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return value
+
+
 @dataclass(frozen=True)
 class AlphabetSpec:
     """Per-coordinate alphabet sizes; coordinate i ranges over 0..sizes[i]-1."""
@@ -534,8 +542,7 @@ def min_asym_distance(c: CodeBook) -> int:
 
 def _asym_witness(c: CodeBook, t: int) -> tuple[int, int, int] | None:
     """None iff `is_t_code`, else (distance, i, j) for a pair within t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = _at_least(t, 1, "t")
     if len(c) < 2:
         return None
     pair = _min_asym_pair(c, stop_at=t)
@@ -591,8 +598,7 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     count only where the stars-and-bars bound exceeds the cap.  Symbols
     follow the integer rule of `_index_symbols`.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _at_least(t, 0, "t")
     rs = _word_symbols(received)
     if len(rs) != c.n:
         raise AlphabetMismatch("received word length does not match the code")
@@ -628,8 +634,7 @@ def d_ell_distance(x, y, ell: int, wrap: bool = False) -> int:
     q comes from the alphabet of a Word operand; wrap on two plain
     sequences raises ValueError rather than guess q from the symbols.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _at_least(ell, 1, "ell")
     xs, ys = _check_same_profile(x, y)
     n = len(xs)
     if not wrap:
@@ -714,10 +719,7 @@ def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[i
 
 def _lm_witness(c: CodeBook, t_tilde: int, ell: int, wrap: bool) -> tuple[int, int, int] | None:
     """None iff `is_lm_code`, else (distance, i, j) for a pair within t_tilde."""
-    if t_tilde < 1:
-        raise ValueError("t_tilde must be >= 1")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    t_tilde, ell = _at_least(t_tilde, 1, "t_tilde"), _at_least(ell, 1, "ell")
     if not c.alphabet.is_uniform:
         raise ValueError("limited-magnitude distances need a uniform alphabet")
     q = c.alphabet.q

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -19,7 +20,8 @@ from asymcodes.bounds import (
     kernel_image_size,
     rate_ratio_row,
 )
-from asymcodes.linearq import codewords_of, concat_code, nullspace
+from asymcodes.groups import vt_code
+from asymcodes.linearq import codewords_of, concat_code, lee_parity_check, nullspace
 
 from conftest import book_from_strings
 
@@ -38,6 +40,35 @@ class TestSphereBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             sphere_bound(1, 4, 1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hamming_parity_check(3.0, 2), "q 3.0 is not an integer"),
+    (lambda: hamming_parity_check(3, 2.0), "r 2.0 is not an integer"),
+    (lambda: hamming_parity_check(3, 1), "r must be >= 2"),
+    (lambda: lee_parity_check(5.0, 2), "q 5.0 is not an integer"),
+    (lambda: lee_parity_check(5, 2.0), "r 2.0 is not an integer"),
+    (lambda: lee_parity_check(5, 0), "r must be >= 1"),
+    (lambda: rate_ratio(3.0), "m 3.0 is not an integer"),
+    (lambda: rate_ratio(2), "m must be >= 3"),
+    (lambda: sphere_bound(3.0, 4, 1, 1), "q 3.0 is not an integer"),
+    (lambda: sphere_bound(3, 4.0, 1, 1), "n 4.0 is not an integer"),
+    (lambda: sphere_bound(3, 4, 1.5, 1), "t_tilde 1.5 is not an integer"),
+    (lambda: sphere_bound(3, 4, 1, "1"), "ell '1' is not an integer"),
+    (lambda: sphere_bound(1, 4, 1, 1), "q must be >= 2"),
+    (lambda: sphere_bound(3, 0, 1, 1), "n must be >= 1"),
+    (lambda: sphere_bound(3, 4, -1, 1), "t_tilde must be >= 0"),
+    (lambda: sphere_bound(3, 4, 1, 0), "ell must be >= 1"),
+    (lambda: best_d3_dimension(3, 2.5), "n 2.5 is not an integer"),
+    (lambda: best_d3_dimension(3.0, 4), "q 3.0 is not an integer"),
+    (lambda: best_d3_dimension(3, 2), "n must be >= 3"),
+    (lambda: canonical_d3_ternary_check(4.0), "m 4.0 is not an integer"),
+    (lambda: vt_code(0), "n must be >= 1"),
+    (lambda: vt_code(-3), "n must be >= 1"),
+])
+def test_entry_points_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestPerfect:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def reference_overlap(c, ch, t, counting="magnitude", coord_radius=1):
     return False
 
 
+def reference_witness(c, ch, t, counting="magnitude", coord_radius=1):
+    """The lexicographically first word two balls share and the first two
+    codewords whose balls hold it, found by listing every ball as a set."""
+    holders = {}
+    for word in c.symbol_rows:
+        for y in _reference_ball(word, ch, t, counting, coord_radius):
+            holders.setdefault(y, []).append(word)
+    shared = min((y for y, h in holders.items() if len(h) > 1), default=None)
+    return None if shared is None else (shared, *holders[shared][:2])
+
+
 def _check_against_reference(c, ch, t, counting, coord_radius):
     # the cap admits exactly the total size of the balls
     total = sum(len(_reference_ball(w, ch, t, counting, coord_radius)) for w in c.symbol_rows)
@@ -246,6 +258,8 @@ def _check_against_reference(c, ch, t, counting, coord_radius):
         assert got.x in c and got.y in c and got.x.symbols < got.y.symbols
         for w in (got.x, got.y):
             assert got.received.symbols in _reference_ball(w.symbols, ch, t, counting, coord_radius)
+        witness = (got.received.symbols, got.x.symbols, got.y.symbols)
+        assert witness == reference_witness(c, ch, t, counting, coord_radius)
     return got
 
 
@@ -349,6 +363,12 @@ class TestBallOverlap:
         assert ball_overlap(good, ch, 1) is None
         got = ball_overlap(CodeBook.from_symbols(a, [x, y, far]), ch, 1)
         assert (got.received.symbols, got.x.symbols, got.y.symbols) == (y, y, x)
+        # far and far with its last 1 dropped share a word that sorts first
+        near = far[:-1] + (0,)
+        c = CodeBook.from_symbols(a, [x, y, far, near])
+        got = ball_overlap(c, ch, 1)
+        assert (got.received.symbols, got.x.symbols, got.y.symbols) == (near, near, far)
+        assert reference_witness(c, ch, 1) == (near, near, far)
         ball = error_ball(Word(x, a), ch, 2)
         assert {w.symbols for w in ball} == _reference_ball(x, ch, 2, "magnitude", 1)
 
@@ -421,6 +441,106 @@ class TestBallOverlap:
         expected = {(r, w) for r, x in enumerate(rows.tolist())
                     for w in _reference_ball(x, ch, 1, "magnitude", 1)}
         assert len(set(got)) == len(got) and set(got) == expected
+
+
+def _listing(rows, ch, t, counting="magnitude", coord_radius=1):
+    """`channels._balls` as (word, owner) pairs, in the order it returns them."""
+    owner, limbs = channels._balls(np.array(rows, dtype=np.int64), ch, t, counting, coord_radius)
+    found = channels._symbols_of(limbs, ch.alphabet.sizes).tolist()
+    return list(zip(map(tuple, found), owner.tolist()))
+
+
+def _reference_listing(rows, ch, t, counting="magnitude", coord_radius=1):
+    """Every (word, owner) pair of the rows' balls, sorted by word, then owner."""
+    return sorted((y, r) for r, x in enumerate(rows)
+                  for y in _reference_ball(tuple(x), ch, t, counting, coord_radius))
+
+
+class TestSortedListing:
+    """`channels._balls` returns its listing sorted by word, then owner."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(codes_near_a_word), st.integers(0, 2),
+           st.sampled_from(["magnitude", "coordinates"]), st.sampled_from([0, 1, 2]), st.randoms())
+    def test_equals_sorted_reference(self, case, t, counting, coord_radius, rng):
+        # the rows in any order: owners are row indices, not word ranks
+        ch, c = case
+        rows = list(c.symbol_rows)
+        rng.shuffle(rows)
+        assert _listing(rows, ch, t, counting, coord_radius) == \
+            _reference_listing(rows, ch, t, counting, coord_radius)
+
+    @pytest.mark.parametrize("n, rows, lexsorted", [
+        (62, 1, False),  # 2^62 words * 1 row: one packed key
+        (62, 2, True),   # 2^62 * 2 reaches 2^63
+        (70, 3, True),   # two limbs
+    ])
+    def test_packed_key_or_lexsort(self, monkeypatch, n, rows, lexsorted):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        ch = ProductChannel.power(make_channel("Z", 2), n)
+        code = [(0,) * n, (1,) * (n - 1) + (0,), (1,) * (n // 2) + (0,) * (n - n // 2)][-rows:]
+        for t in (1, 2):
+            assert _listing(code, ch, t) == _reference_listing(code, ch, t)
+        assert bool(calls) is lexsorted
+
+    def test_oracle_and_simulation_sort_nothing_more(self, monkeypatch):
+        # the listing comes sorted: neither the witness nor the coverage
+        # table sorts it again
+        c = vt_code(8)
+        c.matrix(), c.symbol_rows, c.words
+        ch = ProductChannel.power(make_channel("Z", 2), 8)
+        for name in ("lexsort", "argsort", "sort", "unique"):
+            monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("sorted again"))
+        assert ball_overlap(c, ch, 1) is None
+        got = ball_overlap(c, ch, 2)
+        assert (got.received.symbols, got.x.symbols, got.y.symbols) == reference_witness(c, ch, 2)
+        assert simulate_channel(c, ch, trials=20, seed=1, p=0.1).trials == 20
+
+
+class TestIntegerRule:
+    """Radii, budgets, trial counts and seeds follow `words._integer`: a
+    value that is not an integer raises ValueError naming the argument."""
+
+    c = vt_code(6)
+    ch = ProductChannel.power(make_channel("Z", 2), 6)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda c, ch: is_t_code(c, 1.5), "t 1.5 is not an integer"),
+        (lambda c, ch: is_lm_code(c, 1.5, 1), "t_tilde 1.5 is not an integer"),
+        (lambda c, ch: is_lm_code(c, 1, 2.0), "ell 2.0 is not an integer"),
+        (lambda c, ch: words.d_ell_distance((1, 0), (0, 0), 1.5), "ell 1.5 is not an integer"),
+        (lambda c, ch: decode_asymmetric(c, c.words[0], 1.0), "t 1.0 is not an integer"),
+        (lambda c, ch: corrects_t_errors(c, ch, 1.0), "t 1.0 is not an integer"),
+        (lambda c, ch: ball_overlap(c, ch, 1, "coordinates", 1.5),
+         "coord_radius 1.5 is not an integer"),
+        # a negative coord_radius made every ball one word, so any code passed
+        (lambda c, ch: corrects_t_errors(c, ch, 1, "coordinates", -1), "coord_radius must be >= 0"),
+        (lambda c, ch: error_ball(c.words[0], ch, "1"), "radius '1' is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, trials=5.0, seed=1, p=0.1),
+         "trials 5.0 is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, trials=5, seed=1.5, p=0.1),
+         "seed 1.5 is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, trials=5, seed="x", p=0.1),
+         "seed 'x' is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, trials=5, seed=1, t=1.0, p=0.1),
+         "t 1.0 is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, trials=5, seed=1, force_errors=1.0),
+         "force_errors 1.0 is not an integer"),
+    ])
+    def test_bad_values_are_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(self.c, self.ch)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        c, ch = self.c, self.ch
+        got = simulate_channel(c, ch, trials=np.int64(30), seed=np.int32(4), t=np.int8(1),
+                               force_errors=np.uint8(1))
+        assert got == simulate_channel(c, ch, trials=30, seed=4, t=1, force_errors=1)
+        assert {type(got.trials), type(got.seed), type(got.t), type(got.force_errors)} == {int}
+        assert is_t_code(c, np.int64(1)) and is_lm_code(c, np.int16(1), np.int16(1))
+        assert corrects_t_errors(c, ch, np.int64(1), "coordinates", np.int64(1))
 
 
 class TestOracle:

@@ -30,7 +30,6 @@ from asymcodes.cyclic import (
     BUILTIN_PLAIN,
     _ball1,
     _greedy,
-    _incidence,
     _instance,
     _max_weight_clique,
     _relabel,
@@ -524,12 +523,6 @@ class TestCliqueEngine:
         for a in inst.adj:
             digest.update(a.to_bytes(width, "little"))
         assert digest.hexdigest() == GRAPH_DIGESTS[m, split]
-
-    def test_incidence_key_refuses_to_overflow(self):
-        # word index * V + vertex must fit in int64; checked before listing
-        rows, vertex = np.zeros((1, 3), dtype=np.int64), np.array([2**62])
-        with pytest.raises(OverflowError, match="overflow the int64 key"):
-            _incidence(rows, vertex, (3, 3, 3))
 
     def test_budget_exhausted_results_pinned(self):
         # 5 units of node budget are 250 000 nodes; the node that runs out

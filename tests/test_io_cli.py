@@ -469,6 +469,13 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == "error: t must be >= 0\n"
 
+    def test_vt_length_below_one_is_named(self, capsys):
+        # n = 0 used to surface as the group's "cyclic factors must be >= 2"
+        assert main(["construct", "vt", "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
     def test_search_over_enumeration_cap_is_usage_error(self, capsys):
         # 3^13 words exceed the default cap of 10^6
         assert main(["search", "cyclic", "--m", "13", "--strategy", "greedy"]) == 2
