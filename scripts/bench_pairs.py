@@ -7,11 +7,11 @@ Usage (from the root of a checkout):
         [--base HEAD] [--seed 2200] [--seconds N] \\
         [--pairs build-verify=10 search=10 decode-sim=3]
 
-The parent (--base, HEAD by default) is checked out in a temporary
-`git worktree`; the change is the working tree, copied as `git ls-files`
-lists it (tracked and untracked, ignored files left out) into the same
-temporary directory, so both sides run from fresh directories and nothing
-is written into the working tree.  Each pair runs
+The parent (--base, HEAD by default) is unpacked from `git archive` into
+a temporary directory; the change is the working tree, copied as `git
+ls-files` lists it (tracked and untracked, ignored files left out) into
+the same temporary directory, so both sides run from fresh directories
+and nothing is written into the working tree.  Each pair runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` once on
 each side; even pairs run the parent first, odd pairs the change first.
 --seconds defaults to BENCHMARK.json's run_seconds, the run length the
@@ -24,8 +24,10 @@ change did better, the median change relative to the parent's median
 beside the metric's bound from BENCHMARK.json, and a verdict: `within
 bound`, `worse than bound`, or `unresolved` where the parent's own
 spread (q3 - q1 over its median) is wider than the bound and not every
-run of the change reads better than every run of the parent; and every
-run's `correct`, `attempted` and `failed`.  The worktree and the copy are
+run of the change reads better than every run of the parent; the same,
+without a bound or verdict, under `workload_metrics` for each workload's
+own figures (decode latencies, trial rates) from the run's result file;
+and every run's `correct`, `attempted` and `failed`.  Both copies are
 removed when the script ends, also on failure.
 """
 
@@ -75,8 +77,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         return {"correct": False, "attempted": 0, "failed": None, "metrics": {},
                 "error": (proc.stderr or proc.stdout)[-2000:]}
     line = json.loads(lines[-1])
+    record = tree / "perfbench" / "results" / f"run-{workload}-seed{seed}-trace0.json"
     return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
-            "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+            "workload_metrics": json.loads(record.read_text())["workload_metrics"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -98,12 +102,13 @@ def verdict(parent: list[float], change: list[float], lower: bool, bound) -> str
     return "within bound" if worse <= bound else "worse than bound"
 
 
-def summarize(runs: list[dict], declared: dict) -> dict:
-    """Per end-to-end metric: both sides' quartiles and runs, the change's
-    wins and the verdict on its bound."""
+def summarize(runs: list[dict], declared: dict, key: str = "metrics") -> dict:
+    """Per metric under `key` of each run: both sides' quartiles and runs,
+    the change's wins and the verdict on its bound."""
     out = {}
     for name, spec in declared.items():
-        pairs = [(r["parent"]["metrics"].get(name), r["change"]["metrics"].get(name)) for r in runs]
+        pairs = [(r["parent"].get(key, {}).get(name), r["change"].get(key, {}).get(name))
+                 for r in runs]
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         if not pairs:
             continue
@@ -150,15 +155,19 @@ def main() -> int:
         return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    per_layer = {m["name"]: m for m in benchmark["per_layer"]}
     seconds = args.seconds or benchmark["run_seconds"]
     base = git("rev-parse", args.base).strip()
 
-    # a terminated run still removes its worktree
+    # a terminated run still removes its copies
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"parent": tmp / "parent", "change": tmp / "change"}
     try:
-        git("worktree", "add", "--detach", str(trees["parent"]), base)
+        trees["parent"].mkdir()
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
         copy_working_tree(trees["change"])
         workloads = {}
         for workload, count in pairs.items():
@@ -178,13 +187,12 @@ def main() -> int:
                 "all_correct": all(r[s]["correct"] for r in runs for s in trees),
                 "failed_ops": {s: sum(r[s]["failed"] or 0 for r in runs) for s in trees},
                 "metrics": summarize(runs, declared),
-                "runs": [{k: {f: x for f, x in v.items() if f != "metrics"} if k in trees else v
-                          for k, v in r.items()} for r in runs],
+                # the workload's own figures (decode latencies, trial rates), not gated
+                "workload_metrics": summarize(runs, per_layer, "workload_metrics"),
+                "runs": [{k: {f: x for f, x in v.items() if "metrics" not in f} if k in trees
+                          else v for k, v in r.items()} for r in runs],
             }
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(trees["parent"])], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     doc = {
@@ -193,7 +201,7 @@ def main() -> int:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__},
         "method": (f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds "
-                   f"{seconds} --trace 0, once per side per pair, on a git worktree of the "
+                   f"{seconds} --trace 0, once per side per pair, on a git archive of the "
                    "parent and a copy of the working tree; even pairs run the parent first. "
                    "Quartiles use statistics.quantiles (inclusive); median_change_rel is the "
                    "change's median over the parent's, minus 1."),

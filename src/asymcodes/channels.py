@@ -17,11 +17,12 @@ of `words`, so the oracle and the metric path check each other.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .words import (
     Word,
     _at_least,
     _integer,
+    _read_word,
     check_cap,
 )
 
@@ -90,6 +92,7 @@ def make_channel(kind: str, q: int) -> ChannelGraph:
     between cyclically adjacent symbols in both directions.  chain: i->i-1
     with no wrap.  L1-wrap: i->i-1 mod q, including 0->q-1.
     """
+    q = _integer(q, "q")
     if kind == "Z":
         if q != 2:
             raise ValueError("Z channel requires q=2")
@@ -124,7 +127,7 @@ class ProductChannel:
 
     @classmethod
     def power(cls, graph: ChannelGraph, n: int) -> "ProductChannel":
-        return cls((graph,) * n)
+        return cls((graph,) * _integer(n, "n"))
 
     @classmethod
     def mixed(cls, graphs: Iterable[ChannelGraph]) -> "ProductChannel":
@@ -335,7 +338,7 @@ def _symbols_of(limbs: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
 
 
 def error_ball(
-    x: Word,
+    x: Word | Sequence[int],
     ch: ProductChannel,
     radius: int,
     counting: str = "magnitude",
@@ -343,16 +346,18 @@ def error_ball(
 ) -> frozenset[Word]:
     """All words reachable from x by channel errors within the given budget.
 
-    magnitude counting: at most `radius` single-step transitions in total
-    (several steps may hit the same coordinate).  coordinate counting: at
-    most `radius` coordinates move, each along at most `coord_radius` steps.
+    x is any word operand, read against the channel's alphabet by
+    `words._read_word`.  magnitude counting: at most `radius` single-step
+    transitions in total (several steps may hit the same coordinate).
+    coordinate counting: at most `radius` coordinates move, each along at
+    most `coord_radius` steps.
     """
     radius = _at_least(radius, 0, "radius")
-    _check_compatible(x.alphabet, ch)
-    rows = np.array([x.symbols], dtype=np.int64)
+    alphabet = ch.alphabet
+    rows = np.array([_read_word(x, alphabet)], dtype=np.int64)
     _, limbs = _balls(rows, ch, radius, counting, coord_radius)
-    found = _symbols_of(limbs, x.alphabet.sizes).tolist()
-    return frozenset(Word(s, x.alphabet) for s in found)
+    found = _symbols_of(limbs, alphabet.sizes).tolist()
+    return frozenset(Word(s, alphabet) for s in found)
 
 
 class BallOverlap(NamedTuple):
@@ -440,8 +445,8 @@ def simulate_channel(
     """
     if (p is None) == (force_errors is None):
         raise ValueError("provide exactly one of p and force_errors")
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    if p is not None and not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
     if force_errors is not None:
         force_errors = _at_least(force_errors, 0, "force_errors")
     trials, seed, t = _at_least(trials, 0, "trials"), _integer(seed, "seed"), _at_least(t, 0, "t")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,8 +72,9 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
-            raise ValueError(f"time budget must be a positive finite number, got {self.time_budget}")
+        budget = self.time_budget
+        if not (isinstance(budget, numbers.Real) and math.isfinite(budget) and budget > 0):
+            raise ValueError(f"time budget must be a positive finite number, got {budget!r}")
         if self.strategy not in ("exact-clique", "greedy", "randomized-restart"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 

@@ -20,12 +20,10 @@ from .words import (
     AlphabetSpec,
     CodeBook,
     DecodeFailure,
-    _as_symbols,
-    _check_symbols,
     _at_least,
-    _index_symbols,
     _integer,
     _lex_words,
+    _read_word,
     weight_enumerator,
 )
 
@@ -324,7 +322,7 @@ def _syndrome_plan(H_outer: MatrixModZq, shortened: bool) -> tuple:
     j's syndrome col_j and then -col_j are entered for j ascending, and the
     first entry for a syndrome wins, so repeated columns and q = 2
     (col = -col) resolve to the lowest position, the first-of-pair one.
-    `alphabet` is 0..q-1 as bytes, at most 256 of them.
+    `alphabet` is the code's, 0..q-1 on each of the n coordinates.
     """
     q, m = H_outer.q, H_outer.ncols
     n = 2 * m - 1 if shortened else 2 * m
@@ -348,7 +346,7 @@ def _syndrome_plan(H_outer: MatrixModZq, shortened: bool) -> tuple:
     width = (n * (q - 1) ** 2).bit_length()
     shifts = tuple(k * width for k in range(len(hd)))
     coef = tuple(sum(row[i] << s for row, s in zip(hd, shifts)) for i in range(n))
-    return coef, shifts, (1 << width) - 1, table, bytes(range(min(q, 256)))
+    return coef, shifts, (1 << width) - 1, table, AlphabetSpec.uniform(q, n)
 
 
 def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tuple[int, ...]:
@@ -359,38 +357,21 @@ def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tu
     the single +-1 outer error it names is looked up in a table cached with
     it, and the one decremented coordinate is bumped back up mod q, so
     wrap-around decrements (0 -> q-1) are corrected too.  Returns plain
-    ints.  Raises ValueError for a symbol that is not an integer (ints,
-    bools and numpy integers are) or lies outside 0..q-1, and
-    DecodeFailure, naming the syndrome, when no single decrement explains
-    it.
+    ints.  The received word is read by `_read_word` against the code's
+    alphabet: AlphabetMismatch for a wrong length or a Word over another
+    alphabet, ValueError for a symbol that is not an integer (ints, bools
+    and numpy integers are) or lies outside 0..q-1.  Raises DecodeFailure,
+    naming the syndrome, when no single decrement explains it.
     """
     if H_outer.role != "parity":
         raise ValueError("expected the outer parity-check matrix")
-    q, m = H_outer.q, H_outer.ncols
-    # a tuple first: bytes() of an array would read its buffer
-    y = _as_symbols(received)
-    expect = 2 * m - 1 if shortened else 2 * m
-    if len(y) != expect:
-        raise ValueError(f"received word must have length {expect}")
+    q = H_outer.q
     coef, shifts, mask, table, alphabet = _syndrome_plan(H_outer, shortened)
-    try:
-        # bytes() takes each symbol by __index__, as operator.index does,
-        # and only in 0..255; deleting the alphabet's bytes leaves nothing
-        # iff every symbol is below q
-        y = bytes(y)
-        fits = not y.translate(None, alphabet)
-    except (TypeError, ValueError):
-        fits = False
-    if not fits:
-        # the integer rule and the range check, naming the coordinate;
-        # symbols past 255 of an alphabet that large pass on as ints
-        y = _index_symbols(y)
-        _check_symbols(y, (q,) * expect)
-
+    y = _read_word(received, alphabet)
     v = sum(map(operator.mul, coef, y))
     syndrome = tuple((v >> s & mask) % q for s in shifts)
     if not any(syndrome):
-        return tuple(y)
+        return y
     if syndrome not in table:
         raise DecodeFailure(f"syndrome {syndrome} matches no single +-1 outer error")
     pos = table[syndrome]

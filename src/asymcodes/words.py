@@ -123,6 +123,9 @@ class AlphabetSpec:
             raise ValueError("alphabet needs at least one coordinate")
         if any(q < 2 for q in self.sizes):
             raise ValueError("every alphabet size must be >= 2")
+        # the byte values that are symbols on every coordinate, for the
+        # range check of `_read_word`
+        object.__setattr__(self, "_common_bytes", bytes(range(min(*self.sizes, 256))))
 
     @classmethod
     def uniform(cls, q: int, n: int) -> "AlphabetSpec":
@@ -170,19 +173,6 @@ def _index_symbols(symbols: Iterable) -> tuple[int, ...]:
         raise
 
 
-def _check_symbols(symbols: Sequence[int], sizes: Sequence[int]) -> None:
-    """Raise ValueError unless the word of integer symbols fits the
-    alphabet: one symbol per coordinate, each inside its alphabet 0..q-1
-    (the first one outside is named)."""
-    if len(symbols) != len(sizes):
-        raise ValueError(f"word length {len(symbols)} != alphabet length {len(sizes)}")
-    if min(symbols, default=0) >= 0 and all(map(operator.lt, symbols, sizes)):
-        return
-    for i, (s, q) in enumerate(zip(symbols, sizes)):
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
-
-
 @dataclass(frozen=True)
 class Word:
     """An immutable word over an alphabet profile."""
@@ -191,8 +181,7 @@ class Word:
     alphabet: AlphabetSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _index_symbols(self.symbols))
-        _check_symbols(self.symbols, self.alphabet.sizes)
+        object.__setattr__(self, "symbols", _read_word(self.symbols, self.alphabet))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -207,13 +196,40 @@ class Word:
         return _separator(self.alphabet.sizes).join(map(str, self.symbols))
 
 
-def _as_symbols(x) -> tuple[int, ...]:
-    return x.symbols if isinstance(x, Word) else tuple(x)
-
-
-def _word_symbols(x) -> tuple[int, ...]:
-    """A Word's symbols, or any other operand's by the integer rule."""
-    return x.symbols if isinstance(x, Word) else _index_symbols(x)
+def _read_word(x, alphabet: AlphabetSpec | None = None) -> tuple[int, ...]:
+    """The one reader of a single word operand: a Word's symbols, or any
+    other operand's as plain ints by the integer rule of `_index_symbols`.
+    With an alphabet, a Word must carry it and any other operand have one
+    symbol per coordinate (else AlphabetMismatch), each inside its alphabet
+    (else ValueError naming the coordinate); a non-iterable, ValueError."""
+    if isinstance(x, Word):
+        if alphabet is not None and x.alphabet != alphabet:
+            raise AlphabetMismatch("word alphabet profile does not match")
+        return x.symbols
+    try:
+        symbols = tuple(x)
+    except TypeError:
+        raise ValueError(f"word {x!r} is not a sequence of symbols") from None
+    if alphabet is None:
+        return _index_symbols(symbols)
+    sizes = alphabet.sizes
+    if len(symbols) != len(sizes):
+        raise AlphabetMismatch(f"word length {len(symbols)} != alphabet length {len(sizes)}")
+    try:
+        # bytes() of the tuple (of an array it would read the buffer) takes
+        # each symbol by __index__, as operator.index does, and only in 0..255
+        raw = bytes(symbols)
+    except (TypeError, ValueError):
+        symbols = _index_symbols(symbols)
+    else:
+        symbols = tuple(raw)
+        # nothing left of raw: every symbol lies below every alphabet size
+        if not raw.translate(None, alphabet._common_bytes) or all(map(operator.lt, symbols, sizes)):
+            return symbols
+    for i, (s, q) in enumerate(zip(symbols, sizes)):
+        if not 0 <= s < q:
+            raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
+    return symbols
 
 
 class RowError(ValueError):
@@ -241,7 +257,7 @@ def _row_array(rows, n: int) -> np.ndarray:
         if rows.dtype.kind != "O":
             raise ValueError(f"rows of dtype {rows.dtype} are not integer symbols")
         rows = rows.tolist()
-    rows = [_as_symbols(r) for r in rows]
+    rows = list(rows)
     for r, row in enumerate(rows):
         if len(row) != n:
             raise RowError(r, f"word length {len(row)} != alphabet length {n}")
@@ -277,7 +293,7 @@ def _sorted_rows(rows, sizes: tuple[int, ...]) -> np.ndarray:
     if outside.any():
         r = int(np.argmax(outside))
         try:
-            _check_symbols(rows[r].tolist(), sizes)
+            _read_word(rows[r].tolist(), AlphabetSpec(sizes))
         except ValueError as e:
             raise RowError(r, str(e)) from None
     rows = rows.astype(np.min_scalar_type(max(sizes) - 1), copy=False)
@@ -370,7 +386,7 @@ class CodeBook:
         return iter(self.words)
 
     def __contains__(self, item) -> bool:
-        return _word_symbols(item) in self.symbol_set
+        return _read_word(item) in self.symbol_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeBook):
@@ -411,11 +427,11 @@ class WeightEnumerator:
 
 def weight_w(x: Word | Sequence[int]) -> int:
     """Integer sum of the symbols (not the Hamming weight)."""
-    return sum(_word_symbols(x))
+    return sum(_read_word(x))
 
 
 def _check_same_profile(x, y):
-    xs, ys = _word_symbols(x), _word_symbols(y)
+    xs, ys = _read_word(x), _read_word(y)
     if len(xs) != len(ys):
         raise AlphabetMismatch("words have different lengths")
     if isinstance(x, Word) and isinstance(y, Word) and x.alphabet != y.alphabet:
@@ -595,17 +611,12 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     order) / DecodeFailure otherwise.  Looks up the received word's up-ball,
     the words it can have come from, in the code book; the ball's size is
     checked against the enumeration cap before it is listed, by its exact
-    count only where the stars-and-bars bound exceeds the cap.  Symbols
-    follow the integer rule of `_index_symbols`.
+    count only where the stars-and-bars bound exceeds the cap.  The
+    received word is read against the code's alphabet by `_read_word`.
     """
     t = _at_least(t, 0, "t")
-    rs = _word_symbols(received)
-    if len(rs) != c.n:
-        raise AlphabetMismatch("received word length does not match the code")
-    if isinstance(received, Word) and received.alphabet != c.alphabet:
-        raise AlphabetMismatch("received word alphabet does not match the code")
+    rs = _read_word(received, c.alphabet)
     sizes = c.alphabet.sizes
-    _check_symbols(rs, sizes)
     gaps = list(map(operator.sub, sizes, rs))  # q - s: one more than the room
     # no word gains more than the rooms' sum, so a larger t lists the same ball
     budget = min(t, sum(gaps) - len(gaps))

@@ -533,6 +533,21 @@ class TestIntegerRule:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(self.c, self.ch)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda c, ch: make_channel("Rq", 3.0), "q 3.0 is not an integer"),
+        (lambda c, ch: make_channel("Z", 2.0), "q 2.0 is not an integer"),
+        (lambda c, ch: ProductChannel.power(make_channel("Z", 2), 2.0), "n 2.0 is not an integer"),
+        (lambda c, ch: simulate_channel(c, ch, 5, 1, p="0.1"),
+         "p must be a number in [0, 1], got '0.1'"),
+        (lambda c, ch: simulate_channel(c, ch, 5, 1, p=float("nan")),
+         "p must be a number in [0, 1], got nan"),
+        (lambda c, ch: cyclic.SearchConfig(time_budget="5"),
+         "time budget must be a positive finite number, got '5'"),
+    ])
+    def test_channel_arguments_and_budgets_are_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(self.c, self.ch)
+
     def test_numpy_integers_are_read_as_ints(self):
         c, ch = self.c, self.ch
         got = simulate_channel(c, ch, trials=np.int64(30), seed=np.int32(4), t=np.int8(1),

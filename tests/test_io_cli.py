@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from asymcodes import AlphabetSpec, CodeBook, vt_code
+from asymcodes import AlphabetSpec, CodeBook, bounds, vt_code
 from asymcodes.cli import main
 from asymcodes.io import (
     CodeFileError,
@@ -846,3 +847,33 @@ class TestSearchDemo:
         assert lines[5].startswith("plain m=8: score ") and "(bundled 3952)" in lines[5]
         assert lines[6].startswith("plain m=9: score ") and "(bundled –)" in lines[6]
         assert lines[-1].startswith("split m=5: score 154 (bundled 154) optimal=yes")
+
+
+REPRODUCE_TABLES = Path(__file__).parents[1] / "scripts" / "reproduce_tables.py"
+
+
+def _reproduce_tables():
+    spec = importlib.util.spec_from_file_location("reproduce_tables", REPRODUCE_TABLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReproduceTables:
+    def test_json_files_are_the_cli_documents(self, tmp_path, capsys):
+        assert _reproduce_tables().run(str(tmp_path / "script")) == 0
+        for which in ("table1", "table2", "verify-generators"):
+            want = tmp_path / f"cli-{which}.json"
+            assert main(["tables", which, "--json", str(want)]) == 0
+            assert (tmp_path / "script" / f"{which}.json").read_bytes() == want.read_bytes()
+
+    def test_a_table2_mismatch_fails_the_script(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(bounds.TABLE2_REFERENCE[6], "cr", 11)
+        assert _reproduce_tables().run(str(tmp_path)) == 1
+        out = capsys.readouterr().out
+        # every table still runs and writes its document
+        assert "== bundled generator verification ==" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "table1.json", "table2.json", "verify-generators.json"]
+        rows = json.loads((tmp_path / "table2.json").read_text())["results"]["rows"]
+        assert not rows[0]["cr_matches_reference"]

@@ -11,18 +11,22 @@ from hypothesis import assume, given, settings, strategies as st
 from asymcodes import (
     AlphabetSpec,
     CodeBook,
+    ProductChannel,
     Word,
     asym_distance,
     d_ell_distance,
     decode_asymmetric,
+    error_ball,
     is_lm_code,
     is_t_code,
+    make_channel,
     min_asym_distance,
     vt_code,
     weight_enumerator,
     weight_w,
 )
 from asymcodes import words as words_mod
+from asymcodes.linearq import MatrixModZq, decode_concat
 from asymcodes.words import (
     AlphabetMismatch,
     DecodeAmbiguity,
@@ -835,3 +839,58 @@ class TestLimitedMagnitude:
         c = CodeBook.from_symbols(AlphabetSpec((3, 5)), [(0, 0), (2, 4)])
         with pytest.raises(ValueError, match="uniform alphabet"):
             is_lm_code(c, 1, 1)
+
+
+# Every entry point that reads one received word, each over Z_5^4: the
+# decrement decoder, the syndrome decoder of the concatenated code with
+# outer check (1 2) over Z_5, the error ball on the chain channel, and Word.
+Z5_4 = AlphabetSpec.uniform(5, 4)
+READERS = {
+    "decode_asymmetric": lambda x: decode_asymmetric(
+        CodeBook.from_symbols(Z5_4, [(0, 0, 0, 0), (1, 1, 1, 1)]), x, 1),
+    "decode_concat": lambda x: decode_concat(MatrixModZq(5, ((1, 2),), "parity"), x),
+    "error_ball": lambda x: error_ball(x, ProductChannel.power(make_channel("chain", 5), 4), 1),
+    "Word": lambda x: Word(x, Z5_4),
+}
+
+
+class TestOneWordReader:
+    """`words._read_word` reads the received word of both decoders, the
+    centre of `error_ball` and the symbols of a Word: the same bad operand
+    raises the same exception type from each, with the same message."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("operand, error, message", [
+        (5, ValueError, "word 5 is not a sequence of symbols"),
+        (None, ValueError, "word None is not a sequence of symbols"),
+        ((0, 0, 0), AlphabetMismatch, "word length 3 != alphabet length 4"),
+        ((0,) * 5, AlphabetMismatch, "word length 5 != alphabet length 4"),
+        (Word((0,) * 4, AlphabetSpec.uniform(7, 4)), AlphabetMismatch,
+         "word alphabet profile does not match"),
+        ((0, 1.5, 0, 0), ValueError, "symbol 1.5 at coordinate 1 is not an integer"),
+        ((0, 0, 5, 0), ValueError, "symbol 5 at coordinate 2 outside 0..4"),
+        ((0, 0, 0, -1), ValueError, "symbol -1 at coordinate 3 outside 0..4"),
+        ((0, 0, 0, 300), ValueError, "symbol 300 at coordinate 3 outside 0..4"),
+    ])
+    def test_same_error_from_every_reader(self, reader, operand, error, message):
+        with pytest.raises(ValueError) as caught:
+            READERS[reader](operand)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_error_ball_takes_any_word_operand(self):
+        ch = ProductChannel.power(make_channel("chain", 5), 4)
+        want = error_ball(Word((1, 0, 4, 2), Z5_4), ch, 2)
+        for x in [(1, 0, 4, 2), [1, 0, 4, 2], np.array([1, 0, 4, 2]), (True, 0, np.uint8(4), 2)]:
+            assert error_ball(x, ch, 2) == want
+
+    def test_mixed_alphabet_checks_each_coordinate(self):
+        # a symbol of 3 or more is past the least size, 3, so the range is
+        # checked coordinate by coordinate, with and without the bytes pass
+        a = AlphabetSpec((3, 5, 3, 256, 300))
+        for symbols in [(2, 4, 2, 255, 0), (2, 4, 2, 255, 299)]:
+            assert Word(symbols, a).symbols == symbols
+        for symbols, message in [((2, 5, 0, 0, 0), "symbol 5 at coordinate 1 outside 0..4"),
+                                 ((0, 0, 0, 256, 0), "symbol 256 at coordinate 3 outside 0..255"),
+                                 ((0, 0, 3, 0, 300), "symbol 3 at coordinate 2 outside 0..2")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Word(symbols, a)
