@@ -157,10 +157,12 @@ def _largest_cost(g: ChannelGraph, counting: str, coord_radius: int) -> int:
 def _coordinate_moves(
     g: ChannelGraph, radius: int, counting: str, coord_radius: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Slots of (targets, costs), each indexed by the codeword's symbol:
-    what that symbol may turn into and what the move costs out of the error
-    budget.  Staying is free and not listed; unused slots cost radius + 1,
-    which no budget affords."""
+    """Slots of (steps, costs), each indexed by the codeword's symbol: what
+    moving that symbol adds to it (target minus symbol) and what the move
+    costs out of the error budget.  Staying is free and not listed; unused
+    slots cost radius + 1, which no budget affords.  Steps are in the
+    narrowest signed type that holds +-(q - 1), costs in
+    `_budget_type(radius)`."""
     moves = []
     for dist in g.step_distances:
         if counting == "magnitude":
@@ -171,13 +173,21 @@ def _coordinate_moves(
             moves.append([(s, 1) for s, d in enumerate(dist) if d and d <= coord_radius])
     slots = []
     for k in range(max(len(m) for m in moves)):
-        targets = np.zeros(g.q, dtype=np.int64)
-        costs = np.full(g.q, radius + 1, dtype=np.int64)
+        steps = np.zeros(g.q, dtype=np.min_scalar_type(-g.q))
+        costs = np.full(g.q, radius + 1, dtype=_budget_type(radius))
         for a, m in enumerate(moves):
             if k < len(m):
-                targets[a], costs[a] = m[k]
-        slots.append((targets, costs))
+                target, costs[a] = m[k]
+                steps[a] = target - a
+        slots.append((steps, costs))
     return slots
+
+
+def _budget_type(radius: int) -> np.dtype:
+    """The narrowest signed type of budgets and costs: it holds every cost,
+    up to the unaffordable radius + 1, and every budget left after one,
+    down to -(radius + 1)."""
+    return np.min_scalar_type(-radius - 2)
 
 
 def _limbs_of(sizes: tuple[int, ...]) -> list[range]:
@@ -207,28 +217,36 @@ def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
     """
     left = np.zeros((radius + 1, cols.shape[1]))
     left[radius] = 1
+    # per graph (coordinates of one graph share their slots): each affordable
+    # cost and how many moves of that cost each symbol has
+    ways = {}
     for col, slots in zip(cols, moves):
+        if id(slots) not in ways:
+            costs = np.array([costs for _, costs in slots])  # slot x symbol
+            ways[id(slots)] = [(c, (costs == c).sum(axis=0))
+                               for c in set(costs[costs <= radius].tolist())]
         nxt = left.copy()
-        for c in {int(k) for _, costs in slots for k in costs if k <= radius}:
-            ways = sum((costs == c)[col] for _, costs in slots)
-            nxt[: radius + 1 - c] += left[c:] * ways
+        for c, count in ways[id(slots)]:
+            nxt[: radius + 1 - c] += left[c:] * count.take(col)
         left = nxt
     total = float(left.sum())
     return int(total) if math.isfinite(total) else total
 
 
-def _index_of(rows: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Limb indices of words given one row per word: the inverse of `_symbols_of`."""
+def _index_of(rows: np.ndarray, sizes: tuple[int, ...], dtype=np.int64) -> list[np.ndarray]:
+    """Limb indices of words given one row per word: the inverse of
+    `_symbols_of`, in `dtype`, which must hold every index."""
     out = []
     for limb in _limbs_of(sizes):
-        index = np.zeros(len(rows), dtype=np.int64)
+        index = np.zeros(len(rows), dtype=dtype)
         for i in limb:
             index = index * sizes[i] + rows[:, i]
         out.append(index)
     return out
 
 
-def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], total: int):
+def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], total: int,
+            dtype):
     """Every codeword's ball at once: (owner, limb indices), one entry per word.
 
     A word of the ball is its codeword with some coordinates moved, at a
@@ -237,30 +255,36 @@ def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], 
     entries are listed, and those with budget left join the live ones for
     later coordinates.  A word is one choice per coordinate, so each ball
     lists each of its words once.  The entries are written in place into
-    arrays of `total`, the count `_ball_count` gives.
+    arrays of `total`, the count `_ball_count` gives, in `dtype`, which
+    holds every owner and limb index.  Owners, limb indices and place
+    values are in `dtype`, gathered symbols in the dtype of `cols`, and
+    budgets in `_budget_type(radius)`.
     """
     # place[j][i]: the place value of coordinate i in limb j, 0 outside it
-    place = _index_of(np.eye(len(sizes), dtype=np.int64), sizes)
-    live = [np.arange(cols.shape[1]), *_index_of(cols.T, sizes)]  # owner, limb indices
-    left = np.full(cols.shape[1], radius)
-    out = [np.empty(total, dtype=np.int64) for _ in live]
+    place = _index_of(np.eye(len(sizes), dtype=np.uint8), sizes, dtype)
+    live = [np.arange(cols.shape[1], dtype=dtype), *_index_of(cols.T, sizes, dtype)]
+    left = np.full(cols.shape[1], radius, dtype=_budget_type(radius))
+    out = [np.empty(total, dtype=dtype) for _ in live]
     for o, x in zip(out, live):
         o[: len(x)] = x
     end = len(left)
     for i, slots in enumerate(moves):
-        a = cols[i][live[0]]
+        # until an entry keeps budget past a move, the live entries are the rows
+        a = cols[i] if len(left) == len(cols[i]) else cols[i][live[0]]
         grown = []
-        for targets, costs in slots:
-            budget = left - costs[a]
+        for steps, costs in slots:
+            # take casts narrow symbols to native indices in one pass; fancy
+            # indexing by them is about twice as slow
+            budget = left - costs.take(a)
             k = np.flatnonzero(budget >= 0)
             start, end = end, end + len(k)
             moved = [o[start:end] for o in out]
             np.take(live[0], k, out=moved[0], mode="clip")
-            step = targets[a[k]] - a[k]
+            ak = a[k]
             for x, p, m in zip(live[1:], place, moved[1:]):
                 np.take(x, k, out=m, mode="clip")
                 if p[i]:
-                    m += step * p[i]
+                    m += np.multiply(steps, p[i], dtype=dtype).take(ak)
             rest = np.flatnonzero(budget[k])
             if len(rest):
                 grown.append((budget[k][rest], [m[rest] for m in moved]))
@@ -281,25 +305,32 @@ def _balls(
 ):
     """The one ball enumerator: owners (row indices) and limb indices of
     every word in the radius balls around `rows`, sorted by word, then by
-    owner, after checking their total size against the cap.  One limb whose
-    word count times the row count stays below 2^63 sorts one packed key,
-    index * rows + owner, in place; longer words lexsort (limbs..., owner)."""
+    owner, after checking their total size against the cap.
+
+    The listing's dtype follows the packed key, index * rows + owner, of a
+    one-limb word: int32 while the word count times the row count stays
+    below 2^31, and int64 while it stays below 2^63; either way the key is
+    sorted in place.  Longer words take int64 limbs and lexsort
+    (limbs..., owner)."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
     coord_radius = _at_least(coord_radius, 0, "coord_radius")
+    graphs = set(ch.coordinates)
+    largest = {g: _largest_cost(g, counting, coord_radius) for g in graphs}
     # No word spends more than the dearest move of every coordinate, so a
     # larger radius lists the same balls.
-    budget = min(radius, sum(_largest_cost(g, counting, coord_radius) for g in ch.coordinates))
-    per_graph = {g: _coordinate_moves(g, budget, counting, coord_radius)
-                 for g in set(ch.coordinates)}
+    budget = min(radius, sum(largest[g] for g in ch.coordinates))
+    per_graph = {g: _coordinate_moves(g, budget, counting, coord_radius) for g in graphs}
     moves = [per_graph[g] for g in ch.coordinates]
     cols = rows.T
     total = _ball_count(cols, moves, budget)
     check_cap(total, f"radius-{radius} error balls")
     sizes = ch.alphabet.sizes
-    owner, limbs = _expand(cols, moves, budget, sizes, total)
     count = len(rows)
-    if math.prod(sizes) * count >= 2**63:  # several limbs, or a key past int64
+    keys = math.prod(sizes) * count
+    dtype = np.int32 if keys < 2**31 else np.int64
+    owner, limbs = _expand(cols, moves, budget, sizes, total, dtype)
+    if keys >= 2**63:  # several limbs, or a key past int64
         order = np.lexsort((owner, *limbs[::-1]))
         return owner[order], [index[order] for index in limbs]
     (index,) = limbs
@@ -385,7 +416,7 @@ def ball_overlap(
     """
     t = _at_least(t, 0, "t")
     _check_compatible(c.alphabet, ch)
-    owner, limbs = _balls(c.matrix(), ch, t, counting, coord_radius)
+    owner, limbs = _balls(c._symbol_array, ch, t, counting, coord_radius)
     shared = np.flatnonzero(_same_word(limbs, 1))
     if not len(shared):
         return None
@@ -454,7 +485,7 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     rows = c.symbol_rows
-    words, holder = _coverage(*_balls(c.matrix(), ch, t, "magnitude", 1))
+    words, holder = _coverage(*_balls(c._symbol_array, ch, t, "magnitude", 1))
     sizes = c.alphabet.sizes
     sent = np.empty(trials, dtype=np.int64)
     heard = np.empty((trials, c.n), dtype=np.min_scalar_type(max(sizes) - 1))
@@ -475,7 +506,9 @@ def simulate_channel(
         sent[trial], heard[trial] = k, received
     # a received word decodes to the holder of its index, found by binary
     # search among the sorted covered words; in no ball, or in several, it fails
-    keys, wanted = np.rec.fromarrays(words), np.rec.fromarrays(_index_of(heard, sizes))
+    # received indices in the listing's dtype, so the records compare field by field
+    keys = np.rec.fromarrays(words)
+    wanted = np.rec.fromarrays(_index_of(heard, sizes, words[0].dtype))
     at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
     failures = int(np.count_nonzero(np.where(keys[at] == wanted, holder[at], -1) != sent))
     return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

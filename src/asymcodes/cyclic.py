@@ -199,21 +199,24 @@ def _instance(m: int, split: bool) -> _Instance:
     its (word, vertex) pairs is listed twice: its own balls are disjoint.
     A literal bit never makes an orbit's own balls meet, so both parts of
     an orbit are kept, or neither is.  Two kept vertices conflict iff one
-    word lies in both their balls.
+    word lies in both their balls.  The vertex labels, the kept entries
+    and their compact labels stay in the listing's dtype: int32 up to
+    m = 9, plain or split.
     """
     rows, ends = _orbit_rows(m)
     sizes = np.diff(ends, prepend=0)
-    vertex = np.repeat(np.arange(len(ends)), sizes)
     parts = (0, 1) if split else (0,)
     listed = np.vstack([np.insert(rows, 0, bit, axis=1) for bit in parts]) if split else rows
     holder, words = _balls(listed, image_channel((2,) * split + (3,) * m), 1, "magnitude", 1)
-    # in place, so that the listing's two arrays are the largest alive
-    np.take(np.concatenate([len(parts) * vertex + part for part in parts]), holder,
-            out=holder, mode="clip")
+    # vertex labels in the listing's dtype; indexing by int32 owners
+    # allocates only the result, where np.take would first copy them to int64
+    vertex = np.repeat(np.arange(len(ends), dtype=holder.dtype), sizes)
+    holder = np.concatenate([len(parts) * vertex + part for part in parts])[holder]
     keep = np.ones(len(parts) * len(ends), dtype=bool)
     keep[holder[1:][_same_word(words, 1) & (holder[1:] == holder[:-1])]] = False
     held = keep[holder]
-    words, label = [index[held] for index in words], (np.cumsum(keep) - 1)[holder[held]]
+    words = [index[held] for index in words]
+    label = (np.cumsum(keep, dtype=holder.dtype) - 1)[holder[held]]
     del holder, held
     adj = np.ones((int(keep.sum()),) * 2, dtype=bool)
     np.fill_diagonal(adj, False)

@@ -331,9 +331,18 @@ class CodeBook:
     meta: dict
 
     def __init__(self, alphabet: AlphabetSpec, words: Iterable[Word], name: str = "", meta=None):
-        words = tuple(words)
-        if any(w.alphabet != alphabet for w in words):
-            raise AlphabetMismatch("all words must share the code book alphabet")
+        """A code book from Words over `alphabet`.  Raises ValueError for
+        words that are not iterable or an item that is not a Word, and
+        AlphabetMismatch for a Word over another alphabet."""
+        try:
+            words = tuple(words)
+        except TypeError:
+            raise ValueError(f"code book words {words!r} are not iterable") from None
+        for i, w in enumerate(words):
+            if not isinstance(w, Word):
+                raise ValueError(f"code book item {i}, {w!r}, is not a Word")
+            if w.alphabet != alphabet:
+                raise AlphabetMismatch("all words must share the code book alphabet")
         self._fill(alphabet, [w.symbols for w in words], name, {} if meta is None else meta)
 
     def _fill(self, alphabet, rows, name, meta):

@@ -499,6 +499,58 @@ class TestSortedListing:
         assert simulate_channel(c, ch, trials=20, seed=1, p=0.1).trials == 20
 
 
+class TestListingDtype:
+    """The listing is int32 while its packed key, index * rows + owner,
+    stays below 2^31, and int64 from there.  On binary n = 24 codes the
+    bound falls between 127 rows (2^24 * 127 < 2^31) and 129."""
+
+    ch = ProductChannel.power(make_channel("Z", 2), 24)
+
+    @staticmethod
+    def code(rows: int) -> CodeBook:
+        """`rows` distinct seeded words; every fourth is planted next to the
+        one before it (one 1 moved to a 0), so balls of radius 1 meet."""
+        rng = random.Random(rows)
+        found = {}
+        while len(found) < rows:
+            x = rng.getrandbits(24)
+            if len(found) % 4 == 3:
+                last = next(reversed(found))
+                ones = [i for i in range(24) if last >> i & 1]
+                zeros = [i for i in range(24) if not last >> i & 1]
+                x = last ^ (1 << rng.choice(ones)) ^ (1 << rng.choice(zeros))
+            found.setdefault(x, None)
+        return CodeBook.from_symbols(AlphabetSpec.uniform(2, 24),
+                                     [[x >> (23 - i) & 1 for i in range(24)] for x in found])
+
+    def answers(self, c: CodeBook) -> tuple:
+        balls = tuple(error_ball(c.words[k], self.ch, 2) for k in (0, 50, 126))
+        runs = tuple(simulate_channel(c, self.ch, trials=400, seed=9, t=t, p=p)
+                     for t, p in ((1, 0.03), (2, 0.08)))
+        return ball_overlap(c, self.ch, 1), ball_overlap(c, self.ch, 2), balls, runs
+
+    @pytest.mark.parametrize("rows, dtype", [(127, np.int32), (129, np.int64)])
+    def test_each_side_of_the_bound(self, monkeypatch, rows, dtype):
+        c = self.code(rows)
+        assert len(c) == rows
+        for t in (1, 2):
+            owner, limbs = channels._balls(c._symbol_array, self.ch, t, "magnitude", 1)
+            assert owner.dtype == limbs[0].dtype == dtype and len(limbs) == 1
+            found = channels._symbols_of(limbs, c.alphabet.sizes).tolist()
+            assert list(zip(map(tuple, found), owner.tolist())) == \
+                _reference_listing(c.symbol_rows, self.ch, t)
+        got = self.answers(c)
+        witness = got[0]
+        assert (witness.received.symbols, witness.x.symbols, witness.y.symbols) == \
+            reference_witness(c, self.ch, 1)
+        # the same answers from an int64 listing
+        real, dtypes = channels._expand, set()
+        monkeypatch.setattr(channels, "_expand",
+                            lambda *args: dtypes.add(args[-1]) or real(*args[:-1], np.int64))
+        assert self.answers(c) == got
+        assert dtypes == {dtype, np.int32}  # error_ball lists one row
+
+
 class TestIntegerRule:
     """Radii, budgets, trial counts and seeds follow `words._integer`: a
     value that is not an integer raises ValueError naming the argument."""

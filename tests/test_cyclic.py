@@ -524,6 +524,19 @@ class TestCliqueEngine:
             digest.update(a.to_bytes(width, "little"))
         assert digest.hexdigest() == GRAPH_DIGESTS[m, split]
 
+    def test_plain_m8_build_stays_small(self):
+        # the listing and the vertex labels are int32 at m = 8: the build's
+        # traced peak was 3.60 MiB with int64 ones
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _instance.__wrapped__(8, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+
     def test_budget_exhausted_results_pinned(self):
         # 5 units of node budget are 250 000 nodes; the node that runs out
         # is counted too

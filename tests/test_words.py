@@ -625,6 +625,17 @@ class TestCodeBookArray:
         c = CodeBook(a, [Word((1, 1), a), Word((0, 1), a)], name="x", meta={"k": "v"})
         assert c.symbol_rows == ((0, 1), (1, 1)) and c.name == "x" and c.meta == {"k": "v"}
 
+    @pytest.mark.parametrize("words, message", [
+        ([(0, 1)], "code book item 0, (0, 1), is not a Word"),
+        ([Word((0, 0), AlphabetSpec.uniform(2, 2)), "01"], "code book item 1, '01', is not a Word"),
+        (5, "code book words 5 are not iterable"),
+        (None, "code book words None are not iterable"),
+    ])
+    def test_word_constructor_names_bad_input(self, words, message):
+        with pytest.raises(ValueError) as caught:
+            CodeBook(AlphabetSpec.uniform(2, 2), words)
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
     def test_ragged_and_misshapen_rows(self):
         a = AlphabetSpec.uniform(3, 3)
         with pytest.raises(ValueError, match="row 1: word length 2 != alphabet length 3"):
