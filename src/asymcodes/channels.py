@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -147,47 +147,39 @@ def _check_compatible(alphabet: AlphabetSpec, ch: ProductChannel):
         raise AlphabetMismatch("alphabet profile does not match the channel")
 
 
-def _largest_cost(g: ChannelGraph, counting: str, coord_radius: int) -> int:
-    """The most one coordinate of graph g can spend of the error budget."""
+def _moves(g: ChannelGraph, counting: str, coord_radius: int) -> list[list[tuple[int, int]]]:
+    """The one counting rule: per symbol of g, each move it can make as
+    (target, cost out of the error budget).  Staying is free and not listed."""
     if counting == "magnitude":
-        return max(d for dist in g.step_distances for d in dist if d is not None)
-    return int(any(d and d <= coord_radius for dist in g.step_distances for d in dist))
+        # Steps commute across coordinates, so a symbol costs its BFS distance.
+        return [[(s, d) for s, d in enumerate(dist) if d] for dist in g.step_distances]
+    # A move of up to coord_radius steps costs one.
+    return [[(s, 1) for s, d in enumerate(dist) if d and d <= coord_radius]
+            for dist in g.step_distances]
 
 
-def _coordinate_moves(
-    g: ChannelGraph, radius: int, counting: str, coord_radius: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Slots of (steps, costs), each indexed by the codeword's symbol: what
-    moving that symbol adds to it (target minus symbol) and what the move
-    costs out of the error budget.  Staying is free and not listed; unused
-    slots cost radius + 1, which no budget affords.  Steps are in the
-    narrowest signed type that holds +-(q - 1), costs in
-    `_budget_type(radius)`."""
-    moves = []
-    for dist in g.step_distances:
-        if counting == "magnitude":
-            # Steps commute across coordinates, so a symbol costs its BFS distance.
-            moves.append([(s, d) for s, d in enumerate(dist) if d and d <= radius])
-        else:
-            # A move of up to coord_radius steps costs one.
-            moves.append([(s, 1) for s, d in enumerate(dist) if d and d <= coord_radius])
+def _slots(moves: list, budget: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One graph's affordable moves as slots of (steps, costs) in `dtype`,
+    each indexed by the codeword's symbol: what moving that symbol adds to
+    it (target minus symbol) and what the move costs.  Unused slots cost
+    budget + 1, which no budget affords."""
+    moves = [[(s - a, c) for s, c in m if c <= budget] for a, m in enumerate(moves)]
     slots = []
-    for k in range(max(len(m) for m in moves)):
-        steps = np.zeros(g.q, dtype=np.min_scalar_type(-g.q))
-        costs = np.full(g.q, radius + 1, dtype=_budget_type(radius))
+    for k in range(max(map(len, moves))):
+        steps = np.zeros(len(moves), dtype=dtype)
+        costs = np.full(len(moves), budget + 1, dtype=dtype)
         for a, m in enumerate(moves):
             if k < len(m):
-                target, costs[a] = m[k]
-                steps[a] = target - a
+                steps[a], costs[a] = m[k]
         slots.append((steps, costs))
     return slots
 
 
-def _budget_type(radius: int) -> np.dtype:
-    """The narrowest signed type of budgets and costs: it holds every cost,
-    up to the unaffordable radius + 1, and every budget left after one,
-    down to -(radius + 1)."""
-    return np.min_scalar_type(-radius - 2)
+def _ways(moves: list, budget: int) -> list[tuple[int, np.ndarray]]:
+    """One graph's affordable costs, each with how many moves of that cost
+    each symbol has."""
+    counts = [Counter(c for _, c in m if c <= budget) for m in moves]
+    return [(c, np.array([n[c] for n in counts])) for c in sorted(set().union(*counts))]
 
 
 def _limbs_of(sizes: tuple[int, ...]) -> list[range]:
@@ -207,8 +199,9 @@ def _limbs_of(sizes: tuple[int, ...]) -> list[range]:
     return limbs
 
 
-def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
-    """Total size of the balls around the codewords, without listing them.
+def _ball_count(cols: np.ndarray, ways: list, radius: int) -> int | float:
+    """Total size of the balls around the codewords, without listing them,
+    from each coordinate's `_ways`.
 
     left[b, r] counts the prefixes of row r's ball that leave budget b.
     float64 is exact below 2^53 and overflows to inf, which still compares
@@ -217,16 +210,9 @@ def _ball_count(cols: np.ndarray, moves: list, radius: int) -> int | float:
     """
     left = np.zeros((radius + 1, cols.shape[1]))
     left[radius] = 1
-    # per graph (coordinates of one graph share their slots): each affordable
-    # cost and how many moves of that cost each symbol has
-    ways = {}
-    for col, slots in zip(cols, moves):
-        if id(slots) not in ways:
-            costs = np.array([costs for _, costs in slots])  # slot x symbol
-            ways[id(slots)] = [(c, (costs == c).sum(axis=0))
-                               for c in set(costs[costs <= radius].tolist())]
+    for col, by_cost in zip(cols, ways):
         nxt = left.copy()
-        for c, count in ways[id(slots)]:
+        for c, count in by_cost:
             nxt[: radius + 1 - c] += left[c:] * count.take(col)
         left = nxt
     total = float(left.sum())
@@ -245,34 +231,34 @@ def _index_of(rows: np.ndarray, sizes: tuple[int, ...], dtype=np.int64) -> list[
     return out
 
 
-def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], total: int,
+def _expand(cols: np.ndarray, slots: list, radius: int, sizes: tuple[int, ...], total: int,
             dtype):
     """Every codeword's ball at once: (owner, limb indices), one entry per word.
 
     A word of the ball is its codeword with some coordinates moved, at a
-    total cost within the radius.  One pass over the coordinates gives
-    every live entry each move it can afford at that coordinate; the moved
-    entries are listed, and those with budget left join the live ones for
-    later coordinates.  A word is one choice per coordinate, so each ball
-    lists each of its words once.  The entries are written in place into
-    arrays of `total`, the count `_ball_count` gives, in `dtype`, which
-    holds every owner and limb index.  Owners, limb indices and place
-    values are in `dtype`, gathered symbols in the dtype of `cols`, and
-    budgets in `_budget_type(radius)`.
+    total cost within the radius; `slots` holds each coordinate's `_slots`.
+    One pass over the coordinates gives every live entry each move it can
+    afford at that coordinate; the moved entries are listed, and those
+    with budget left join the live ones for later coordinates.  A word is
+    one choice per coordinate, so each ball lists each of its words once.
+    The entries are written in place into arrays of `total`, the count
+    `_ball_count` gives.  Owners, limb indices, place values and budgets
+    are in `dtype`, which holds every owner and limb index, as are the
+    steps and costs of the slots; gathered symbols keep the dtype of `cols`.
     """
     # place[j][i]: the place value of coordinate i in limb j, 0 outside it
     place = _index_of(np.eye(len(sizes), dtype=np.uint8), sizes, dtype)
     live = [np.arange(cols.shape[1], dtype=dtype), *_index_of(cols.T, sizes, dtype)]
-    left = np.full(cols.shape[1], radius, dtype=_budget_type(radius))
+    left = np.full(cols.shape[1], radius, dtype=dtype)
     out = [np.empty(total, dtype=dtype) for _ in live]
     for o, x in zip(out, live):
         o[: len(x)] = x
     end = len(left)
-    for i, slots in enumerate(moves):
+    for i, here in enumerate(slots):
         # until an entry keeps budget past a move, the live entries are the rows
         a = cols[i] if len(left) == len(cols[i]) else cols[i][live[0]]
         grown = []
-        for steps, costs in slots:
+        for steps, costs in here:
             # take casts narrow symbols to native indices in one pass; fancy
             # indexing by them is about twice as slow
             budget = left - costs.take(a)
@@ -284,7 +270,7 @@ def _expand(cols: np.ndarray, moves: list, radius: int, sizes: tuple[int, ...], 
             for x, p, m in zip(live[1:], place, moved[1:]):
                 np.take(x, k, out=m, mode="clip")
                 if p[i]:
-                    m += np.multiply(steps, p[i], dtype=dtype).take(ak)
+                    m += (steps * p[i]).take(ak)
             rest = np.flatnonzero(budget[k])
             if len(rest):
                 grown.append((budget[k][rest], [m[rest] for m in moved]))
@@ -307,29 +293,31 @@ def _balls(
     every word in the radius balls around `rows`, sorted by word, then by
     owner, after checking their total size against the cap.
 
-    The listing's dtype follows the packed key, index * rows + owner, of a
-    one-limb word: int32 while the word count times the row count stays
-    below 2^31, and int64 while it stays below 2^63; either way the key is
-    sorted in place.  Longer words take int64 limbs and lexsort
-    (limbs..., owner)."""
+    The listing's one dtype follows the packed key, index * rows + owner,
+    of a one-limb word: int32 while the word count times the row count
+    stays below 2^31, and int64 while it stays below 2^63; either way the
+    key is sorted in place.  Longer words take int64 limbs and lexsort
+    (limbs..., owner).  Each distinct graph's `_moves` table gives, once
+    per call, its dearest cost, its `_slots` in that dtype and its `_ways`."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
     coord_radius = _at_least(coord_radius, 0, "coord_radius")
-    graphs = set(ch.coordinates)
-    largest = {g: _largest_cost(g, counting, coord_radius) for g in graphs}
+    table = {g: _moves(g, counting, coord_radius) for g in set(ch.coordinates)}
     # No word spends more than the dearest move of every coordinate, so a
     # larger radius lists the same balls.
-    budget = min(radius, sum(largest[g] for g in ch.coordinates))
-    per_graph = {g: _coordinate_moves(g, budget, counting, coord_radius) for g in graphs}
-    moves = [per_graph[g] for g in ch.coordinates]
-    cols = rows.T
-    total = _ball_count(cols, moves, budget)
-    check_cap(total, f"radius-{radius} error balls")
+    dearest = {g: max((c for m in moves for _, c in m), default=0) for g, moves in table.items()}
+    budget = min(radius, sum(dearest[g] for g in ch.coordinates))
     sizes = ch.alphabet.sizes
     count = len(rows)
     keys = math.prod(sizes) * count
     dtype = np.int32 if keys < 2**31 else np.int64
-    owner, limbs = _expand(cols, moves, budget, sizes, total, dtype)
+    per_graph = {g: (_slots(moves, budget, dtype), _ways(moves, budget))
+                 for g, moves in table.items()}
+    slots, ways = zip(*(per_graph[g] for g in ch.coordinates))
+    cols = rows.T
+    total = _ball_count(cols, ways, budget)
+    check_cap(total, f"radius-{radius} error balls")
+    owner, limbs = _expand(cols, slots, budget, sizes, total, dtype)
     if keys >= 2**63:  # several limbs, or a key past int64
         order = np.lexsort((owner, *limbs[::-1]))
         return owner[order], [index[order] for index in limbs]
@@ -348,14 +336,12 @@ def _same_word(limbs: list[np.ndarray], d: int) -> np.ndarray:
     return np.logical_and.reduce([index[d:] == index[:-d] for index in limbs])
 
 
-def _coverage(owner: np.ndarray, limbs: list[np.ndarray]):
-    """The distinct words of a `_balls` listing in lexicographic order, as
-    limb indices, and the owner of each, or -1 where several balls hold it."""
-    first = np.ones(len(owner), dtype=bool)
-    first[1:] = ~_same_word(limbs, 1)
-    starts = np.flatnonzero(first)
-    alone = np.diff(starts, append=len(owner)) == 1
-    return [index[starts] for index in limbs], np.where(alone, owner[starts], -1)
+def _word_keys(limbs: list[np.ndarray]) -> np.ndarray:
+    """One fixed-width byte string per entry of limb indices, ordered as
+    the words are: the limbs, first limb first, written big-endian, compare
+    byte by byte as the (never negative) indices do."""
+    rows = np.stack(limbs, axis=1).astype(limbs[0].dtype.newbyteorder(">"))
+    return rows.view(f"S{rows.shape[1] * rows.itemsize}")[:, 0]
 
 
 def _symbols_of(limbs: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
@@ -466,9 +452,10 @@ def simulate_channel(
     force_errors.  With p, every coordinate independently takes one outgoing
     step with probability p (at most one step per coordinate); with
     force_errors, exactly that many distinct coordinates (among those that
-    can err) take one step.  Every channel decodes through one coverage
-    table built from the radius-t balls (magnitude counting): a received
-    word decodes to the codeword whose ball alone contains it.  On pure-Z
+    can err) take one step.  Every channel decodes through the sorted
+    listing of the radius-t balls (magnitude counting): a received word
+    decodes to the codeword whose ball alone contains it, found as a run
+    of one entry between its left and right `searchsorted` positions.  On pure-Z
     products this is the decrement decoder's rule, the unique codeword at
     or above the received word within t decrements.  A word in no ball or
     in several counts as a failure, as does a wrong codeword.
@@ -485,10 +472,10 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     rows = c.symbol_rows
-    words, holder = _coverage(*_balls(c._symbol_array, ch, t, "magnitude", 1))
+    owner, limbs = _balls(c._symbol_array, ch, t, "magnitude", 1)
     sizes = c.alphabet.sizes
     sent = np.empty(trials, dtype=np.int64)
-    heard = np.empty((trials, c.n), dtype=np.min_scalar_type(max(sizes) - 1))
+    heard = np.empty((trials, c.n), dtype=c._symbol_array.dtype)
     rng = random.Random(seed)
     for trial in range(trials):
         k = rng.randrange(len(rows))
@@ -504,11 +491,11 @@ def simulate_channel(
                 if outs and rng.random() < p:
                     received[i] = rng.choice(outs)
         sent[trial], heard[trial] = k, received
-    # a received word decodes to the holder of its index, found by binary
-    # search among the sorted covered words; in no ball, or in several, it fails
-    # received indices in the listing's dtype, so the records compare field by field
-    keys = np.rec.fromarrays(words)
-    wanted = np.rec.fromarrays(_index_of(heard, sizes, words[0].dtype))
-    at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
-    failures = int(np.count_nonzero(np.where(keys[at] == wanted, holder[at], -1) != sent))
+    # a received word listed once decodes to that entry's owner; in no ball,
+    # or in several, it fails
+    keys = _word_keys(limbs)
+    wanted = _word_keys(_index_of(heard, sizes, limbs[0].dtype))
+    at = np.searchsorted(keys, wanted)
+    alone = np.searchsorted(keys, wanted, side="right") - at == 1
+    failures = int(np.count_nonzero(np.where(alone, owner.take(at, mode="clip"), -1) != sent))
     return SimulationResult(trials, failures, seed, t, p, force_errors, "ball-lookup")

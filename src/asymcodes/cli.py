@@ -153,6 +153,20 @@ def _witness(c: CodeBook, model: str, t: int, ell: int = 1, wrap: bool = False) 
     return {"x": x, "y": y, "distance": d}
 
 
+def _outer_q_r(flag: str, value: str, tail: str = "") -> tuple[int, int, bool]:
+    """Q and R of an outer-code flag, which takes exactly Q,R, or also
+    Q,R,`tail` where a tail is given, and whether the tail was there."""
+    parts = value.split(",")
+    if len(parts) == 2 or tail and parts[2:] == [tail]:
+        try:
+            q, r = parse_ints(parts[:2])
+            return q, r, len(parts) == 3
+        except ValueError:
+            pass
+    form = f"Q,R or Q,R,{tail}" if tail else "Q,R"
+    raise ValueError(f"{flag} takes {form} with integers Q and R, got {value!r}")
+
+
 def _cmd_construct(args) -> int:
     which = args.what
     if which == "vt":
@@ -184,13 +198,11 @@ def _cmd_construct(args) -> int:
         if args.outer_gen:
             outer = MatrixModZq.from_text(Path(args.outer_gen).read_text())
         elif args.outer_hamming:
-            q, r = parse_ints(args.outer_hamming.split(","))
+            q, r, _ = _outer_q_r("--outer-hamming", args.outer_hamming)
             outer = nullspace(hamming_parity_check(q, r))
         elif args.outer_lee:
-            parts = args.outer_lee.split(",")
-            q, r = parse_ints(parts[:2])
-            full = "partial" not in parts[2:]
-            outer = nullspace(lee_parity_check(q, r, full=full))
+            q, r, partial = _outer_q_r("--outer-lee", args.outer_lee, "partial")
+            outer = nullspace(lee_parity_check(q, r, full=not partial))
         else:
             print("error: give --outer-gen, --outer-hamming or --outer-lee", file=sys.stderr)
             return USAGE

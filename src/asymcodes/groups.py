@@ -119,6 +119,8 @@ def cr_code(
     g, so only the two half-tables and the code itself are allocated, each
     checked against the enumeration cap first.
     """
+    if not isinstance(G, AbelianGroup):
+        raise ValueError(f"group {G!r} is not an AbelianGroup")
     if g is None:
         g = G.identity
     elif not isinstance(g, Iterable):

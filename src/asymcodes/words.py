@@ -257,10 +257,17 @@ def _row_array(rows, n: int) -> np.ndarray:
         if rows.dtype.kind != "O":
             raise ValueError(f"rows of dtype {rows.dtype} are not integer symbols")
         rows = rows.tolist()
-    rows = list(rows)
+    try:
+        rows = list(rows)
+    except TypeError:
+        raise ValueError(f"code book rows {rows!r} are not iterable") from None
     for r, row in enumerate(rows):
-        if len(row) != n:
-            raise RowError(r, f"word length {len(row)} != alphabet length {n}")
+        try:
+            length = len(row)
+        except TypeError:
+            raise RowError(r, f"{row!r} is not a sequence of symbols") from None
+        if length != n:
+            raise RowError(r, f"word length {length} != alphabet length {n}")
     try:
         # bytes() takes each symbol by __index__, as operator.index does,
         # and only in 0..255: the integer rule in one C pass for the rows
@@ -359,7 +366,8 @@ class CodeBook:
     ) -> "CodeBook":
         """A code book from rows (sequences, Words or a 2-D integer array)
         in any order.  Raises RowError, a ValueError naming the input row,
-        for a symbol outside the alphabet or a repeated row."""
+        for a row that is not a sequence, a symbol outside the alphabet or
+        a repeated row, and ValueError for rows that are not iterable."""
         book = cls.__new__(cls)
         book._fill(alphabet, rows, name, dict(meta or {}))
         return book

@@ -783,12 +783,16 @@ def _replay_pure_z(c, ch, trials, seed, t, p=None, force_errors=None):
 
 # Not a 1-code: at t=1, 00000 lies in the balls of both 00000 and 00001.
 OVERLAPPING_Z = ["00000", "00001", "00111", "01111", "11000"]
+# 70 bits, so word indices take two limbs; 1^34 0^36 lies in the balls of
+# both 1^34 0^36 and 1^35 0^35.
+LONG_OVERLAPPING_Z = ["1" * 35 + "0" * 35, "1" * 34 + "0" * 36, "0" * 35 + "1" * 35]
 
 
 class TestPureZMatchesDecrementDecoder:
     @pytest.mark.parametrize(
-        "c", [vt_code(8, 0, 2), book_from_strings(OVERLAPPING_Z)],
-        ids=["vt n=8", "overlapping non-code"],
+        "c", [vt_code(8, 0, 2), book_from_strings(OVERLAPPING_Z),
+              book_from_strings(LONG_OVERLAPPING_Z)],
+        ids=["vt n=8", "overlapping non-code", "70-bit overlapping non-code"],
     )
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("noise", [{"p": 0.1}, {"force_errors": 1}], ids=["p", "force"])

@@ -127,6 +127,14 @@ class TestCrCode:
             cr_code(AbelianGroup.cyclic(7), 3)
         assert cr_code(AbelianGroup.cyclic(7), (3,)) == cr_code(AbelianGroup.cyclic(7), [3])
 
+    @pytest.mark.parametrize("group", [16, "3x3"])
+    def test_a_group_that_is_not_one_is_named(self, group):
+        # the working calls are cr_code(best_cr_group(16)) and
+        # cr_code(AbelianGroup.parse("3x3"))
+        message = f"group {group!r} is not an AbelianGroup"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cr_code(group)
+
     def test_nonbinary_vt_is_one_code(self):
         c = vt_code(6, 0, q=3)
         assert is_t_code(c, 1)

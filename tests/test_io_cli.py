@@ -484,13 +484,17 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag, value", [("--outer-lee", "3"), ("--outer-lee", "+3,2"),
-                                             ("--outer-hamming", "3,2,1"), ("--outer-hamming", "3,\u0662")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--outer-lee", "3"), ("--outer-lee", "+3,2"), ("--outer-lee", "5,2,foo"),
+        ("--outer-lee", "5,2,partial,x"), ("--outer-hamming", "3,2,1"),
+        ("--outer-hamming", "3,\u0662"), ("--outer-hamming", "3"), ("--outer-hamming", "3,2,partial"),
+    ])
     def test_concat_outer_flags_are_checked(self, capsys, flag, value):
         assert main(["construct", "concat", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert flag in captured.err
 
     def test_decode_rejects_a_loose_integer_token(self, tmp_path, capsys):
         # int() reads 1_1 as 11, a symbol of this code

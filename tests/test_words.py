@@ -636,6 +636,19 @@ class TestCodeBookArray:
             CodeBook(AlphabetSpec.uniform(2, 2), words)
         assert type(caught.value) is ValueError and str(caught.value) == message
 
+    @pytest.mark.parametrize("rows, error, message", [
+        (5, ValueError, "code book rows 5 are not iterable"),
+        (None, ValueError, "code book rows None are not iterable"),
+        ([5], words_mod.RowError, "row 0: 5 is not a sequence of symbols"),
+        ([(0, 1), None], words_mod.RowError, "row 1: None is not a sequence of symbols"),
+    ])
+    def test_from_symbols_names_bad_input(self, rows, error, message):
+        with pytest.raises(ValueError) as caught:
+            CodeBook.from_symbols(AlphabetSpec.uniform(2, 2), rows)
+        assert type(caught.value) is error and str(caught.value) == message
+        if error is words_mod.RowError:
+            assert caught.value.row == len(rows) - 1
+
     def test_ragged_and_misshapen_rows(self):
         a = AlphabetSpec.uniform(3, 3)
         with pytest.raises(ValueError, match="row 1: word length 2 != alphabet length 3"):
