@@ -9,7 +9,7 @@ stored reference constants with provenance labels, never recomputed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import comb, log2
+from math import log2
 
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
@@ -17,13 +17,30 @@ from .linearq import MatrixModZq, codewords_of, hamming_parity_check
 from .words import CodeBook, _at_least, _integer, is_lm_code, weight_enumerator
 
 
+# The largest word space `sphere_bound` computes: q^n below 2^SPHERE_BITS,
+# so the bound prints within Python's default 4300-digit limit on
+# int-to-str conversion (2^14000 has 4215 digits).
+SPHERE_BITS = 14_000
+
+
 def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
     """Largest |C| allowed by ball packing for t_tilde errors of magnitude
-    at most ell each: floor(q^n / sum_{i<=t} C(n,i) ell^i)."""
+    at most ell each: floor(q^n / sum_{i<=t} C(n,i) ell^i).  Raises
+    ValueError naming n unless q^n < 2^SPHERE_BITS, before building q^n
+    when (bits of q - 1) * n already reaches the limit."""
     q, n = _at_least(q, 2, "q"), _at_least(n, 1, "n")
     t_tilde, ell = _at_least(t_tilde, 0, "t_tilde"), _at_least(ell, 1, "ell")
-    denom = sum(comb(n, i) * ell**i for i in range(t_tilde + 1))
-    return q**n // denom
+    if (q.bit_length() - 1) * n >= SPHERE_BITS or (space := q**n).bit_length() > SPHERE_BITS:
+        raise ValueError(f"n {n} is too large: q^n must stay below 2^{SPHERE_BITS}")
+    # C(n, i) ell^i from its predecessor; C(n, i) = 0 past n, and once the
+    # ball outgrows the space the bound is 0
+    denom = term = 1
+    for i in range(1, min(t_tilde, n) + 1):
+        term = term * ell * (n - i + 1) // i
+        denom += term
+        if denom > space:
+            return 0
+    return space // denom
 
 
 def is_perfect(c: CodeBook, t_tilde: int, ell: int) -> bool:

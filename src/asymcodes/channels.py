@@ -34,6 +34,7 @@ from .words import (
     _at_least,
     _integer,
     _read_word,
+    _trusted_word,
     check_cap,
 )
 
@@ -147,38 +148,38 @@ def _check_compatible(alphabet: AlphabetSpec, ch: ProductChannel):
         raise AlphabetMismatch("alphabet profile does not match the channel")
 
 
-def _moves(g: ChannelGraph, counting: str, coord_radius: int) -> list[list[tuple[int, int]]]:
+def _moves(g: ChannelGraph, counting: str, coord_radius: int,
+           radius: int) -> list[list[tuple[int, int]]]:
     """The one counting rule: per symbol of g, each move it can make as
-    (target, cost out of the error budget).  Staying is free and not listed."""
+    (target, cost out of the error budget), for the moves that cost at most
+    `radius`.  Staying is free and not listed."""
     if counting == "magnitude":
         # Steps commute across coordinates, so a symbol costs its BFS distance.
-        return [[(s, d) for s, d in enumerate(dist) if d] for dist in g.step_distances]
+        return [[(s, d) for s, d in enumerate(dist) if d and d <= radius]
+                for dist in g.step_distances]
     # A move of up to coord_radius steps costs one.
-    return [[(s, 1) for s, d in enumerate(dist) if d and d <= coord_radius]
+    reach = coord_radius if radius else 0
+    return [[(s, 1) for s, d in enumerate(dist) if d and d <= reach]
             for dist in g.step_distances]
 
 
 def _slots(moves: list, budget: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One graph's affordable moves as slots of (steps, costs) in `dtype`,
-    each indexed by the codeword's symbol: what moving that symbol adds to
-    it (target minus symbol) and what the move costs.  Unused slots cost
-    budget + 1, which no budget affords."""
-    moves = [[(s - a, c) for s, c in m if c <= budget] for a, m in enumerate(moves)]
+    """One graph's moves as slots of (steps, costs) in `dtype`, each indexed
+    by the codeword's symbol: what moving that symbol adds to it (target
+    minus symbol) and what the move costs.  Unused slots cost budget + 1,
+    which no budget affords."""
     slots = []
     for k in range(max(map(len, moves))):
-        steps = np.zeros(len(moves), dtype=dtype)
-        costs = np.full(len(moves), budget + 1, dtype=dtype)
-        for a, m in enumerate(moves):
-            if k < len(m):
-                steps[a], costs[a] = m[k]
-        slots.append((steps, costs))
+        picked = [m[k] if k < len(m) else (a, budget + 1) for a, m in enumerate(moves)]
+        targets, costs = np.array(picked, dtype=dtype).T
+        slots.append((targets - np.arange(len(moves), dtype=dtype), costs))
     return slots
 
 
-def _ways(moves: list, budget: int) -> list[tuple[int, np.ndarray]]:
-    """One graph's affordable costs, each with how many moves of that cost
-    each symbol has."""
-    counts = [Counter(c for _, c in m if c <= budget) for m in moves]
+def _ways(moves: list) -> list[tuple[int, np.ndarray]]:
+    """One graph's costs, each with how many moves of that cost each
+    symbol has."""
+    counts = [Counter(c for _, c in m) for m in moves]
     return [(c, np.array([n[c] for n in counts])) for c in sorted(set().union(*counts))]
 
 
@@ -297,21 +298,24 @@ def _balls(
     of a one-limb word: int32 while the word count times the row count
     stays below 2^31, and int64 while it stays below 2^63; either way the
     key is sorted in place.  Longer words take int64 limbs and lexsort
-    (limbs..., owner).  Each distinct graph's `_moves` table gives, once
-    per call, its dearest cost, its `_slots` in that dtype and its `_ways`."""
+    (limbs..., owner).  Each distinct graph's `_moves` table, listed once
+    per call with the moves the radius affords, gives its dearest cost, its
+    `_slots` in that dtype and its `_ways`."""
     if counting not in ("magnitude", "coordinates"):
         raise ValueError("counting must be 'magnitude' or 'coordinates'")
     coord_radius = _at_least(coord_radius, 0, "coord_radius")
-    table = {g: _moves(g, counting, coord_radius) for g in set(ch.coordinates)}
-    # No word spends more than the dearest move of every coordinate, so a
-    # larger radius lists the same balls.
+    table = {g: _moves(g, counting, coord_radius, radius) for g in set(ch.coordinates)}
+    # No word spends more than the dearest listed move of every coordinate,
+    # so a larger radius lists the same balls.  Each listed move costs at
+    # most the radius and at most that sum, so the clamped budget affords
+    # every one.
     dearest = {g: max((c for m in moves for _, c in m), default=0) for g, moves in table.items()}
     budget = min(radius, sum(dearest[g] for g in ch.coordinates))
     sizes = ch.alphabet.sizes
     count = len(rows)
     keys = math.prod(sizes) * count
     dtype = np.int32 if keys < 2**31 else np.int64
-    per_graph = {g: (_slots(moves, budget, dtype), _ways(moves, budget))
+    per_graph = {g: (_slots(moves, budget, dtype), _ways(moves))
                  for g, moves in table.items()}
     slots, ways = zip(*(per_graph[g] for g in ch.coordinates))
     cols = rows.T
@@ -374,7 +378,8 @@ def error_ball(
     rows = np.array([_read_word(x, alphabet)], dtype=np.int64)
     _, limbs = _balls(rows, ch, radius, counting, coord_radius)
     found = _symbols_of(limbs, alphabet.sizes).tolist()
-    return frozenset(Word(s, alphabet) for s in found)
+    # every listed word lies inside the alphabet: no second check
+    return frozenset(_trusted_word(tuple(s), alphabet) for s in found)
 
 
 class BallOverlap(NamedTuple):
@@ -452,14 +457,17 @@ def simulate_channel(
     force_errors.  With p, every coordinate independently takes one outgoing
     step with probability p (at most one step per coordinate); with
     force_errors, exactly that many distinct coordinates (among those that
-    can err) take one step.  Every channel decodes through the sorted
-    listing of the radius-t balls (magnitude counting): a received word
-    decodes to the codeword whose ball alone contains it, found as a run
-    of one entry between its left and right `searchsorted` positions.  On pure-Z
-    products this is the decrement decoder's rule, the unique codeword at
-    or above the received word within t decrements.  A word in no ball or
-    in several counts as a failure, as does a wrong codeword.
-    Deterministic for a fixed seed.
+    can err) take one step.  Where fewer can err, every one that can takes
+    a step, so any force_errors of n or more draws as n does.  Every channel
+    decodes through the sorted listing of the radius-t balls (magnitude
+    counting): a received word decodes to the codeword whose ball alone
+    contains it, found as a run of one entry between its left and right
+    `searchsorted` positions.  On pure-Z products this is the decrement
+    decoder's rule, the unique codeword at or above the received word
+    within t decrements.  A word in no ball or in several counts as a
+    failure, as does a wrong codeword.  The trials' received words, trials
+    times n symbols, are checked against the enumeration cap before
+    anything is listed.  Deterministic for a fixed seed.
     """
     if (p is None) == (force_errors is None):
         raise ValueError("provide exactly one of p and force_errors")
@@ -471,6 +479,7 @@ def simulate_channel(
     _check_compatible(c.alphabet, ch)
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
+    check_cap(trials * c.n, f"{trials} trials of {c.n} symbols")
     rows = c.symbol_rows
     owner, limbs = _balls(c._symbol_array, ch, t, "magnitude", 1)
     sizes = c.alphabet.sizes

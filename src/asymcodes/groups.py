@@ -76,7 +76,9 @@ class AbelianGroup:
 
     @cached_property
     def nonidentity_elements(self) -> tuple[GroupElement, ...]:
-        """All non-identity elements in lexicographic component order."""
+        """All non-identity elements in lexicographic component order, their
+        count checked against the enumeration cap first."""
+        check_cap(self.order - 1, f"non-identity elements of group {self}")
         ranges = [range(d) for d in self.factors]
         return tuple(e for e in itertools.product(*ranges) if any(e))
 

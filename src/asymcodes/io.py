@@ -81,34 +81,42 @@ def write_code_file(c: CodeBook) -> str:
     if sep:
         lines.extend(sep.join(map(str, row)) for row in c.symbol_rows)
         return "\n".join(lines) + "\n"
-    # every symbol is one digit: the body is the code's array shifted to
-    # ASCII '0', with a newline column
+    # every symbol is one digit: the body is the code's uint8 array shifted
+    # in place to ASCII '0', with a newline column, decoded from its buffer;
+    # the buffer goes before the header is joined on, so at most two copies
+    # of the body are alive
     body = np.full((len(c), c.n + 1), ord("\n"), dtype=np.uint8)
-    body[:, :-1] = c.matrix() + ord("0")
-    return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
+    np.add(c._symbol_array, ord("0"), out=body[:, :-1])
+    text = str(body, "ascii")
+    del body
+    return "\n".join(lines) + "\n" + text
 
 
 def _body_rows(body: list[tuple[int, str]], n: int, sep: str) -> np.ndarray:
     """The body's words, one row per line, in one array.
 
     A plain line, n ASCII digits of a digit-string alphabet, is decoded
-    with all the others in one pass over the joined bytes.  Every other
-    line is read by `parse_symbols`, which raises the error of its line.
-    Symbols past int64 make the array object-typed, so that the range
-    check still names them.
+    with all the others in one pass over the joined bytes; when every line
+    is plain, that uint8 array is the result.  Every other line is read by
+    `parse_symbols`, which raises the error of its line, and only then is
+    an int64 array filled.  Symbols past int64 make it object-typed, so
+    that the range check still names them.
     """
     lines = [line for _, line in body]
-    rows = np.zeros((len(lines), n), dtype=np.int64)
     plain = np.zeros(len(lines), dtype=bool)
+    digits = np.empty((0, n), dtype=np.uint8)
     if not sep:
         plain = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == n
         # a character past ASCII becomes '?', so each line keeps its n bytes
         joined = "".join(itertools.compress(lines, plain)).encode("ascii", "replace")
-        digits = (np.frombuffer(joined, dtype=np.uint8) - ord("0")).reshape(-1, n)
+        digits = np.frombuffer(joined, dtype=np.uint8).reshape(-1, n) - ord("0")
+        del joined
         # bytes below '0' wrap past 9 too
         ok = (digits <= 9).all(axis=1)
         plain[plain] = ok
-        rows[plain] = digits[ok]
+        if plain.all():
+            return digits
+        digits = digits[ok]
     slow = np.flatnonzero(~plain)
     words = []
     for r in slow.tolist():
@@ -120,6 +128,8 @@ def _body_rows(body: list[tuple[int, str]], n: int, sep: str) -> np.ndarray:
         if len(symbols) != n:
             raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(symbols)}")
         words.append(symbols)
+    rows = np.zeros((len(lines), n), dtype=np.int64)
+    rows[plain] = digits
     if words:
         try:
             rows[slow] = words

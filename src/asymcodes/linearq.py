@@ -302,7 +302,7 @@ def double_code(c: CodeBook) -> CodeBook:
     """Repeat every symbol twice in place; doubles the asymmetric distance."""
     sizes = tuple(q for q in c.alphabet.sizes for _ in (0, 1))
     name = f"double({c.name})" if c.name else ""
-    return CodeBook.from_symbols(AlphabetSpec(sizes), np.repeat(c.matrix(), 2, axis=1), name=name)
+    return CodeBook.from_symbols(AlphabetSpec(sizes), np.repeat(c._symbol_array, 2, axis=1), name=name)
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,7 +20,7 @@ SQUEEZE = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}
 EXPANSIONS = {0: ((0, 0), (1, 1)), 1: ((0, 1),), 2: ((1, 0),)}
 # The two maps as lookup tables: _SQUEEZE[a, b] is the trit of bits ab, and
 # _EXPAND[s, j] the bit pair of trit s for choice j (only 0 has two).
-_SQUEEZE = np.array([[SQUEEZE[a, b] for b in (0, 1)] for a in (0, 1)])
+_SQUEEZE = np.array([[SQUEEZE[a, b] for b in (0, 1)] for a in (0, 1)], dtype=np.uint8)
 _EXPAND = np.array([[e[j % len(e)] for j in (0, 1)] for e in EXPANSIONS.values()], dtype=np.uint8)
 
 
@@ -38,7 +38,7 @@ def fold_to_ternary(c: CodeBook, p: Pairing) -> CodeBook:
     _require_binary(c)
     p.check_covers(c.n)
     sizes = ((2,) if p.singleton is not None else ()) + (3,) * len(p.pairs)
-    bits = c.matrix()
+    bits = c._symbol_array
     a, b = (bits[:, [pair[k] for pair in p.pairs]] for k in (0, 1))
     trits = _SQUEEZE[a, b]
     if p.singleton is not None:
@@ -54,7 +54,7 @@ def _expansion_size(c: CodeBook) -> int:
     bit copies through without doubling, so mixed codes count trits only.
     """
     trit = np.array(c.alphabet.sizes) == 3
-    zeros = ((c.matrix() == 0) & trit).sum(axis=1)
+    zeros = ((c._symbol_array == 0) & trit).sum(axis=1)
     return sum(1 << z for z in zeros.tolist())
 
 
@@ -68,7 +68,7 @@ def _expand(c: CodeBook, targets: list[tuple[int, ...]], name: str = "") -> Code
     of its j-th zero trit.  The total is checked against the cap first.
     """
     check_cap(_expansion_size(c), "binary image words")
-    mat = c.matrix()
+    mat = c._symbol_array
     zero = (mat == 0) & (np.array([len(t) for t in targets]) == 2)
     counts = 1 << zero.sum(axis=1)
     # output word o is the k-th expansion of codeword source[o]
@@ -142,7 +142,7 @@ def prefix_parts(c0: CodeBook, c1: CodeBook) -> CodeBook:
     if c0.alphabet != c1.alphabet or any(q != 3 for q in c0.alphabet.sizes):
         raise ValueError("parts must be ternary codes over the same length")
     alpha = AlphabetSpec((2,) + c0.alphabet.sizes)
-    parts = [np.insert(part.matrix(), 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
+    parts = [np.insert(part._symbol_array, 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
     return CodeBook.from_symbols(alpha, np.vstack(parts))
 
 

@@ -389,7 +389,10 @@ class CodeBook:
         return _trusted_word(tuple(self._symbol_array[i].tolist()), self.alphabet)
 
     def matrix(self) -> np.ndarray:
-        """Codewords as a fresh int64 array, one row per word, lex order."""
+        """Codewords as a fresh, writable int64 array, one row per word, lex
+        order: a copy for callers' arithmetic.  The package itself reads and
+        writes the narrow read-only `_symbol_array` (uint8 up to 256
+        symbols), the one copy of the words, and never calls this."""
         return self._symbol_array.astype(np.int64)
 
     @property
@@ -481,10 +484,11 @@ def _thermometer(mat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     """
     coord = np.repeat(np.arange(len(sizes)), np.array(sizes) - 1)
     level = np.concatenate([np.arange(q - 1) for q in sizes])
-    cols = -(-len(coord) // 64)
-    bits = np.zeros((len(mat), 64 * cols), dtype=bool)
-    bits[:, : len(coord)] = mat[:, coord] > level
-    return np.packbits(bits, axis=1).view(np.uint64)
+    # packbits pads each row's last byte with zero bits; zero bytes pad it
+    # to whole uint64 columns
+    packed = np.zeros((len(mat), 8 * -(-len(coord) // 64)), dtype=np.uint8)
+    packed[:, : -(-len(coord) // 8)] = np.packbits(mat[:, coord] > level, axis=1)
+    return packed.view(np.uint64)
 
 
 def _gain(to: np.ndarray, frm: np.ndarray, dtype) -> np.ndarray:
@@ -533,9 +537,9 @@ def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, i
     """
     if len(c) < 2:
         raise ValueError("need at least two codewords")
-    mat = c.matrix()
+    mat = c._symbol_array
     packed = _thermometer(mat, c.alphabet.sizes)
-    weight = mat.sum(axis=1)
+    weight = mat.sum(axis=1, dtype=np.int64)
     order = np.argsort(weight, kind="stable")
     packed, weight = packed[order], weight[order]
     dtype = np.min_scalar_type(packed.shape[1] * 64 + 1)
@@ -728,7 +732,7 @@ def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[i
     """
     if len(c) < 2:
         raise ValueError("need at least two codewords")
-    mat = c.matrix()
+    mat = c._symbol_array
     rows, n, q = len(c), c.n, c.alphabet.q
     onehot = np.zeros((rows, n * q), dtype=np.float32)
     onehot[np.arange(rows)[:, None], np.arange(n) * q + mat] = 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from asymcodes import (
     table2_report,
 )
 from asymcodes.bounds import (
+    SPHERE_BITS,
     canonical_d3_ternary_check,
     format_table,
     kernel_image_size,
@@ -40,6 +42,28 @@ class TestSphereBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             sphere_bound(1, 4, 1, 1)
+
+    @pytest.mark.parametrize("q, n", [(3, 100_000), (3, 10**30), (3, 8834), (2, SPHERE_BITS),
+                                      (2**64, 219)])
+    def test_word_space_past_the_limit_names_n(self, q, n):
+        # 3^8834 has 14 002 bits; the others reach the limit before q^n is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match=rf"^n {n} is too large: q\^n must stay below 2\^{SPHERE_BITS}$"):
+            sphere_bound(q, n, 2, 1)
+        assert time.perf_counter() - start < 1
+
+    def test_largest_word_spaces_and_any_radius(self):
+        start = time.perf_counter()
+        # 3^8833 has 14 000 bits
+        assert sphere_bound(3, 8833, 0, 1) == 3**8833
+        # every radius from n on counts the whole space: sum C(n, i) = 2^n
+        assert sphere_bound(2, SPHERE_BITS - 1, 10**30, 1) == 1
+        # sum C(8, i) 2^i = 3^8
+        assert sphere_bound(3, 8, 10**30, 2) == 1
+        # a ball larger than the space
+        assert sphere_bound(2, 100, 3, 10**30) == 0
+        assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("call, message", [

@@ -321,6 +321,19 @@ class TestBallOverlap:
         assert len(limbs) == len(channels._limbs_of(sizes))
         assert (channels._symbols_of(limbs, sizes) == rows).all()
 
+    def test_move_table_lists_only_what_the_radius_affords(self):
+        # L1-wrap q=128 reaches every symbol; radius 1 lists one move each
+        g = make_channel("L1-wrap", 128)
+        moves = channels._moves(g, "magnitude", 1, 1)
+        assert moves[0] == [(127, 1)] and all(m == [(a - 1, 1)] for a, m in enumerate(moves) if a)
+        assert list(map(len, channels._moves(g, "magnitude", 1, 3))) == [3] * 128
+        assert list(map(len, channels._moves(g, "coordinates", 2, 5))) == [2] * 128
+        assert channels._moves(g, "coordinates", 2, 0) == [[]] * 128
+        ((steps, costs),) = channels._slots(moves, 1, np.int32)
+        assert steps.tolist() == [127] + [-1] * 127 and costs.tolist() == [1] * 128
+        ((cost, count),) = channels._ways(moves)
+        assert cost == 1 and count.tolist() == [1] * 128
+
     def test_coordinate_without_moves(self):
         # an edgeless coordinate, and coordinate counting that allows no step
         ch = ProductChannel.mixed([ChannelGraph(3, frozenset()), make_channel("Z", 2)])
@@ -403,12 +416,13 @@ class TestBallOverlap:
         monkeypatch.setattr(channels, "_expand", spy)
         c = book_from_strings(["0000", "1100", "0011", "1111"])
         ch = ProductChannel.power(make_channel("Z", 2), 4)
-        # balls of sizes 1, 3, 3, 5 at t=1: 12 words; one ball of 5 for error_ball
+        # balls of sizes 1, 3, 3, 5 at t=1: 12 words; one ball of 5 for error_ball.
+        # Two trials of 4 symbols fit under both caps, so the balls are refused.
         size = 5 if call == "error_ball" else 12
         run = {
             "ball_overlap": lambda: ball_overlap(c, ch, 1),
             "error_ball": lambda: error_ball(c.words[-1], ch, 1),
-            "simulate_channel": lambda: simulate_channel(c, ch, trials=5, seed=1, p=0.1),
+            "simulate_channel": lambda: simulate_channel(c, ch, trials=2, seed=1, p=0.1),
         }[call]
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size - 1)
         with pytest.raises(EnumerationCapExceeded):
@@ -716,6 +730,29 @@ class TestSimulate:
         args = {"trials": 10, "seed": 1, **kwargs}
         with pytest.raises(ValueError, match=message):
             simulate_channel(c, ch, **args)
+
+    def test_trials_are_checked_against_the_cap_first(self, monkeypatch):
+        c = book_from_strings(["0000", "1100", "0011", "1111"])
+        ch = ProductChannel.power(make_channel("Z", 2), 4)
+        bits = (4 * 10**30).bit_length() - 1
+        with pytest.raises(EnumerationCapExceeded,
+                           match=rf"^{10**30} trials of 4 symbols: at least 2\^{bits} exceeds"):
+            simulate_channel(c, ch, trials=10**30, seed=1, p=0.1)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 40)
+        assert simulate_channel(c, ch, trials=10, seed=1, p=0.1).trials == 10
+        with pytest.raises(EnumerationCapExceeded,
+                           match="^11 trials of 4 symbols: 44 exceeds enumeration cap 40$"):
+            simulate_channel(c, ch, trials=11, seed=1, p=0.1)
+
+    def test_force_errors_past_the_errable_count_errs_every_one(self):
+        # a count above the coordinates that can err moves each of them:
+        # any force_errors of n or more draws as n does
+        c = book_from_strings(["0000", "1100", "0011", "1111"])
+        ch = ProductChannel.power(make_channel("Z", 2), 4)
+        runs = [simulate_channel(c, ch, trials=300, seed=6, t=1, force_errors=k)
+                for k in (4, 5, 10**30)]
+        assert [(r.failures, r.force_errors) for r in runs] == [(222, 4), (222, 5), (222, 10**30)]
+        assert simulate_channel(c, ch, trials=300, seed=6, t=1, force_errors=3).failures == 216
 
 
 def _book(strings, sizes):

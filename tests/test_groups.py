@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,21 @@ class TestGroup:
     def test_elements_cyclic(self):
         assert AbelianGroup.cyclic(7).nonidentity_elements == tuple((i,) for i in range(1, 7))
         assert AbelianGroup.cyclic(2).nonidentity_elements == ((1,),)
+
+    def test_listing_checks_the_cap_first(self, monkeypatch):
+        # an order just above the cap refuses at once, before any tuple is listed
+        order = words.DEFAULT_ENUM_CAP + 2
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"^non-identity elements of group {order}: {order - 1} exceeds"):
+            AbelianGroup.cyclic(order).nonidentity_elements
+        with pytest.raises(EnumerationCapExceeded, match=r": at least 2\^70 exceeds"):
+            canonical_pairing(2**70)
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 6)
+        assert len(AbelianGroup.cyclic(7).nonidentity_elements) == 6
+        with pytest.raises(EnumerationCapExceeded, match="^non-identity elements of group 2x4: 7"):
+            AbelianGroup((2, 4)).nonidentity_elements
 
     def test_parse_and_str(self):
         G = AbelianGroup.parse("2x2x3")

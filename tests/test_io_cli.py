@@ -9,12 +9,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from asymcodes import AlphabetSpec, CodeBook, bounds, vt_code
+from asymcodes import AlphabetSpec, CodeBook, best_cr_group, bounds, cr_code, vt_code
 from asymcodes.cli import main
 from asymcodes.io import (
     CodeFileError,
@@ -105,7 +107,9 @@ class TestCodeFile:
         ((2, 3, 10), [(0, 2, 9), (1, 0, 0), (1, 2, 5)]),
         ((3,) * 4, []),
         ((2, 12), [(0, 11), (1, 3)]),
-    ], ids=["uniform", "mixed", "empty", "wide"])
+        ((2,) * 16, cr_code(best_cr_group(16)).symbol_rows),
+        ((10,) * 6, [(9,) * 6, (0, 9, 9, 9, 9, 9), (9,) * 5 + (8,)]),
+    ], ids=["uniform", "mixed", "empty", "wide", "cr16", "all-9"])
     def test_body_equals_the_joined_rows(self, sizes, rows):
         rows = [tuple(map(int, r)) for r in rows]
         c = CodeBook.from_symbols(AlphabetSpec(sizes), rows, name="c", meta={"k": "v"})
@@ -113,6 +117,39 @@ class TestCodeFile:
         sep = "," if max(sizes) > 10 else ""
         lines = text.splitlines()[:2] + [sep.join(map(str, r)) for r in c.symbol_rows]
         assert text == "\n".join(lines) + "\n"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestNarrowWords:
+    """Code files are written from and read into the code book's uint8
+    array: an int64 copy of the words alone would trace 8 bytes per symbol.
+    On CR n = 18 (13 798 words, 248 364 symbols) write traces about 2.1
+    bytes per symbol (its text and one ASCII buffer) and parse about 13
+    (mostly the per-line strings)."""
+
+    CR18 = cr_code(best_cr_group(18))
+
+    def test_write_traces_near_its_text(self):
+        c = self.CR18
+        text, peak = _traced_peak(lambda: write_code_file(c))
+        assert text.count("\n") == len(c) + 2
+        assert peak < 4 * len(c) * c.n
+
+    def test_parse_keeps_the_digits_narrow(self):
+        c = self.CR18
+        text = write_code_file(c)
+        back, peak = _traced_peak(lambda: parse_code_file(text))
+        assert back == c and back._symbol_array.dtype == np.uint8
+        assert peak < 16 * len(c) * c.n
 
 
 TOKEN = st.text("abcxyz0189-_.", min_size=1, max_size=6)
@@ -543,6 +580,34 @@ class TestCliExitCodes:
         assert main(["bound", "sphere", "--q", "3", "--n", "8", "--t", "1",
                      "--l", "1"]) == 0
         assert capsys.readouterr().out.strip() == "729"
+
+    @pytest.mark.parametrize("n", ["100000", str(10**30)])
+    def test_bound_refuses_a_huge_word_space_at_once(self, capsys, n):
+        start = time.perf_counter()
+        assert main(["bound", "sphere", "--q", "3", "--n", n, "--t", "2", "--l", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n {n} is too large: q^n must stay below 2^14000\n"
+
+    def test_simulate_refuses_huge_trials_at_once(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["simulate", "--code", str(f), "--p", "0.1", "--trials", str(10**30),
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {10**30} trials of 4 symbols: at least 2^")
+
+    def test_simulate_force_errors_past_n_acts_as_n(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        outputs = []
+        for k in ("4", "1000"):
+            assert main(["simulate", "--code", str(f), "--force-errors", k, "--trials", "300",
+                         "--seed", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["failure rate 0.740000 (222/300)\n"] * 2
 
     @pytest.mark.parametrize("token", ["1_0", "+5", " 8", "\u0663"])
     @pytest.mark.parametrize("args", [

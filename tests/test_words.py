@@ -14,6 +14,8 @@ from asymcodes import (
     ProductChannel,
     Word,
     asym_distance,
+    best_cr_group,
+    cr_code,
     d_ell_distance,
     decode_asymmetric,
     error_ball,
@@ -183,6 +185,22 @@ class TestMinDistanceKernel:
         else:
             assert d == true
         assert d == asym_distance(c.words[i], c.words[j])
+
+    def test_reads_the_narrow_words(self):
+        # CR n = 18: 13 798 words, 248 364 symbols.  The kernel reads the
+        # uint8 words and packs them without a bit per column of padding;
+        # an int64 copy of the words alone would trace 8 bytes per symbol.
+        import tracemalloc
+
+        c = cr_code(best_cr_group(18))
+        tracemalloc.start()
+        try:
+            answer = is_t_code(c, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer is True
+        assert peak < 8 * len(c) * c.n
 
     def test_wide_lee_profile_needs_two_columns(self):
         # [20,18]_5 Lee profile: 80 thermometer bits, two uint64 columns
