@@ -14,7 +14,7 @@ from math import log2
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
 from .linearq import MatrixModZq, codewords_of, hamming_parity_check
-from .words import CodeBook, _at_least, _integer, is_lm_code, weight_enumerator
+from .words import CodeBook, _at_least, _integer, _shown, is_lm_code, weight_enumerator
 
 
 # The largest word space `sphere_bound` computes: q^n below 2^SPHERE_BITS,
@@ -31,7 +31,7 @@ def sphere_bound(q: int, n: int, t_tilde: int, ell: int) -> int:
     q, n = _at_least(q, 2, "q"), _at_least(n, 1, "n")
     t_tilde, ell = _at_least(t_tilde, 0, "t_tilde"), _at_least(ell, 1, "ell")
     if (q.bit_length() - 1) * n >= SPHERE_BITS or (space := q**n).bit_length() > SPHERE_BITS:
-        raise ValueError(f"n {n} is too large: q^n must stay below 2^{SPHERE_BITS}")
+        raise ValueError(f"n {_shown(n)} is too large: q^n must stay below 2^{SPHERE_BITS}")
     # C(n, i) ell^i from its predecessor; C(n, i) = 0 past n, and once the
     # ball outgrows the space the bound is 0
     denom = term = 1

@@ -34,6 +34,7 @@ from .words import (
     _at_least,
     _integer,
     _read_word,
+    _shown,
     _trusted_word,
     check_cap,
 )
@@ -320,7 +321,7 @@ def _balls(
     slots, ways = zip(*(per_graph[g] for g in ch.coordinates))
     cols = rows.T
     total = _ball_count(cols, ways, budget)
-    check_cap(total, f"radius-{radius} error balls")
+    check_cap(total, f"radius-{_shown(radius)} error balls")
     owner, limbs = _expand(cols, slots, budget, sizes, total, dtype)
     if keys >= 2**63:  # several limbs, or a key past int64
         order = np.lexsort((owner, *limbs[::-1]))
@@ -479,7 +480,7 @@ def simulate_channel(
     _check_compatible(c.alphabet, ch)
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
-    check_cap(trials * c.n, f"{trials} trials of {c.n} symbols")
+    check_cap(trials * c.n, f"{_shown(trials)} trials of {c.n} symbols")
     rows = c.symbol_rows
     owner, limbs = _balls(c._symbol_array, ch, t, "magnitude", 1)
     sizes = c.alphabet.sizes

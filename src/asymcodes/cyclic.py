@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import _balls, _same_word
 from .ternary import image_channel
-from .words import AlphabetSpec, CodeBook, _integer, _lex_words
+from .words import AlphabetSpec, CodeBook, _integer, _lex_words, _shown
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
@@ -565,12 +565,12 @@ def builtin_table_generators(m: int, extended: bool = False):
     m = _integer(m, "m")  # 3.0 == 3 would find m = 3's generators
     if extended:
         if m not in BUILTIN_EXTENDED:
-            raise ValueError(f"no bundled extended generators for m={m}")
+            raise ValueError(f"no bundled extended generators for m={_shown(m)}")
         g0, g1 = BUILTIN_EXTENDED[m]
         return (
             _closure(g0, m, f"builtin-extended-m{m}-part0"),
             _closure(g1, m, f"builtin-extended-m{m}-part1"),
         )
     if m not in BUILTIN_PLAIN:
-        raise ValueError(f"no bundled generators for m={m}")
+        raise ValueError(f"no bundled generators for m={_shown(m)}")
     return _closure(BUILTIN_PLAIN[m], m, f"builtin-cyclic-m{m}")

@@ -19,7 +19,7 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, check_cap
+from .words import AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, _shown, check_cap
 
 GroupElement = tuple[int, ...]
 
@@ -83,7 +83,7 @@ class AbelianGroup:
         return tuple(e for e in itertools.product(*ranges) if any(e))
 
     def __str__(self) -> str:
-        return "x".join(str(d) for d in self.factors)
+        return "x".join(map(_shown, self.factors))
 
 
 def best_cr_group(n: int) -> AbelianGroup:
@@ -133,18 +133,18 @@ def cr_code(
         raise ValueError(f"target {g} is not an element of {G}")
     q = _at_least(q, 2, "q")
     n = G.order - 1
-    label = name or f"cr-{G}-g{''.join(map(str, g))}-q{q}"
-    h = n // 2
-    # every suffix (length n - h) and prefix (length h) in lex order, larger first
-    suffixes, prefixes = (_lex_words(q, k, "half-words") for k in (n - h, h))
+    label = name or f"cr-{G}-g{''.join(map(_shown, g))}-q{_shown(q)}"
     coeffs = G.nonidentity_elements
     if q > 2:
         low = [e for e in coeffs if G.element_order(e) < q]
         if low:
             raise ValueError(
-                f"group {G} has elements of order < q={q} (e.g. {low[0]}); "
+                f"group {G} has elements of order < q={_shown(q)} (e.g. {low[0]}); "
                 "the nonbinary construction requires order >= q"
             )
+    h = n // 2
+    # every suffix (length n - h) and prefix (length h) in lex order, larger first
+    suffixes, prefixes = (_lex_words(q, k, "half-words") for k in (n - h, h))
     # a suffix's weighted sum, and the sum a prefix needs from its suffix,
     # as mixed-radix indices of group elements
     have = np.zeros(len(suffixes), dtype=np.int64)
@@ -177,7 +177,8 @@ def vt_code(n: int, g: int = 0, q: int = 2) -> CodeBook:
         raise ValueError("n must be >= 1")
     if not 0 <= g <= n:
         raise ValueError("g must satisfy 0 <= g <= n")
-    return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, name=f"vt-{n}-g{g}-q{q}")
+    label = f"vt-{_shown(n)}-g{_shown(g)}-q{_shown(_integer(q, 'q'))}"
+    return cr_code(AbelianGroup.cyclic(n + 1), (g,), q, name=label)
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,21 @@ def check_cap(size: int, what: str) -> None:
     it allocates.  Under a cap below 1, a bad ASYMCODES_ENUM_CAP raises its
     ValueError.  A size of 2^64 or more is named by its bit length."""
     if size > DEFAULT_ENUM_CAP:
-        _refuse(what, size)
+        _refuse(what, _shown(size, 2**64))
 
 
-def _refuse(what: str, size) -> None:
+def _shown(value: int, exact_below: int = 2**14_000) -> str:
+    """An integer as a message prints it: in full below `exact_below` (the
+    default keeps inside str()'s 4300-digit limit), else by its bit length;
+    a float (a count that overflowed to inf) as str() prints it."""
+    if not isinstance(value, int) or abs(value) < exact_below:
+        return str(value)
+    return f"{'at least ' if value > 0 else 'at most -'}2^{abs(value).bit_length() - 1}"
+
+
+def _refuse(what: str, size: str) -> None:
     if DEFAULT_ENUM_CAP < 1:
         enum_cap_from_environment()
-    if isinstance(size, int) and size >= 2**64:  # str() stops at 4300 digits
-        size = f"at least 2^{size.bit_length() - 1}"
     raise EnumerationCapExceeded(f"{what}: {size} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
 
 
@@ -72,8 +79,8 @@ def _lex_words(q: int, k: int, what: str) -> np.ndarray:
     length; past that and 64, k alone refuses, `what: q^k`, without
     building q^k."""
     if k > max(DEFAULT_ENUM_CAP.bit_length(), 64):
-        _refuse(what, f"{q}^{k}")
-    check_cap(q**k, f"{q}^{k} {what}")
+        _refuse(what, f"{_shown(q)}^{_shown(k)}")
+    check_cap(q**k, f"{_shown(q)}^{k} {what}")
     return np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, q**k).T
 
 
@@ -228,7 +235,7 @@ def _read_word(x, alphabet: AlphabetSpec | None = None) -> tuple[int, ...]:
             return symbols
     for i, (s, q) in enumerate(zip(symbols, sizes)):
         if not 0 <= s < q:
-            raise ValueError(f"symbol {s} at coordinate {i} outside 0..{q - 1}")
+            raise ValueError(f"symbol {_shown(s)} at coordinate {i} outside 0..{_shown(q - 1)}")
     return symbols
 
 
@@ -309,7 +316,7 @@ def _sorted_rows(rows, sizes: tuple[int, ...]) -> np.ndarray:
     repeats = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)) + 1
     if len(repeats):
         k = repeats[np.argmin(order[repeats])]
-        text = _separator(sizes).join(map(str, rows[k].tolist()))
+        text = _separator(sizes).join(map(_shown, rows[k].tolist()))
         raise RowError(int(order[k]), f"duplicate codeword {text}")
     rows.flags.writeable = False
     return rows
@@ -476,33 +483,35 @@ def asym_distance(x, y) -> int:
 _PAIR_BLOCK = 1 << 16
 
 
-def _thermometer(mat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """Each row of `mat` in thermometer code, packed into uint64 columns.
-
-    Symbol s on a q-ary coordinate becomes s ones in q-1 bits, so for any
-    two words popcount(y & ~x) is the total symbol gain going x -> y.
-    """
-    coord = np.repeat(np.arange(len(sizes)), np.array(sizes) - 1)
-    level = np.concatenate([np.arange(q - 1) for q in sizes])
-    # packbits pads each row's last byte with zero bits; zero bytes pad it
-    # to whole uint64 columns
-    packed = np.zeros((len(mat), 8 * -(-len(coord) // 64)), dtype=np.uint8)
-    packed[:, : -(-len(coord) // 8)] = np.packbits(mat[:, coord] > level, axis=1)
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """A (rows, k) bool matrix packed into zero-padded uint64 columns."""
+    packed = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1)
     return packed.view(np.uint64)
 
 
-def _gain(to: np.ndarray, frm: np.ndarray, dtype) -> np.ndarray:
-    """popcount(to & ~frm) summed over the packed columns, broadcast."""
-    out = np.bitwise_count(to[..., 0] & ~frm[..., 0]).astype(dtype, copy=False)
-    for k in range(1, to.shape[-1]):
-        out += np.bitwise_count(to[..., k] & ~frm[..., k])
+def _overlap(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """popcount(a & b) summed over the packed columns, broadcast."""
+    out = np.bitwise_count(a[..., 0] & b[..., 0]).astype(dtype, copy=False)
+    for k in range(1, a.shape[-1]):
+        out += np.bitwise_count(a[..., k] & b[..., k])
     return out
+
+
+def _thermometer(mat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """Each row of `mat` in thermometer code, packed: symbol s on a q-ary
+    coordinate becomes s ones in q-1 bits, so for any two words
+    popcount(y & ~x) is the total symbol gain going x -> y."""
+    coord = np.repeat(np.arange(len(sizes)), np.array(sizes) - 1)
+    level = np.concatenate([np.arange(q - 1) for q in sizes])
+    return _packed(mat[:, coord] > level)
 
 
 def _pair_scan(rows: int, block, floor: int, best=None, window=None) -> tuple[int, int, int]:
     """The closest-pair scan of both metric kernels: (distance, i, j), i < j,
     for a closest pair of rows, or the first one seen at distance <= floor.
-    block(a, b, e) gives the distances of rows a..b-1 to rows a+1..e-1;
+    block(a, b, e) gives the distances of rows a..b-1 to rows a+1..e-1, as
+    integers below their dtype's maximum, which masks the pairs j <= i;
     window(i, d) is the row past which none lies within d of row i.  Only a
     strictly closer pair replaces `best` (the seed, or None), so with no
     seed and no window a "yes" gives the first closest pair in (i, j) order.
@@ -519,8 +528,7 @@ def _pair_scan(rows: int, block, floor: int, best=None, window=None) -> tuple[in
         if e > a + 1:
             d = block(a, b, e)
             # row a+r meets column a+1+k; mask the pairs with k < r (j <= i)
-            top = (np.iinfo if d.dtype.kind in "iu" else np.finfo)(d.dtype).max
-            d[:, : b - a - 1][np.tri(b - a, b - a - 1, -1, dtype=bool)] = top
+            d[:, : b - a - 1][np.tri(b - a, b - a - 1, -1, dtype=bool)] = np.iinfo(d.dtype).max
             flat = int(d.argmin())
             if best is None or d.flat[flat] < best[0]:
                 r, k = divmod(flat, e - a - 1)
@@ -530,11 +538,9 @@ def _pair_scan(rows: int, block, floor: int, best=None, window=None) -> tuple[in
 
 
 def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, int]:
-    """The kernel of `min_asym_distance`: (distance, i, j) for a closest pair.
-
-    i < j index `c.words`.  With stop_at set, the pair is the first one seen
-    at distance <= stop_at.
-    """
+    """The kernel of `min_asym_distance`: (distance, i, j), i < j indexing
+    `c.words`, for a closest pair, or with stop_at set the first one seen at
+    distance <= stop_at."""
     if len(c) < 2:
         raise ValueError("need at least two codewords")
     mat = c._symbol_array
@@ -545,7 +551,7 @@ def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, i
     dtype = np.min_scalar_type(packed.shape[1] * 64 + 1)
     # Seed with neighbours in weight order.  With rows sorted by weight the
     # gain from the lighter word is the larger one-sided count, i.e. d_a.
-    seed = _gain(packed[1:], packed[:-1], dtype)
+    seed = _overlap(packed[1:], ~packed[:-1], dtype)
     s = int(seed.argmin())
 
     def window(i, d):
@@ -554,7 +560,7 @@ def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, i
 
     d, i, j = _pair_scan(
         len(c),
-        lambda a, b, e: _gain(packed[None, a + 1 : e], packed[a:b, None], dtype),
+        lambda a, b, e: _overlap(packed[None, a + 1 : e], ~packed[a:b, None], dtype),
         floor=1 if stop_at is None else max(1, stop_at),  # distinct words are >= 1 apart
         best=(int(seed[s]), s, s + 1),
         window=window,
@@ -572,7 +578,7 @@ def min_asym_distance(c: CodeBook) -> int:
     lighter word is d_a.  Kløve's bound d_a(x, y) >= |w(x) - w(y)| confines
     the search to pairs whose sums differ by less than the best distance
     found so far, which neighbours in weight order seed.  `is_lm_code`
-    shares the block scan, and `is_t_code` answers from one scan.
+    shares its packing, popcount and scan; `is_t_code` answers from one scan.
     """
     return _min_asym_pair(c)[0]
 
@@ -646,10 +652,10 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     # needs the exact count
     k = len(gaps) - gaps.count(1)
     if math.comb(k + budget, budget) > DEFAULT_ENUM_CAP:
-        check_cap(_up_ball_size([g - 1 for g in gaps], budget), f"radius-{t} up-ball")
+        check_cap(_up_ball_size([g - 1 for g in gaps], budget), f"radius-{_shown(t)} up-ball")
     hits = list(filter(c.symbol_set.__contains__, _up_ball(rs, sizes, budget)))
     if not hits:
-        raise DecodeFailure(f"no codeword within {t} decrements of {rs}")
+        raise DecodeFailure(f"no codeword within {_shown(t)} decrements of {rs}")
     candidates = [_trusted_word(y, c.alphabet) for y in hits]
     if len(candidates) > 1:
         raise DecodeAmbiguity(candidates)
@@ -686,7 +692,7 @@ def d_ell_distance(x, y, ell: int, wrap: bool = False) -> int:
     else:
         raise ValueError("wrap-around needs q: pass at least one operand as a Word")
     if q <= 2 * ell:
-        raise ValueError(f"wrap-around direction is ambiguous for q={q}, ell={ell}")
+        raise ValueError(f"wrap-around direction is ambiguous for q={_shown(q)}, ell={_shown(ell)}")
     m_xy = m_yx = 0
     for a, b in zip(xs, ys):
         d = (a - b) % q
@@ -715,36 +721,30 @@ def _lm_kernels(q: int, ell: int, wrap: bool) -> np.ndarray:
         above_y = diff > 0
         above_x = diff < 0
         over = np.abs(diff) > ell
-    return np.stack([above_y, above_x, over]).astype(np.float32)
+    return np.stack([above_y, above_x, over])
 
 
 def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[int, int, int]:
     """The kernel of `is_lm_code`: (distance, i, j) for a closest pair under
     the limited-magnitude distance, or the first one seen at distance <=
     t_tilde.  i < j index `c.words`; the arguments are as `is_lm_code`
-    checks them.
-
-    Each count of `d_ell_distance` is a bilinear form in one-hot codewords:
-    with OH the words' one-hot rows and K the count's q x q table on every
-    coordinate, the count for words x and y is (OH K)[x] . OH[y], one
-    matrix product per `_pair_scan` block; a count is at most n, so float32
-    holds it exactly for every n below 2^24.
+    checks them.  Each count of `d_ell_distance` sums one q x q boolean
+    table K at (x_i, y_i) over the coordinates: with every word packed
+    one-hot (bit i*q + y_i) and as its rows K[x_i, :] side by side, the
+    count for x and y is popcount(K-rows(x) & one-hot(y)), the packed
+    AND-and-popcount of the asymmetric kernel.
     """
     if len(c) < 2:
         raise ValueError("need at least two codewords")
     mat = c._symbol_array
     rows, n, q = len(c), c.n, c.alphabet.q
-    onehot = np.zeros((rows, n * q), dtype=np.float32)
-    onehot[np.arange(rows)[:, None], np.arange(n) * q + mat] = 1
-    # K[x_i, :] on every coordinate: one row per word and count
-    left = _lm_kernels(q, ell, wrap)[:, mat].reshape(3, rows, n * q)
+    onehot = _packed(np.eye(q, dtype=bool)[mat].reshape(rows, n * q))
+    left = [_packed(k[mat].reshape(rows, n * q)) for k in _lm_kernels(q, ell, wrap)]
+    dtype = np.min_scalar_type(n + 2)  # its maximum masks pairs; distances stop at n + 1
 
     def block(a, b, e):
-        right = onehot[a + 1 : e].T
-        up, down, over = (k[a:b] @ right for k in left)
-        d = np.maximum(up, down)
-        d[over > 0] = n + 1
-        return d
+        up, down, over = (_overlap(k[a:b, None], onehot[None, a + 1 : e], dtype) for k in left)
+        return np.where(over > 0, n + 1, np.maximum(up, down))
 
     return _pair_scan(rows, block, floor=t_tilde)
 
@@ -756,7 +756,7 @@ def _lm_witness(c: CodeBook, t_tilde: int, ell: int, wrap: bool) -> tuple[int, i
         raise ValueError("limited-magnitude distances need a uniform alphabet")
     q = c.alphabet.q
     if wrap and q <= 2 * ell:
-        raise ValueError(f"wrap-around direction is ambiguous for q={q}, ell={ell}")
+        raise ValueError(f"wrap-around direction is ambiguous for q={_shown(q)}, ell={_shown(ell)}")
     if len(c) < 2:
         return None
     pair = _lm_pair(c, t_tilde, ell, wrap)

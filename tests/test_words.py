@@ -9,12 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from asymcodes import (
+    AbelianGroup,
     AlphabetSpec,
     CodeBook,
     ProductChannel,
     Word,
     asym_distance,
     best_cr_group,
+    builtin_table_generators,
+    canonical_pairing,
     cr_code,
     d_ell_distance,
     decode_asymmetric,
@@ -23,6 +26,8 @@ from asymcodes import (
     is_t_code,
     make_channel,
     min_asym_distance,
+    simulate_channel,
+    sphere_bound,
     vt_code,
     weight_enumerator,
     weight_w,
@@ -39,6 +44,10 @@ from asymcodes.words import (
 
 from conftest import book_from_strings
 from reference_codes import CODE_8_32
+
+
+# past str()'s 4300-digit limit: 2^16609 <= 10^5000 < 2^16610
+HUGE = 10**5000
 
 
 def w(sym, q=3):
@@ -570,6 +579,45 @@ class TestIntegerRule:
         assert (True, 0) in book and np.array([1, 0]) in book and (0, 1) not in book
 
 
+    def test_true_reads_as_one(self):
+        # operator.index takes a bool as the int it is: True is 1
+        assert vt_code(True) == vt_code(1)
+        c = vt_code(6)
+        assert is_t_code(c, True) is is_t_code(c, 1) is True
+        assert is_t_code(c, 2) is False
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: sphere_bound(3, HUGE, 1, 1), ValueError,
+                     r"^n at least 2\^16609 is too large", id="sphere_bound-n"),
+        pytest.param(lambda: simulate_channel(
+                         vt_code(6), ProductChannel.power(make_channel("Z", 2), 6),
+                         trials=HUGE, seed=1, p=0.1),
+                     EnumerationCapExceeded,
+                     r"^at least 2\^16609 trials of 6 symbols: at least 2\^16612 ",
+                     id="simulate_channel-trials"),
+        pytest.param(lambda: canonical_pairing(AbelianGroup((HUGE + 1,))), EnumerationCapExceeded,
+                     r"^non-identity elements of group at least 2\^16609: at least 2\^16609 ",
+                     id="canonical_pairing-group"),
+        pytest.param(lambda: cr_code(AbelianGroup((HUGE,))), EnumerationCapExceeded,
+                     r"^non-identity elements of group at least 2\^16609: ", id="cr_code-group"),
+        pytest.param(lambda: vt_code(HUGE), EnumerationCapExceeded,
+                     r"^non-identity elements of group at least 2\^16609: ", id="vt_code-n"),
+        pytest.param(lambda: Word((HUGE, 0), AlphabetSpec.uniform(2, 2)), ValueError,
+                     r"^symbol at least 2\^16609 at coordinate 0 outside 0\.\.1$",
+                     id="Word-symbol"),
+        pytest.param(lambda: d_ell_distance(w((0, 0), q=5), (1, 0), HUGE, wrap=True), ValueError,
+                     r"ambiguous for q=5, ell=at least 2\^16609$", id="d_ell_distance-ell"),
+        pytest.param(lambda: builtin_table_generators(HUGE), ValueError,
+                     r"^no bundled generators for m=at least 2\^16609$",
+                     id="builtin_table_generators-m"),
+    ])
+    def test_huge_integers_are_named_in_refusals(self, call, error, message):
+        # str() stops at 4300 digits; a refusal names a larger integer by
+        # its bit length instead of failing while it formats the message
+        with pytest.raises(error, match=message):
+            call()
+
+
 @st.composite
 def alphabets_and_rows(draw, max_q=5):
     """A mixed alphabet and distinct rows over it, in no particular order."""
@@ -797,12 +845,27 @@ class TestLimitedMagnitude:
         assert d_ell_distance(x, y, ell) == max(m_xy, m_yx)
 
     def test_lm_brute_force_agreement(self):
-        # the matrix kernel agrees with the scalar distance, in the real row
+        # the packed kernel agrees with the scalar distance, in the real row
         # blocks and in blocks of 5 pairs; its pair is a closest one or, on
-        # a "no", one at distance <= t
+        # a "no", one at distance <= t.  Small word spaces are sampled from
+        # the full pool; wide ones, n*q past 64 and past 128 bits (two and
+        # three packed columns), are random words near one random word.
         import random
 
+        def check(c, t, ell, wrap):
+            dist = {
+                (i, j): d_ell_distance(c.words[i], c.words[j], ell, wrap)
+                for i, j in itertools.combinations(range(len(c)), 2)
+            }
+            ok = is_lm_code(c, t, ell, wrap)
+            assert ok == (min(dist.values()) >= t + 1)
+            d, i, j = words_mod._lm_pair(c, t, ell, wrap)
+            assert i < j and dist[(i, j)] == d
+            assert d <= t if not ok else d == min(dist.values())
+            return ok
+
         rng = random.Random(3)
+        answers = set()
         for block, wrap in itertools.product([words_mod._PAIR_BLOCK, 5], [False, True]):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(words_mod, "_PAIR_BLOCK", block)
@@ -815,16 +878,20 @@ class TestLimitedMagnitude:
                     pool = list(itertools.product(range(q), repeat=n))
                     rows = rng.sample(pool, rng.randrange(2, min(len(pool), 12) + 1))
                     c = CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows)
-                    t = rng.choice([1, 2, 3])
-                    dist = {
-                        (i, j): d_ell_distance(c.words[i], c.words[j], ell, wrap)
-                        for i, j in itertools.combinations(range(len(c)), 2)
-                    }
-                    ok = is_lm_code(c, t, ell, wrap)
-                    assert ok == (min(dist.values()) >= t + 1)
-                    d, i, j = words_mod._lm_pair(c, t, ell, wrap)
-                    assert i < j and dist[(i, j)] == d
-                    assert d <= t if not ok else d == min(dist.values())
+                    check(c, rng.choice([1, 2, 3]), ell, wrap)
+                for q, n in [(7, 10), (5, 27)] * 15:
+                    ell = rng.randrange(1, (q - 1) // 2 + 1)
+                    base = [rng.randrange(q) for _ in range(n)]
+                    rows = {tuple(rng.randrange(q) for _ in range(n))}
+                    while len(rows) < 12:
+                        word = list(base)
+                        for i in rng.sample(range(n), rng.randrange(4)):
+                            step = word[i] + rng.choice([-1, 1]) * rng.randrange(1, ell + 2)
+                            word[i] = step % q if wrap else min(max(step, 0), q - 1)
+                        rows.add(tuple(word))
+                    c = CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows)
+                    answers.add(check(c, rng.choice([1, 2, 3]), ell, wrap))
+        assert answers == {False, True}
 
     @pytest.mark.parametrize("block", [words_mod._PAIR_BLOCK, 5])
     def test_lm_pair_names_the_first_closest_pair_on_yes(self, block):
@@ -866,6 +933,23 @@ class TestLimitedMagnitude:
         d, i, j = words_mod._lm_pair(near, 1, 1)
         assert odd in (near.symbol_rows[i], near.symbol_rows[j])
         assert i < j and d == d_ell_distance(near.words[i], near.words[j], 1) == 1
+
+    def test_lm_reads_packed_bits(self):
+        # CR n = 18: 13 798 words, 248 364 symbols.  The kernel packs each
+        # word one-hot and as its three table rows, 36 bits apiece, into one
+        # uint64 column each; float32 one-hot rows and tables would trace 56
+        # bytes per symbol.
+        import tracemalloc
+
+        c = cr_code(best_cr_group(18))
+        tracemalloc.start()
+        try:
+            answer = is_lm_code(c, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer is True
+        assert peak < 8 * len(c) * c.n
 
     @pytest.mark.parametrize("ell", [0, -3])
     def test_lm_code_rejects_ell_below_one(self, ell):
