@@ -481,7 +481,7 @@ def simulate_channel(
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     check_cap(trials * c.n, f"{_shown(trials)} trials of {c.n} symbols")
-    rows = c.symbol_rows
+    rows = c._symbol_array.tolist()
     owner, limbs = _balls(c._symbol_array, ch, t, "magnitude", 1)
     sizes = c.alphabet.sizes
     sent = np.empty(trials, dtype=np.int64)

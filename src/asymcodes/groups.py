@@ -105,6 +105,15 @@ def best_cr_group(n: int) -> AbelianGroup:
     return AbelianGroup(tuple(sorted(factors)))
 
 
+def _named(value) -> str:
+    """A refused argument as a message names it without failing: an integer
+    (numpy's too) by `_shown`, a string by its repr, anything else by its
+    type's name."""
+    if isinstance(value, (int, np.integer)):
+        return _shown(int(value))
+    return repr(value) if isinstance(value, str) else type(value).__name__
+
+
 def cr_code(
     G: AbelianGroup,
     g: GroupElement | None = None,
@@ -122,15 +131,16 @@ def cr_code(
     checked against the enumeration cap first.
     """
     if not isinstance(G, AbelianGroup):
-        raise ValueError(f"group {G!r} is not an AbelianGroup")
+        raise ValueError(f"group {_named(G)} is not an AbelianGroup")
     if g is None:
         g = G.identity
     elif not isinstance(g, Iterable):
-        raise ValueError(f"target {g!r} is not a tuple of group components")
+        raise ValueError(f"target {_named(g)} is not a tuple of group components")
     else:
         g = tuple(_integer(x, "target component") for x in g)
     if not G.contains(g):
-        raise ValueError(f"target {g} is not an element of {G}")
+        shown = ", ".join(map(_shown, g)) + ("," if len(g) == 1 else "")
+        raise ValueError(f"target ({shown}) is not an element of {G}")
     q = _at_least(q, 2, "q")
     n = G.order - 1
     label = name or f"cr-{G}-g{''.join(map(_shown, g))}-q{_shown(q)}"

@@ -1,6 +1,8 @@
-"""Text formats: code files, matrix files, and the JSON report document.
+"""Text formats: code files, the line rule matrix files share, and the JSON
+report document.
 
-Code file layout: optional comment lines starting with '#', then one
+Both text formats skip blank lines and comment lines, those that start
+with '#' once stripped (`_numbered`).  Code file layout: one
 header line of key=value tokens (q=3 or q=2,3,3 for mixed profiles, n=5,
 optional name=...), then one codeword per line.  Symbols print as digit
 strings when every alphabet size is at most 10 and as comma-separated
@@ -13,7 +15,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,7 +81,7 @@ def write_code_file(c: CodeBook) -> str:
     sep = _separator(c.alphabet.sizes)
     lines = ["# asymcodes code file v1", header]
     if sep:
-        lines.extend(sep.join(map(str, row)) for row in c.symbol_rows)
+        lines.extend(sep.join(map(str, row)) for row in c._symbol_array.tolist())
         return "\n".join(lines) + "\n"
     # every symbol is one digit: the body is the code's uint8 array shifted
     # in place to ASCII '0', with a newline column, decoded from its buffer;
@@ -92,68 +94,49 @@ def write_code_file(c: CodeBook) -> str:
     return "\n".join(lines) + "\n" + text
 
 
-def _body_rows(body: list[tuple[int, str]], n: int, sep: str) -> np.ndarray:
-    """The body's words, one row per line, in one array.
+def _numbered(text: str) -> Iterator[tuple[int, str]]:
+    """The one line rule of both text formats: each line that is not blank
+    and does not start with '#' once stripped, as (its 1-based number, the
+    stripped line)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
-    A plain line, n ASCII digits of a digit-string alphabet, is decoded
-    with all the others in one pass over the joined bytes; when every line
-    is plain, that uint8 array is the result.  Every other line is read by
-    `parse_symbols`, which raises the error of its line, and only then is
-    an int64 array filled.  Symbols past int64 make it object-typed, so
-    that the range check still names them.
+
+def _body_rows(body: list[str], n: int, sep: str) -> np.ndarray | list[list[int]]:
+    """The body's words, one row per line, for `CodeBook.from_symbols`.
+
+    When every line is n ASCII digits of a digit-string alphabet, as
+    `write_code_file` writes them, the joined bytes decode in one pass to
+    a uint8 array.  Otherwise every line is read by `parse_symbols`, and a
+    RowError names the first line that fails.
     """
-    lines = [line for _, line in body]
-    plain = np.zeros(len(lines), dtype=bool)
-    digits = np.empty((0, n), dtype=np.uint8)
-    if not sep:
-        plain = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == n
+    if not sep and set(map(len, body)) <= {n}:
         # a character past ASCII becomes '?', so each line keeps its n bytes
-        joined = "".join(itertools.compress(lines, plain)).encode("ascii", "replace")
+        joined = "".join(body).encode("ascii", "replace")
         digits = np.frombuffer(joined, dtype=np.uint8).reshape(-1, n) - ord("0")
-        del joined
         # bytes below '0' wrap past 9 too
-        ok = (digits <= 9).all(axis=1)
-        plain[plain] = ok
-        if plain.all():
+        if (digits <= 9).all():
             return digits
-        digits = digits[ok]
-    slow = np.flatnonzero(~plain)
-    words = []
-    for r in slow.tolist():
-        lineno, line = body[r]
+    rows = []
+    for r, line in enumerate(body):
         try:
             symbols = parse_symbols(line, sep)
         except ValueError as e:
-            raise CodeFileError(f"line {lineno}: {e}") from e
+            raise RowError(r, str(e)) from e
         if len(symbols) != n:
-            raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(symbols)}")
-        words.append(symbols)
-    rows = np.zeros((len(lines), n), dtype=np.int64)
-    rows[plain] = digits
-    if words:
-        try:
-            rows[slow] = words
-        except OverflowError:
-            rows = rows.astype(object)
-            rows[slow] = words
+            raise RowError(r, f"expected {n} symbols, got {len(symbols)}")
+        rows.append(symbols)
     return rows
 
 
 def parse_code_file(text: str) -> CodeBook:
-    header = None
-    header_line = 0
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            header_line = lineno
-        else:
-            body.append((lineno, line))
+    lines = _numbered(text)
+    header_line, header = next(lines, (0, None))
     if header is None:
         raise CodeFileError("line 0: missing header line")
+    body = [line for _, line in lines]
 
     fields = {}
     for tok in header.split():
@@ -173,14 +156,15 @@ def parse_code_file(text: str) -> CodeBook:
     if len(sizes) != n:
         raise CodeFileError(f"line {header_line}: q profile length != n")
     alphabet = AlphabetSpec(sizes)
-    sep = _separator(sizes)
 
-    rows = _body_rows(body, n, sep)
     meta = {k: v for k, v in fields.items() if k not in ("q", "n", "name")}
     try:
+        rows = _body_rows(body, n, _separator(sizes))
         return CodeBook.from_symbols(alphabet, rows, name=fields.get("name", ""), meta=meta)
     except RowError as e:
-        raise CodeFileError(f"line {body[e.row][0]}: {e.detail}") from e
+        # a line number is found again only here: body row r is item r + 1 of _numbered
+        lineno, _ = next(itertools.islice(_numbered(text), e.row + 1, None))
+        raise CodeFileError(f"line {lineno}: {e.detail}") from e
 
 
 @dataclass

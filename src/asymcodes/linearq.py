@@ -86,17 +86,19 @@ class MatrixModZq:
 
     @classmethod
     def from_text(cls, text: str) -> "MatrixModZq":
-        from .io import parse_ints  # here, so that importing the package skips io and json
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if not lines:
+        # imported here, so that importing the package skips io and json
+        from .io import _numbered, parse_ints
+        lines = _numbered(text)
+        header_line, header = next(lines, (0, None))
+        if header is None:
             raise ValueError("empty matrix text")
         try:
-            q, r, ncols, role = lines[0].split()
+            q, r, ncols, role = header.split()
             q, r, ncols = parse_ints((q, r, ncols))
         except ValueError as e:
-            raise ValueError(f"bad matrix header {lines[0]!r}") from e
+            raise ValueError(f"bad matrix header {text.splitlines()[header_line - 1]!r}") from e
         rows = []
-        for ln in lines[1:]:
+        for _, ln in lines:
             row = tuple(parse_ints(ln.split()))
             if len(row) != ncols:
                 raise ValueError(f"row {len(rows)} has {len(row)} entries, expected {ncols}")

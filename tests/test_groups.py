@@ -151,6 +151,10 @@ class TestCrCode:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cr_code(group)
 
+    def test_a_numpy_integer_group_is_named_by_its_value(self):
+        with pytest.raises(ValueError, match=r"^group 16 is not an AbelianGroup$"):
+            cr_code(np.int64(16))
+
     def test_nonbinary_vt_is_one_code(self):
         c = vt_code(6, 0, q=3)
         assert is_t_code(c, 1)

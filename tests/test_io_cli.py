@@ -16,7 +16,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from asymcodes import AlphabetSpec, CodeBook, best_cr_group, bounds, cr_code, vt_code
+from asymcodes import (
+    AlphabetSpec,
+    CodeBook,
+    ProductChannel,
+    best_cr_group,
+    bounds,
+    codewords_of,
+    cr_code,
+    lee_parity_check,
+    make_channel,
+    nullspace,
+    simulate_channel,
+    vt_code,
+)
 from asymcodes.cli import main
 from asymcodes.io import (
     CodeFileError,
@@ -151,6 +164,18 @@ class TestNarrowWords:
         assert back == c and back._symbol_array.dtype == np.uint8
         assert peak < 16 * len(c) * c.n
 
+    def test_package_paths_cache_no_tuple_copy(self):
+        # the code book's array stays the one copy of its words: neither
+        # simulation nor a comma-format write caches `symbol_rows`
+        vt8 = vt_code(8)
+        c = CodeBook.from_symbols(vt8.alphabet, vt8._symbol_array)
+        simulate_channel(c, ProductChannel.power(make_channel("Z", 2), 8), 50, 1, force_errors=1)
+        assert "symbol_rows" not in vars(c)
+        lee = codewords_of(nullspace(lee_parity_check(11, 1)))
+        c = CodeBook.from_symbols(lee.alphabet, lee._symbol_array)
+        assert write_code_file(c) == write_code_file(lee)
+        assert "symbol_rows" not in vars(c)
+
 
 TOKEN = st.text("abcxyz0189-_.", min_size=1, max_size=6)
 
@@ -278,6 +303,32 @@ class TestHostileCodeFiles:
         f.write_text(text + "1 1 1 1\n")
         assert main(["construct", "concat", "--outer-gen", str(f)]) == 2
         assert capsys.readouterr().err == "error: expected 2 rows, found 3\n"
+
+
+class TestLineRule:
+    """Both text formats skip the same lines: blank ones and those that
+    start with '#' once stripped, before the header and after it."""
+
+    COMMENTS = ["  # c", "\t# c"]
+
+    @pytest.mark.parametrize("comment", COMMENTS)
+    def test_code_file(self, comment):
+        c = CodeBook.from_symbols(AlphabetSpec.uniform(3, 2), [(0, 1), (2, 2)])
+        lines = write_code_file(c).splitlines()
+        text = "\n".join([comment, lines[1], comment, lines[2], comment, lines[3], comment])
+        assert parse_code_file(text) == c
+        with pytest.raises(CodeFileError, match="^line 6: symbol 3 at coordinate 1"):
+            parse_code_file(text.replace("22", "23"))
+
+    @pytest.mark.parametrize("comment", COMMENTS)
+    def test_matrix_file(self, comment):
+        text = "\n".join([comment, "3 2 4 generator", comment, "2 2 1 0", comment, "1 2 0 1", comment])
+        assert MatrixModZq.from_text(text) == MatrixModZq(3, ((2, 2, 1, 0), (1, 2, 0, 1)), "generator")
+
+    def test_a_matrix_file_with_indented_comments_builds_a_concat_code(self, tmp_path):
+        f = tmp_path / "outer.txt"
+        f.write_text("3 2 4 generator\n  # the [4,2]_3 code\n2 2 1 0\n1 2 0 1\n")
+        assert main(["construct", "concat", "--outer-gen", str(f)]) == 0
 
 
 @st.composite

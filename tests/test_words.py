@@ -617,6 +617,21 @@ class TestIntegerRule:
         with pytest.raises(error, match=message):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: cr_code(AbelianGroup((3,)), (HUGE,)),
+                     r"^target \(at least 2\^16609,\) is not an element of 3$", id="target"),
+        pytest.param(lambda: cr_code(AbelianGroup((3,)), HUGE),
+                     r"^target at least 2\^16609 is not a tuple of group components$",
+                     id="target-integer"),
+        pytest.param(lambda: cr_code(HUGE), r"^group at least 2\^16609 is not an AbelianGroup$",
+                     id="group"),
+        pytest.param(lambda: cr_code([HUGE]), r"^group list is not an AbelianGroup$",
+                     id="group-list"),
+    ])
+    def test_huge_integers_are_named_in_cr_code_refusals(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 @st.composite
 def alphabets_and_rows(draw, max_q=5):
