@@ -176,6 +176,8 @@ def _cmd_construct(args) -> int:
         g = tuple(parse_ints(args.g.split(","))) if args.g else None
         code = cr_code(group, g, args.q)
     elif which == "ternary":
+        if args.infile is not None and (args.in0, args.in1) != (None, None):
+            raise ValueError("--in excludes --in0 and --in1: give --in, or both --in0 and --in1")
         if args.in0 or args.in1:
             if not (args.in0 and args.in1):
                 print("error: extended construction needs both --in0 and --in1", file=sys.stderr)
@@ -195,6 +197,11 @@ def _cmd_construct(args) -> int:
         print(f"constructed ({code.n},{len(code)}) binary code", file=sys.stderr)
         return OK
     elif which == "concat":
+        outer_flags = {"--outer-gen": args.outer_gen, "--outer-hamming": args.outer_hamming,
+                       "--outer-lee": args.outer_lee}
+        given = [flag for flag, value in outer_flags.items() if value is not None]
+        if len(given) > 1:
+            raise ValueError(f"{' and '.join(given)} exclude each other: give one outer code")
         if args.outer_gen:
             outer = MatrixModZq.from_text(Path(args.outer_gen).read_text())
         elif args.outer_hamming:

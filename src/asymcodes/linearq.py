@@ -96,12 +96,17 @@ class MatrixModZq:
             q, r, ncols, role = header.split()
             q, r, ncols = parse_ints((q, r, ncols))
         except ValueError as e:
-            raise ValueError(f"bad matrix header {text.splitlines()[header_line - 1]!r}") from e
+            raise ValueError(
+                f"line {header_line}: bad matrix header {text.splitlines()[header_line - 1]!r}"
+            ) from e
         rows = []
-        for _, ln in lines:
-            row = tuple(parse_ints(ln.split()))
-            if len(row) != ncols:
-                raise ValueError(f"row {len(rows)} has {len(row)} entries, expected {ncols}")
+        for lineno, ln in lines:
+            try:
+                row = tuple(parse_ints(ln.split()))
+                if len(row) != ncols:
+                    raise ValueError(f"row {len(rows)} has {len(row)} entries, expected {ncols}")
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from e
             rows.append(row)
         if len(rows) != r:
             raise ValueError(f"expected {r} rows, found {len(rows)}")
@@ -213,13 +218,10 @@ def is_single_rq_correcting(H: MatrixModZq) -> bool:
 def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
     """Explicit enumeration of the linear code M defines (span or kernel):
     every coefficient vector times the generator in one product.  Words of
-    a generator with dependent rows repeat; they collapse to one each."""
-    if M.role == "parity":
-        gen = nullspace(M)
-    else:
-        gen = M
-    q, n = gen.q, gen.ncols
-    k = gen.nrows
+    a generator with dependent rows repeat; they collapse to one each.  The
+    length is M's: an empty null space lists the one zero word."""
+    gen = nullspace(M) if M.role == "parity" else M
+    q, n, k = M.q, M.ncols, gen.nrows
     coefs = _lex_words(q, k, "codewords")
     rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
     return CodeBook.from_symbols(AlphabetSpec.uniform(q, n), rows, name=name)
@@ -265,9 +267,10 @@ def concat_code(
     """Concatenate an outer [m, k]_q code into a [2m, m+k]_q decrement code.
 
     Generator rows: for each pair j a row with 1 at both pair positions
-    (the free inner symbol), plus each outer generator row placed on the
-    second position of every pair.  With shorten_to_odd, the first free
+    (the free inner symbol), plus each row of the outer reduced basis on
+    the second position of every pair.  With shorten_to_odd, the first free
     symbol is fixed to zero and its coordinate dropped: [2m-1, m+k-1]_q.
+    The zero outer code [m, 0]_q is valid: its check is the identity.
     """
     if outer_gen.role != "generator":
         raise ValueError("outer code must be given by a generator matrix")
@@ -278,25 +281,16 @@ def concat_code(
     k = len(basis)
     if k == m:
         raise ValueError("outer code is the full space; it corrects nothing")
-    outer_check = nullspace(MatrixModZq(q, tuple(tuple(r) for r in basis), "generator"))
-    H = MatrixModZq(q, outer_check.rows, "parity")
+    H = MatrixModZq(q, nullspace(outer_gen).rows, "parity")
     if check and not is_single_rq_correcting(H):
         raise ValueError("outer code does not correct a single +-1 symbol error")
-
-    rows = []
-    for j in range(m):
-        row = [0] * (2 * m)
-        row[2 * j] = 1
-        row[2 * j + 1] = 1
-        rows.append(row)
-    for g in basis:
-        row = [0] * (2 * m)
-        for j in range(m):
-            row[2 * j + 1] = g[j] % q
-        rows.append(row)
-    if shorten_to_odd:
-        rows = [r[1:] for r in rows[1:]]
-    gen = MatrixModZq(q, tuple(tuple(r) for r in rows), "generator")
+    if shorten_to_odd and m + k == 1:
+        raise ValueError("shortening the zero outer code of length 1 leaves no generator row")
+    rows = np.zeros((m + k, 2 * m), dtype=np.int64)
+    rows[:m] = np.repeat(np.eye(m, dtype=np.int64), 2, axis=1)
+    rows[m:, 1::2] = np.reshape(basis, (k, m))
+    rows = rows[1:, 1:] if shorten_to_odd else rows
+    gen = MatrixModZq(q, tuple(map(tuple, rows.tolist())), "generator")
     return ConcatCode(q, m, k, gen, H, shorten_to_odd)
 
 

@@ -304,6 +304,19 @@ class TestHostileCodeFiles:
         assert main(["construct", "concat", "--outer-gen", str(f)]) == 2
         assert capsys.readouterr().err == "error: expected 2 rows, found 3\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2 2 generator\n# c\n1 1\n1\n", "line 4: row 1 has 1 entries, expected 2"),
+        ("3 1 2 generator\n\n1_0 2\n", "line 3: invalid literal for int() with base 10: '1_0'"),
+        ("# c\n3 1 two generator\n1 2\n", "line 2: bad matrix header '3 1 two generator'"),
+    ], ids=["short-row", "token", "header"])
+    def test_matrix_errors_name_the_file_line(self, tmp_path, capsys, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatrixModZq.from_text(text)
+        f = tmp_path / "outer.txt"
+        f.write_text(text)
+        assert main(["construct", "concat", "--outer-gen", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestLineRule:
     """Both text formats skip the same lines: blank ones and those that
@@ -792,6 +805,33 @@ class TestCliExitCodes:
         assert mat.read_text().splitlines()[0] == "3 6 8 generator"
         book = parse_code_file(out.read_text())
         assert len(book) == 729
+
+    @pytest.mark.parametrize("what, flags", [
+        (["concat", "--outer-hamming", "3,2", "--outer-lee", "5,2"], ["--outer-hamming", "--outer-lee"]),
+        (["concat", "--outer-gen", "{outer}", "--outer-hamming", "3,2"], ["--outer-gen", "--outer-hamming"]),
+        (["ternary", "--in", "{code}", "--in0", "{code}", "--in1", "{code}", "--unchecked"],
+         ["--in", "--in0", "--in1"]),
+    ], ids=["hamming-lee", "gen-hamming", "ternary"])
+    def test_doubled_either_or_flags_are_refused(self, tmp_path, capsys, what, flags):
+        # each of these command lines builds a code when one of its flags is dropped
+        outer, code, out = tmp_path / "outer.txt", tmp_path / "t.code", tmp_path / "x.code"
+        outer.write_text(nullspace(lee_parity_check(5, 2, full=False)).to_text())
+        code.write_text("q=3 n=3\n000\n111\n122\n212\n221\n")
+        argv = [a.format(outer=outer, code=code) for a in what]
+        assert main(["construct", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert all(flag in captured.err for flag in flags)
+        assert not out.exists()
+
+    def test_zero_outer_code_builds_and_verifies(self, tmp_path, capsys):
+        outer, out = tmp_path / "zero.txt", tmp_path / "z.code"
+        outer.write_text("3 1 3 generator\n0 0 0\n")
+        assert main(["construct", "concat", "--outer-gen", str(outer), "--out", str(out)]) == 0
+        assert len(parse_code_file(out.read_text())) == 27
+        assert main(["verify", "--in", str(out), "--model", "asym", "--t", "1"]) == 0
+        assert capsys.readouterr().out == "VERIFIED\n"
 
     def test_construct_double(self, tmp_path, capsys):
         base = tmp_path / "b.code"

@@ -11,13 +11,16 @@ from asymcodes import (
     AlphabetSpec,
     CodeBook,
     MatrixModZq,
+    ProductChannel,
     codewords_of,
     concat_code,
+    corrects_t_errors,
     decode_concat,
     double_code,
     hamming_parity_check,
     is_t_code,
     lee_parity_check,
+    make_channel,
     min_asym_distance,
     min_hamming_distance,
     is_single_rq_correcting,
@@ -182,6 +185,15 @@ class TestCodewordsOf:
     def test_repetition_distance_three(self):
         assert min_hamming_distance(MatrixModZq(3, ((1, 1, 1),), "generator")) == 3
 
+    def test_empty_null_space_keeps_its_length(self):
+        # a full-rank check's null space has no rows, hence no columns of its own
+        H = MatrixModZq(3, ((1, 0), (0, 1)), "parity")
+        assert nullspace(H).nrows == 0
+        book = codewords_of(H)
+        assert book.n == 2 and [w.symbols for w in book] == [(0, 0)]
+        with pytest.raises(ValueError, match="^code has no nonzero codeword$"):
+            min_hamming_distance(H)
+
 
 def outer_repetition():
     return MatrixModZq(3, ((1, 1, 1),), "generator")
@@ -252,6 +264,61 @@ class TestConcat:
         for _ in range(20):
             msg = tuple(rng.randrange(3) for _ in range(cc.dimension))
             assert encode(cc, msg) in book
+
+
+class TestZeroOuterCode:
+    """The zero outer code [m, 0]_q: no outer generator row survives row
+    reduction, and its check is the m x m identity, which corrects every
+    +-1 error."""
+
+    ZERO = MatrixModZq(3, ((0, 0, 0),), "generator")
+
+    def test_passes_the_check_with_the_identity(self):
+        cc = concat_code(self.ZERO)
+        assert (cc.q, cc.m, cc.k, cc.length, cc.dimension) == (3, 3, 0, 6, 3)
+        assert cc.outer_check == MatrixModZq(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "parity")
+        assert concat_code(self.ZERO, check=False) == cc
+
+    def test_the_6_3_code_corrects_one_decrement(self):
+        book = concat_code(self.ZERO).codebook()
+        assert len(book) == 27
+        assert is_t_code(book, 1)
+        chain = ProductChannel(tuple(make_channel("chain", 3) for _ in range(6)))
+        assert corrects_t_errors(book, chain, 1)
+
+    def test_every_single_decrement_decodes(self):
+        cc = concat_code(self.ZERO)
+        decoded = 0
+        for w in cc.codebook().symbol_rows:
+            for pos in range(6):
+                y = list(w)
+                y[pos] = (y[pos] - 1) % 3  # a 0 wraps to 2
+                assert decode_concat(cc.outer_check, tuple(y)) == w
+                decoded += 1
+        assert decoded == 162
+
+    def test_shortened_5_2_code(self):
+        cc = concat_code(self.ZERO, shorten_to_odd=True)
+        assert (cc.length, cc.dimension) == (5, 2)
+        assert cc.generator.rows == ((0, 1, 1, 0, 0), (0, 0, 0, 1, 1))
+        book = cc.codebook()
+        assert len(book) == 9 and is_t_code(book, 1)
+        for w in book.symbol_rows:
+            for pos in range(5):
+                y = list(w)
+                y[pos] = (y[pos] - 1) % 3
+                assert decode_concat(cc.outer_check, tuple(y), shortened=True) == w
+
+    def test_length_one_shortened_has_no_generator_row(self):
+        one = MatrixModZq(3, ((0,),), "generator")
+        assert concat_code(one).generator.rows == ((1, 1),)
+        with pytest.raises(ValueError, match="leaves no generator row"):
+            concat_code(one, shorten_to_odd=True)
+
+    def test_binary_is_still_refused(self):
+        # over Z_2 a column equals its negative: +1 and -1 share a syndrome
+        with pytest.raises(ValueError, match="does not correct a single"):
+            concat_code(MatrixModZq(2, ((0, 0, 0),), "generator"))
 
 
 class TestDecodeConcat:
