@@ -14,7 +14,7 @@ from math import log2
 from .cyclic import builtin_table_generators
 from .groups import best_cr_group, cr_code
 from .linearq import MatrixModZq, codewords_of, hamming_parity_check
-from .words import CodeBook, _at_least, _integer, _shown, is_lm_code, weight_enumerator
+from .words import CodeBook, _at_least, _integer, _shown, _typed, is_lm_code, weight_enumerator
 
 
 # The largest word space `sphere_bound` computes: q^n below 2^SPHERE_BITS,
@@ -49,7 +49,7 @@ def is_perfect(c: CodeBook, t_tilde: int, ell: int) -> bool:
     The code is first verified to actually correct t_tilde wrap-around
     limited-magnitude errors.
     """
-    if not is_lm_code(c, t_tilde, ell, wrap=True):
+    if not is_lm_code(_typed(c, CodeBook, "c"), t_tilde, ell, wrap=True):
         raise ValueError("code fails the limited-magnitude verification")
     return len(c) == sphere_bound(c.alphabet.q, c.n, t_tilde, ell)
 

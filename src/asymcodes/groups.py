@@ -19,7 +19,8 @@ from math import gcd, prod
 import numpy as np
 
 from .linearq import _is_prime
-from .words import AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, _shown, check_cap
+from .words import (AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, _named, _shown,
+                    _typed, check_cap)
 
 GroupElement = tuple[int, ...]
 
@@ -105,15 +106,6 @@ def best_cr_group(n: int) -> AbelianGroup:
     return AbelianGroup(tuple(sorted(factors)))
 
 
-def _named(value) -> str:
-    """A refused argument as a message names it without failing: an integer
-    (numpy's too) by `_shown`, a string by its repr, anything else by its
-    type's name."""
-    if isinstance(value, (int, np.integer)):
-        return _shown(int(value))
-    return repr(value) if isinstance(value, str) else type(value).__name__
-
-
 def cr_code(
     G: AbelianGroup,
     g: GroupElement | None = None,
@@ -130,8 +122,7 @@ def cr_code(
     g, so only the two half-tables and the code itself are allocated, each
     checked against the enumeration cap first.
     """
-    if not isinstance(G, AbelianGroup):
-        raise ValueError(f"group {_named(G)} is not an AbelianGroup")
+    _typed(G, AbelianGroup, "group")
     if g is None:
         g = G.identity
     elif not isinstance(g, Iterable):

@@ -24,6 +24,7 @@ from .words import (
     _integer,
     _lex_words,
     _read_word,
+    _typed,
     weight_enumerator,
 )
 
@@ -143,12 +144,9 @@ def rank(M: MatrixModZq) -> int:
     return len(_rref([list(r) for r in M.rows], M.q)[0])
 
 
-def nullspace(M: MatrixModZq) -> MatrixModZq:
-    """Basis of {x : M x^T = 0} as a generator matrix (q prime)."""
-    if not _is_prime(M.q):
-        raise ValueError("nullspace over Z_q needs q prime")
-    q, n = M.q, M.ncols
-    red, pivots = _rref([list(r) for r in M.rows], q)
+def _null_rows(red: list[list[int]], pivots: list[int], n: int, q: int) -> tuple:
+    """Basis rows of the null space of a length-n row space, read from its
+    reduced row echelon form `red` with `pivots`, as `_rref` returns them."""
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for j in free:
@@ -157,7 +155,15 @@ def nullspace(M: MatrixModZq) -> MatrixModZq:
         for i, pc in enumerate(pivots):
             vec[pc] = (-red[i][j]) % q
         basis.append(tuple(vec))
-    return MatrixModZq(q, tuple(basis), "generator")
+    return tuple(basis)
+
+
+def nullspace(M: MatrixModZq) -> MatrixModZq:
+    """Basis of {x : M x^T = 0} as a generator matrix (q prime)."""
+    if not _is_prime(M.q):
+        raise ValueError("nullspace over Z_q needs q prime")
+    red, pivots = _rref([list(r) for r in M.rows], M.q)
+    return MatrixModZq(M.q, _null_rows(red, pivots, M.ncols, M.q), "generator")
 
 
 def _leading_columns(q: int, r: int, top: int, full: bool) -> MatrixModZq:
@@ -220,7 +226,7 @@ def codewords_of(M: MatrixModZq, name: str = "") -> CodeBook:
     every coefficient vector times the generator in one product.  Words of
     a generator with dependent rows repeat; they collapse to one each.  The
     length is M's: an empty null space lists the one zero word."""
-    gen = nullspace(M) if M.role == "parity" else M
+    gen = nullspace(M) if _typed(M, MatrixModZq, "M").role == "parity" else M
     q, n, k = M.q, M.ncols, gen.nrows
     coefs = _lex_words(q, k, "codewords")
     rows = np.unique(coefs @ np.array(gen.rows, dtype=np.int64).reshape(k, n) % q, axis=0)
@@ -272,16 +278,17 @@ def concat_code(
     symbol is fixed to zero and its coordinate dropped: [2m-1, m+k-1]_q.
     The zero outer code [m, 0]_q is valid: its check is the identity.
     """
-    if outer_gen.role != "generator":
+    if _typed(outer_gen, MatrixModZq, "outer_gen").role != "generator":
         raise ValueError("outer code must be given by a generator matrix")
     q, m = outer_gen.q, outer_gen.ncols
     if not _is_prime(q):
         raise ValueError("q must be prime")
-    basis, _ = _rref([list(r) for r in outer_gen.rows], q)
+    basis, pivots = _rref([list(r) for r in outer_gen.rows], q)
     k = len(basis)
     if k == m:
         raise ValueError("outer code is the full space; it corrects nothing")
-    H = MatrixModZq(q, nullspace(outer_gen).rows, "parity")
+    # the outer check is the null space of that one reduction
+    H = MatrixModZq(q, _null_rows(basis, pivots, m, q), "parity")
     if check and not is_single_rq_correcting(H):
         raise ValueError("outer code does not correct a single +-1 symbol error")
     if shorten_to_odd and m + k == 1:
@@ -359,7 +366,7 @@ def decode_concat(H_outer: MatrixModZq, received, shortened: bool = False) -> tu
     and numpy integers are) or lies outside 0..q-1.  Raises DecodeFailure,
     naming the syndrome, when no single decrement explains it.
     """
-    if H_outer.role != "parity":
+    if _typed(H_outer, MatrixModZq, "H_outer").role != "parity":
         raise ValueError("expected the outer parity-check matrix")
     q = H_outer.q
     coef, shifts, mask, table, alphabet = _syndrome_plan(H_outer, shortened)

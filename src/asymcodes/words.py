@@ -118,6 +118,24 @@ def _at_least(value, low: int, what: str) -> int:
     return value
 
 
+def _named(value) -> str:
+    """A refused argument as a message names it without failing: an integer
+    (numpy's too) by `_shown`, a string, a float or None by its repr,
+    anything else by its type's name."""
+    if isinstance(value, (int, np.integer)):
+        return _shown(int(value))
+    return repr(value) if value is None or isinstance(value, (str, float)) else type(value).__name__
+
+
+def _typed(value, cls: type, what: str):
+    """value, if it is a `cls`; else a ValueError naming `what` and value,
+    before any attribute of value is read."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{what} {_named(value)} is not {article} {cls.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class AlphabetSpec:
     """Per-coordinate alphabet sizes; coordinate i ranges over 0..sizes[i]-1."""

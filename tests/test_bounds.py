@@ -23,7 +23,7 @@ from asymcodes.bounds import (
     rate_ratio_row,
 )
 from asymcodes.groups import vt_code
-from asymcodes.linearq import codewords_of, concat_code, lee_parity_check, nullspace
+from asymcodes.linearq import codewords_of, concat_code, decode_concat, lee_parity_check, nullspace
 
 from conftest import book_from_strings
 
@@ -89,6 +89,11 @@ class TestSphereBound:
     (lambda: canonical_d3_ternary_check(4.0), "m 4.0 is not an integer"),
     (lambda: vt_code(0), "n must be >= 1"),
     (lambda: vt_code(-3), "n must be >= 1"),
+    # an object of the wrong type is named before any attribute is read
+    (lambda: codewords_of(1.5), "M 1.5 is not a MatrixModZq"),
+    (lambda: concat_code("x"), "outer_gen 'x' is not a MatrixModZq"),
+    (lambda: decode_concat(None, (0,) * 6), "H_outer None is not a MatrixModZq"),
+    (lambda: is_perfect("x", 1, 1), "c 'x' is not a CodeBook"),
 ])
 def test_entry_points_name_a_bad_argument(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

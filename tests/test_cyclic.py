@@ -242,8 +242,8 @@ def brute_force_clique(weights, adj, keys):
 
 def reference_clique(weights, adj, keys, node_budget, seed_solution=None):
     """The branch-and-bound as first written: caller labels, a scan over
-    branch positions and the bound summed vertex by vertex.  The engine
-    must expand exactly the same nodes."""
+    branch positions and the bound summed vertex by vertex.  A finished
+    engine search must return its weight, mask and proof."""
     V = len(weights)
     order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
     best = {"w": -1, "mask": 0, "key": None}
@@ -343,6 +343,28 @@ def instance_members(inst):
     return [tuple(map(tuple, inst.rows[s:e].tolist())) for s, e in zip(inst.starts, inst.starts[1:])]
 
 
+def greedy_seed(weights, adj, keys):
+    """The greedy clique in (-weight, key) order, as `_run_search` seeds it."""
+    return _greedy(weights, adj, sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i])))
+
+
+def assert_answers_as_the_reference(weights, adj, keys, budget, seed):
+    """A finished search returns the reference's (weight, mask, proven); an
+    exhausted one has counted the node past its budget and returns a
+    clique of its weight, at least as heavy as the seed."""
+    w, mask, proven, nodes, dolls = _max_weight_clique(weights, adj, keys, budget, seed)
+    V = len(weights)
+    chosen = [i for i in range(V) if mask >> i & 1]
+    assert all(adj[a] >> b & 1 for a, b in itertools.combinations(chosen, 2))
+    assert sum(weights[i] for i in chosen) == w
+    if proven:
+        assert nodes <= budget and dolls == V
+        assert (w, mask, proven) == reference_clique(weights, adj, keys, 10**9, seed)[:3]
+    else:
+        assert nodes == budget + 1 and dolls < V
+        assert w >= (seed[0] if seed else 0)
+
+
 @st.composite
 def tie_prone_graphs(draw):
     """Graphs on up to 120 vertices with tie-prone weights, zero included,
@@ -386,18 +408,14 @@ GRAPH_DIGESTS = {
 
 
 class TestCliqueEngine:
-    @given(tie_prone_graphs(), st.integers(1, 40), st.booleans())
+    @given(tie_prone_graphs(), st.sampled_from([1, 7, 40, 20_000]), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_bound_walk_expands_the_reference_nodes(self, graph, budget, seeded):
-        # the reference sums each bound vertex by vertex; the engine's walk
-        # stops early, and must prune exactly the same children
+    def test_tie_prone_graphs_answer_as_the_reference(self, graph, budget, seeded):
+        # long weight classes and zero weights test the strict doll bound:
+        # a clique that can only tie the best must still be reached
         weights, adj, keys = graph
-        seed = None
-        if seeded:
-            order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
-            seed = _greedy(weights, adj, order)
-        args = (weights, adj, keys, budget, seed)
-        assert _max_weight_clique(*args) == reference_clique(*args)
+        seed = greedy_seed(weights, adj, keys) if seeded else None
+        assert_answers_as_the_reference(weights, adj, keys, budget, seed)
 
     @given(permutation_cases())
     @settings(max_examples=200, deadline=None)
@@ -413,54 +431,45 @@ class TestCliqueEngine:
     def test_equals_subset_enumeration(self, graph, seeded):
         weights, adj, keys = graph
         V = len(weights)
-        seed = None
-        if seeded:
-            order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
-            seed = _greedy(weights, adj, order)
-        w, mask, proven, nodes = _max_weight_clique(weights, adj, keys, 10**6, seed)
+        seed = greedy_seed(weights, adj, keys) if seeded else None
+        w, mask, proven, nodes, dolls = _max_weight_clique(weights, adj, keys, 10**6, seed)
         chosen = [i for i in range(V) if mask >> i & 1]
-        assert proven
+        assert proven and dolls == V
         assert (nodes == 0) == (V == 0)
         assert sum(weights[i] for i in chosen) == w
         assert (w, tuple(sorted(keys[i] for i in chosen))) == brute_force_clique(weights, adj, keys)
 
     @given(weighted_graphs(), st.integers(1, 40), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_expands_the_reference_nodes(self, graph, budget, seeded):
-        # small budgets make many runs stop early: their partial answers
-        # must match too
+    def test_small_budgets_answer_as_the_reference(self, graph, budget, seeded):
+        # small budgets make many runs stop early: those must still return
+        # a clique no lighter than the seed
         weights, adj, keys = graph
-        seed = None
-        if seeded:
-            order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
-            seed = _greedy(weights, adj, order)
-        args = (weights, adj, keys, budget, seed)
-        assert _max_weight_clique(*args) == reference_clique(*args)
+        seed = greedy_seed(weights, adj, keys) if seeded else None
+        assert_answers_as_the_reference(weights, adj, keys, budget, seed)
 
-    @pytest.mark.parametrize("m, budget", [(5, 10**6), (5, 300), (6, 2_000)])
-    def test_search_graphs_expand_the_reference_nodes(self, m, budget):
+    @pytest.mark.parametrize("m, budget", [(5, 10**6), (5, 300), (6, 2_000), (6, 10**6)])
+    def test_search_graphs_answer_as_the_reference(self, m, budget):
         inst = _instance(m, False)
         weights, adj, keys = inst.weights, list(inst.adj), inst.keys
-        order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
-        args = (weights, adj, keys, budget, _greedy(weights, adj, order))
-        assert _max_weight_clique(*args) == reference_clique(*args)
+        assert_answers_as_the_reference(weights, adj, keys, budget, greedy_seed(weights, adj, keys))
 
     @pytest.mark.parametrize("m, budget", [(5, 10**6), (6, 2_000)])
-    def test_split_graphs_expand_the_reference_nodes(self, m, budget):
+    def test_split_graphs_answer_as_the_reference(self, m, budget):
         inst = _instance(m, True)
         weights, adj, keys = inst.weights, list(inst.adj), inst.keys
-        order = sorted(range(len(weights)), key=lambda i: (-weights[i], keys[i]))
-        args = (weights, adj, keys, budget, _greedy(weights, adj, order))
-        assert _max_weight_clique(*args) == reference_clique(*args)
+        assert_answers_as_the_reference(weights, adj, keys, budget, greedy_seed(weights, adj, keys))
 
     def test_proof_node_counts_pinned(self):
+        # counts are pinned, not bounded by the reference's: the doll bound
+        # takes more (cheaper) nodes than the reference on plain m = 6
         cfg = SearchConfig(time_budget=60.0)
         code = search_cyclic(6, cfg)
         assert (code.meta["score"], code.meta["proven_optimal"]) == ("336", "yes")
-        assert code.meta["nodes"] == "78004"
+        assert (code.meta["nodes"], code.meta["dolls"]) == ("96877", "98/98")
         part0, _ = search_extended(5, cfg)
         assert (part0.meta["score"], part0.meta["proven_optimal"]) == ("154", "yes")
-        assert part0.meta["nodes"] == "26458"
+        assert (part0.meta["nodes"], part0.meta["dolls"]) == ("18024", "78/78")
 
     @pytest.mark.parametrize(
         "m, split",
@@ -539,22 +548,22 @@ class TestCliqueEngine:
 
     def test_budget_exhausted_results_pinned(self):
         # 5 units of node budget are 250 000 nodes; the node that runs out
-        # is counted too
+        # is counted too; `dolls` says how far the proof got
         code = search_cyclic(7, SearchConfig(time_budget=5.0))
-        assert code.meta["score"] == "961"
+        assert code.meta["score"] == "863"
         assert code.meta["proven_optimal"] == "no"
-        assert code.meta["nodes"] == "250001"
+        assert (code.meta["nodes"], code.meta["dolls"]) == ("250001", "68/287")
         part0, part1 = search_extended(6, SearchConfig(time_budget=5.0))
-        assert part0.meta["score"] == "534"
+        assert part0.meta["score"] == "507"
         assert part0.meta["proven_optimal"] == "no"
-        assert part0.meta["nodes"] == "250001"
+        assert (part0.meta["nodes"], part0.meta["dolls"]) == ("250001", "66/196")
 
     def test_largest_graph_budget_result_pinned(self):
         # the m=8 plain graph has 754 vertices; one unit of budget is
         # 50 000 nodes
         assert len(_instance(8, False).weights) == 754
         code = search_cyclic(8, SearchConfig(time_budget=1.0))
-        assert code.meta["score"] == "3238"
+        assert code.meta["score"] == "3190"
         assert code.meta["proven_optimal"] == "no"
         assert code.meta["nodes"] == "50001"
 
@@ -562,19 +571,32 @@ class TestCliqueEngine:
         # no limit on m but the cap: plain m=9 (2123 vertices) and split
         # m=8 (1508 vertices) stop at one unit of node budget
         code = search_cyclic(9, SearchConfig(time_budget=1.0))
-        assert (code.meta["score"], code.meta["proven_optimal"]) == ("12080", "no")
+        assert (code.meta["score"], code.meta["proven_optimal"]) == ("12053", "no")
         assert code.meta["nodes"] == "50001"
-        assert len(construct_even(code, check=True)) == 12080
+        assert len(construct_even(code, check=True)) == 12053
         part0, part1 = search_extended(8, SearchConfig(time_budget=1.0))
-        assert (part0.meta["score"], part0.meta["proven_optimal"]) == ("6134", "no")
+        assert (part0.meta["score"], part0.meta["proven_optimal"]) == ("6094", "no")
         assert part0.meta["nodes"] == "50001"
-        assert len(construct_extended(part0, part1, check=True)) == 6134
+        assert len(construct_extended(part0, part1, check=True)) == 6094
+
+    @pytest.mark.parametrize("m, split, budget", [(7, False, 5.0), (6, True, 5.0),
+                                                  (8, False, 1.0), (9, False, 1.0),
+                                                  (8, True, 1.0)])
+    def test_budgeted_scores_are_the_greedy_seeds(self, m, split, budget):
+        # the dolls reach the heavy vertices last: each pinned budgeted
+        # score above is its greedy seed
+        search = search_extended if split else search_cyclic
+        exact = search(m, SearchConfig(time_budget=budget))
+        greedy = search(m, SearchConfig(strategy="greedy"))
+        exact, greedy = (exact[0], greedy[0]) if split else (exact, greedy)
+        assert exact.meta["score"] == greedy.meta["score"]
 
     def test_node_count_is_exact_strategy_only(self):
         nodes = search_cyclic(5).meta["nodes"]
         assert int(nodes) > 0
         assert search_cyclic(5).meta["nodes"] == nodes
-        assert "nodes" not in search_cyclic(5, SearchConfig(strategy="greedy")).meta
+        greedy = search_cyclic(5, SearchConfig(strategy="greedy")).meta
+        assert "nodes" not in greedy and "dolls" not in greedy
 
     def test_enumeration_cap_checked_before_building(self, monkeypatch):
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 3**6 - 1)
