@@ -36,6 +36,7 @@ from .words import (
     _read_word,
     _shown,
     _trusted_word,
+    _typed,
     check_cap,
 )
 
@@ -407,7 +408,7 @@ def ball_overlap(
     size is counted, and checked against the cap, before anything is listed.
     """
     t = _at_least(t, 0, "t")
-    _check_compatible(c.alphabet, ch)
+    _check_compatible(_typed(c, CodeBook, "c").alphabet, _typed(ch, ProductChannel, "ch"))
     owner, limbs = _balls(c._symbol_array, ch, t, counting, coord_radius)
     shared = np.flatnonzero(_same_word(limbs, 1))
     if not len(shared):

@@ -180,14 +180,12 @@ def _cmd_construct(args) -> int:
             raise ValueError("--in excludes --in0 and --in1: give --in, or both --in0 and --in1")
         if args.in0 or args.in1:
             if not (args.in0 and args.in1):
-                print("error: extended construction needs both --in0 and --in1", file=sys.stderr)
-                return USAGE
+                raise ValueError("extended construction needs both --in0 and --in1")
             c0, c1 = _read_code(args.in0), _read_code(args.in1)
             code = construct_extended(c0, c1, check=not args.unchecked)
         else:
             if not args.infile:
-                print("error: --in is required", file=sys.stderr)
-                return USAGE
+                raise ValueError("--in is required")
             inner = _read_code(args.infile)
             if all(q == 3 for q in inner.alphabet.sizes):
                 code = construct_even(inner, check=not args.unchecked)
@@ -211,8 +209,7 @@ def _cmd_construct(args) -> int:
             q, r, partial = _outer_q_r("--outer-lee", args.outer_lee, "partial")
             outer = nullspace(lee_parity_check(q, r, full=not partial))
         else:
-            print("error: give --outer-gen, --outer-hamming or --outer-lee", file=sys.stderr)
-            return USAGE
+            raise ValueError("give --outer-gen, --outer-hamming or --outer-lee")
         cc = concat_code(outer, shorten_to_odd=args.shorten, check=not args.unchecked)
         if args.matrix_out:
             Path(args.matrix_out).write_text(cc.generator.to_text())
@@ -227,8 +224,7 @@ def _cmd_construct(args) -> int:
             book = cc.codebook()
         except EnumerationCapExceeded:
             if args.out:
-                print("error: code too large to enumerate into --out", file=sys.stderr)
-                return USAGE
+                raise ValueError("code too large to enumerate into --out") from None
             return OK
         if not args.unchecked and _witness(book, "asym", 1) is not None:
             print("VERIFICATION FAILED: output is not a 1-code", file=sys.stderr)
@@ -273,9 +269,7 @@ def _cmd_verify(args) -> int:
     if args.model == "limited":
         detail.update(l=ell, wrap=args.wrap)
     elif args.l is not None or args.wrap:
-        print(f"error: --l and --wrap apply only to --model limited, not {args.model}",
-              file=sys.stderr)
-        return USAGE
+        raise ValueError(f"--l and --wrap apply only to --model limited, not {args.model}")
     code = _read_code(args.infile)
     witness = _witness(code, args.model, args.t, ell, args.wrap)
     ok = witness is None

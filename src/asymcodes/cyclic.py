@@ -127,7 +127,7 @@ def enumerate_orbits(m: int) -> tuple[Orbit, ...]:
 def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Radius-1 ball of w on the ternary channel, as a set of words.
 
-    Kept on purpose, with `_self_compatible` and `orbits_compatible`: this
+    Kept on purpose, with `_balls_disjoint` and `orbits_compatible`: this
     set-based definition is the reference that the tests check the search
     graphs (`_instance`) against.
     """
@@ -138,11 +138,11 @@ def _ball1(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     return out
 
 
-def _self_compatible(orbit: Orbit) -> bool:
-    """True iff the orbit's members have pairwise disjoint radius-1 balls.
+def _balls_disjoint(words) -> bool:
+    """True iff the words have pairwise disjoint radius-1 balls.
     Kept on purpose as part of the set-based reference; see `_ball1`."""
     covered = {}
-    for w in orbit.members:
+    for w in words:
         for y in _ball1(w):
             if covered.get(y, w) != w:
                 return False
@@ -161,18 +161,7 @@ def orbits_compatible(o1: Orbit, o2: Orbit) -> bool:
     """
     if o1.m != o2.m:
         raise ValueError("orbits have different lengths")
-    if o1 == o2:
-        return _self_compatible(o1)
-    if not (_self_compatible(o1) and _self_compatible(o2)):
-        return False
-    covered = {}
-    for orbit in (o1, o2):
-        for w in orbit.members:
-            for y in _ball1(w):
-                if covered.get(y, w) != w:
-                    return False
-                covered[y] = w
-    return True
+    return _balls_disjoint(o1.members if o1 == o2 else o1.members + o2.members)
 
 
 @dataclass(frozen=True)

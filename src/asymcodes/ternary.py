@@ -47,17 +47,6 @@ def fold_to_ternary(c: CodeBook, p: Pairing) -> CodeBook:
     return CodeBook.from_symbols(AlphabetSpec(sizes), np.unique(trits, axis=0), name=name)
 
 
-def _expansion_size(c: CodeBook) -> int:
-    """Words `_expand` makes: sum over codewords of 2^(zero trits).
-
-    On a pure ternary code this is W(2,1) of `weight_enumerator`.  A zero
-    bit copies through without doubling, so mixed codes count trits only.
-    """
-    trit = np.array(c.alphabet.sizes) == 3
-    zeros = ((c._symbol_array == 0) & trit).sum(axis=1)
-    return sum(1 << z for z in zeros.tolist())
-
-
 def _expand(c: CodeBook, targets: list[tuple[int, ...]], name: str = "") -> CodeBook:
     """The one expansion of bits and trits into a binary code.
 
@@ -65,12 +54,15 @@ def _expand(c: CodeBook, targets: list[tuple[int, ...]], name: str = "") -> Code
     a bit, which copies through, and two for a trit, which expands by
     EXPANSIONS (0 to 00 or 11, 1 to 01, 2 to 10).  A codeword with z zero
     trits gives 2^z words; the k-th of them takes bit j of k for the pair
-    of its j-th zero trit.  The total is checked against the cap first.
+    of its j-th zero trit.  The total, the sum of 2^z (W(2,1) of
+    `weight_enumerator` on a pure ternary code), is counted in exact
+    integers and checked against the cap before the listing is allocated.
     """
-    check_cap(_expansion_size(c), "binary image words")
     mat = c._symbol_array
     zero = (mat == 0) & (np.array([len(t) for t in targets]) == 2)
-    counts = 1 << zero.sum(axis=1)
+    zeros = zero.sum(axis=1)
+    check_cap(sum(1 << z for z in zeros.tolist()), "binary image words")
+    counts = 1 << zeros
     # output word o is the k-th expansion of codeword source[o]
     source = np.repeat(np.arange(len(mat)), counts)
     k = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts, counts)

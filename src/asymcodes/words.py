@@ -559,7 +559,7 @@ def _min_asym_pair(c: CodeBook, stop_at: int | None = None) -> tuple[int, int, i
     """The kernel of `min_asym_distance`: (distance, i, j), i < j indexing
     `c.words`, for a closest pair, or with stop_at set the first one seen at
     distance <= stop_at."""
-    if len(c) < 2:
+    if len(_typed(c, CodeBook, "c")) < 2:
         raise ValueError("need at least two codewords")
     mat = c._symbol_array
     packed = _thermometer(mat, c.alphabet.sizes)
@@ -604,7 +604,7 @@ def min_asym_distance(c: CodeBook) -> int:
 def _asym_witness(c: CodeBook, t: int) -> tuple[int, int, int] | None:
     """None iff `is_t_code`, else (distance, i, j) for a pair within t."""
     t = _at_least(t, 1, "t")
-    if len(c) < 2:
+    if len(_typed(c, CodeBook, "c")) < 2:
         return None
     pair = _min_asym_pair(c, stop_at=t)
     return pair if pair[0] <= t else None
@@ -617,7 +617,8 @@ def is_t_code(c: CodeBook, t: int) -> bool:
 
 def weight_enumerator(c: CodeBook) -> WeightEnumerator:
     """Counts of codewords by Hamming weight."""
-    counts = np.bincount((c._symbol_array != 0).sum(axis=1), minlength=c.n + 1)
+    nonzero = (_typed(c, CodeBook, "c")._symbol_array != 0).sum(axis=1)
+    counts = np.bincount(nonzero, minlength=c.n + 1)
     return WeightEnumerator(c.n, tuple(counts.tolist()))
 
 
@@ -680,80 +681,71 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     return candidates[0]
 
 
+def _check_wrap(q: int, ell: int) -> None:
+    """Under wrap, a step of at most ell has one direction only if q > 2*ell."""
+    if q <= 2 * ell:
+        raise ValueError(f"wrap-around direction is ambiguous for q={_shown(q)}, ell={_shown(ell)}")
+
+
 def d_ell_distance(x, y, ell: int, wrap: bool = False) -> int:
     """Limited-magnitude distance counting erroneous coordinates.
 
-    Without wrap: n+1 if any coordinate differs by more than ell, else the
-    larger of the two "strictly above" coordinate counts.  With wrap,
-    "above" is judged by which direction reaches the other symbol within
-    ell steps mod q; this needs q > 2*ell or the direction is ambiguous.
-    q comes from the alphabet of a Word operand; wrap on two plain
-    sequences raises ValueError rather than guess q from the symbols.
+    The step rule: d = a - b is how far a sits above b and -d how far b
+    sits above a, both taken mod q under wrap.  A coordinate within ell
+    one way counts for that side; the distance is the larger count, or
+    n+1 if a moved coordinate is within ell neither way.  Wrap needs
+    q > 2*ell or the direction is ambiguous.  q comes from the alphabet
+    of a Word operand; wrap on two plain sequences raises ValueError
+    rather than guess q from the symbols.
     """
     ell = _at_least(ell, 1, "ell")
     xs, ys = _check_same_profile(x, y)
-    n = len(xs)
-    if not wrap:
-        m_xy = m_yx = 0
-        for a, b in zip(xs, ys):
-            if abs(a - b) > ell:
-                return n + 1
-            if a > b:
-                m_xy += 1
-            elif b > a:
-                m_yx += 1
-        return max(m_xy, m_yx)
-    if isinstance(x, Word):
-        q = x.alphabet.q
-    elif isinstance(y, Word):
-        q = y.alphabet.q
-    else:
-        raise ValueError("wrap-around needs q: pass at least one operand as a Word")
-    if q <= 2 * ell:
-        raise ValueError(f"wrap-around direction is ambiguous for q={_shown(q)}, ell={_shown(ell)}")
+    if wrap:
+        if isinstance(x, Word):
+            q = x.alphabet.q
+        elif isinstance(y, Word):
+            q = y.alphabet.q
+        else:
+            raise ValueError("wrap-around needs q: pass at least one operand as a Word")
+        _check_wrap(q, ell)
     m_xy = m_yx = 0
     for a, b in zip(xs, ys):
-        d = (a - b) % q
-        if d == 0:
-            continue
-        if d <= ell:
+        d, back = a - b, b - a
+        if wrap:
+            d, back = d % q, back % q
+        if 0 < d <= ell:
             m_xy += 1
-        elif q - d <= ell:
+        elif 0 < back <= ell:
             m_yx += 1
-        else:
-            return n + 1
+        elif d:
+            return len(xs) + 1
     return max(m_xy, m_yx)
 
 
 def _lm_kernels(q: int, ell: int, wrap: bool) -> np.ndarray:
-    """The three per-coordinate counts of `d_ell_distance` as q x q tables
-    over (x symbol, y symbol): y above x, x above y, and the pair more than
-    ell apart."""
-    diff = np.arange(q)[None, :] - np.arange(q)[:, None]
+    """The step rule of `d_ell_distance` as three q x q tables over (x symbol,
+    y symbol): y within ell above x, x within ell above y, and a moved pair
+    within ell neither way."""
+    d = np.arange(q)[None, :] - np.arange(q)[:, None]
+    back = -d
     if wrap:
-        d = diff % q
-        above_y = (d > 0) & (d <= ell)
-        above_x = d >= q - ell
-        over = (d > 0) & ~above_y & ~above_x
-    else:
-        above_y = diff > 0
-        above_x = diff < 0
-        over = np.abs(diff) > ell
-    return np.stack([above_y, above_x, over])
+        d, back = d % q, back % q
+    above_y = (d > 0) & (d <= ell)
+    above_x = (back > 0) & (back <= ell)
+    return np.stack([above_y, above_x, (d != 0) & ~above_y & ~above_x])
 
 
 def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[int, int, int]:
     """The kernel of `is_lm_code`: (distance, i, j) for a closest pair under
     the limited-magnitude distance, or the first one seen at distance <=
     t_tilde.  i < j index `c.words`; the arguments are as `is_lm_code`
-    checks them.  Each count of `d_ell_distance` sums one q x q boolean
-    table K at (x_i, y_i) over the coordinates: with every word packed
-    one-hot (bit i*q + y_i) and as its rows K[x_i, :] side by side, the
-    count for x and y is popcount(K-rows(x) & one-hot(y)), the packed
-    AND-and-popcount of the asymmetric kernel.
+    checks them, on a code of at least two words.  Each count of
+    `d_ell_distance` sums one q x q boolean table K at (x_i, y_i) over the
+    coordinates: with every word packed one-hot (bit i*q + y_i) and as its
+    rows K[x_i, :] side by side, the count for x and y is
+    popcount(K-rows(x) & one-hot(y)), the packed AND-and-popcount of the
+    asymmetric kernel.
     """
-    if len(c) < 2:
-        raise ValueError("need at least two codewords")
     mat = c._symbol_array
     rows, n, q = len(c), c.n, c.alphabet.q
     onehot = _packed(np.eye(q, dtype=bool)[mat].reshape(rows, n * q))
@@ -770,11 +762,10 @@ def _lm_pair(c: CodeBook, t_tilde: int, ell: int, wrap: bool = False) -> tuple[i
 def _lm_witness(c: CodeBook, t_tilde: int, ell: int, wrap: bool) -> tuple[int, int, int] | None:
     """None iff `is_lm_code`, else (distance, i, j) for a pair within t_tilde."""
     t_tilde, ell = _at_least(t_tilde, 1, "t_tilde"), _at_least(ell, 1, "ell")
-    if not c.alphabet.is_uniform:
+    if not _typed(c, CodeBook, "c").alphabet.is_uniform:
         raise ValueError("limited-magnitude distances need a uniform alphabet")
-    q = c.alphabet.q
-    if wrap and q <= 2 * ell:
-        raise ValueError(f"wrap-around direction is ambiguous for q={_shown(q)}, ell={_shown(ell)}")
+    if wrap:
+        _check_wrap(c.alphabet.q, ell)
     if len(c) < 2:
         return None
     pair = _lm_pair(c, t_tilde, ell, wrap)

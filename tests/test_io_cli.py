@@ -24,12 +24,15 @@ from asymcodes import (
     bounds,
     codewords_of,
     cr_code,
+    hamming_parity_check,
+    is_t_code,
     lee_parity_check,
     make_channel,
     nullspace,
     simulate_channel,
     vt_code,
 )
+from asymcodes import words
 from asymcodes.cli import main
 from asymcodes.io import (
     CodeFileError,
@@ -824,6 +827,84 @@ class TestCliExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert all(flag in captured.err for flag in flags)
         assert not out.exists()
+
+    @pytest.mark.parametrize("what, message", [
+        (["ternary", "--in0", "{code}"], "extended construction needs both --in0 and --in1"),
+        (["ternary"], "--in is required"),
+        (["concat"], "give --outer-gen, --outer-hamming or --outer-lee"),
+    ], ids=["in0-alone", "no-input", "no-outer"])
+    def test_missing_inputs_are_usage_errors(self, tmp_path, capsys, what, message):
+        code, out = tmp_path / "t.code", tmp_path / "x.code"
+        code.write_text("q=3 n=3\n000\n111\n122\n212\n221\n")
+        argv = [a.format(code=code) for a in what]
+        assert main(["construct", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_concat_too_large_for_out_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        # the [8,6]_3 code has 729 words
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 728)
+        out = tmp_path / "c.code"
+        assert main(["construct", "concat", "--outer-hamming", "3,2", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "constructed [8,6]_3 code (outer +-1 single-error condition verified)\n"
+            "error: code too large to enumerate into --out\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what, H", [
+        (["hamming", "--q", "3", "--r", "2"], hamming_parity_check(3, 2)),
+        (["lee", "--q", "5", "--r", "2", "--partial"], lee_parity_check(5, 2, full=False)),
+    ], ids=["hamming", "lee-partial"])
+    def test_construct_parity_check_and_its_codewords(self, tmp_path, capsys, what, H):
+        assert main(["construct", *what]) == 0
+        assert capsys.readouterr() == (H.to_text(), "")
+        mat, out = tmp_path / "h.matrix", tmp_path / "h.code"
+        assert main(["construct", *what, "--matrix-out", str(mat), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert mat.read_text() == H.to_text()
+        assert parse_code_file(out.read_text()) == codewords_of(H)
+
+    def test_construct_ternary_from_two_parts_or_one_mixed_file(self, tmp_path, capsys):
+        # the parts behind their literal bit are the one bit/trit code
+        part0, part1, mixed = tmp_path / "p0", tmp_path / "p1", tmp_path / "mixed.code"
+        part0.write_text("q=3 n=3\n000\n111\n122\n212\n221\n")
+        part1.write_text("q=3 n=3\n112\n121\n211\n222\n")
+        mixed.write_text("q=2,3,3,3 n=4\n0000\n0111\n0122\n0212\n0221\n"
+                         "1112\n1121\n1211\n1222\n")
+        images = []
+        for argv in (["--in0", str(part0), "--in1", str(part1)], ["--in", str(mixed)]):
+            out = tmp_path / "image.code"
+            assert main(["construct", "ternary", *argv, "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", "constructed (7,16) binary code\n")
+            images.append(parse_code_file(out.read_text()))
+        assert images[0] == images[1] and is_t_code(images[0], 1)
+
+    def test_construct_concat_partial_lee_outer(self, tmp_path, capsys):
+        # the [20,18]_5 code exceeds the cap: with no --out nothing enumerates it
+        mat = tmp_path / "g.matrix"
+        assert main(["construct", "concat", "--outer-lee", "5,2,partial",
+                     "--matrix-out", str(mat)]) == 0
+        assert capsys.readouterr() == (
+            "", "constructed [20,18]_5 code (outer +-1 single-error condition verified)\n")
+        assert mat.read_text().splitlines()[0] == "5 18 20 generator"
+
+    def test_search_extended_writes_both_parts_and_json(self, tmp_path, capsys):
+        out, out1, rep = tmp_path / "p0", tmp_path / "p1", tmp_path / "s.json"
+        assert main(["search", "extended", "--m", "3", "--out", str(out), "--out1", str(out1),
+                     "--json", str(rep)]) == 0
+        assert capsys.readouterr() == ("", "best score 16 (proven optimal: yes)\n")
+        parts = [parse_code_file(f.read_text()) for f in (out, out1)]
+        assert [len(p) for p in parts] == [5, 4]
+        assert parts[1].name == "extended-search-m3-part1"
+        results = json.loads(rep.read_text())["results"]
+        assert (results["score"], results["sizes"]) == (16, [5, 4])
+        assert results["meta"] == parts[0].meta
+
+    def test_decode_failure_exit_one(self, tmp_path, capsys):
+        f = tmp_path / "c.code"
+        f.write_text("q=2 n=4\n0000\n1100\n0011\n1111\n")
+        assert main(["decode", "--code", str(f), "--received", "1000", "--t", "0"]) == 1
+        assert capsys.readouterr() == ("FAILURE: no codeword within range\n", "")
 
     def test_zero_outer_code_builds_and_verifies(self, tmp_path, capsys):
         outer, out = tmp_path / "zero.txt", tmp_path / "z.code"

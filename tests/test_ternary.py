@@ -31,7 +31,7 @@ from asymcodes import (
 )
 
 from asymcodes import channels, words
-from asymcodes.ternary import EXPANSIONS, _expansion_size
+from asymcodes.ternary import EXPANSIONS
 from asymcodes.words import EnumerationCapExceeded
 
 from conftest import book_from_strings
@@ -128,6 +128,13 @@ def reference_expand(c, targets):
     return out
 
 
+def image_size(c):
+    """Words an expansion makes: the sum over codewords of 2^(zero trits);
+    a zero bit copies through without doubling."""
+    sizes = c.alphabet.sizes
+    return sum(2 ** sum(s == 0 and q == 3 for s, q in zip(w, sizes)) for w in c.symbol_rows)
+
+
 @st.composite
 def bit_trit_codes(draw):
     """A code over a random bit/trit layout, a random assignment of output
@@ -154,7 +161,7 @@ class TestOneExpansion:
         targets = ([(p.singleton,)] if p.singleton is not None else []) + list(p.pairs)
         out = expand_to_binary(c, p)
         assert out.n == p.n and set(out.symbol_rows) == reference_expand(c, targets)
-        assert len(out) == _expansion_size(c)
+        assert len(out) == image_size(c)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5), st.data())
@@ -286,11 +293,11 @@ class TestExpansionCap:
     def test_size_is_weight_enumerator_on_ternary_codes(self, ternary_12_source):
         tetra = codewords_of(hamming_parity_check(3, 2))
         for c in (ternary_12_source, tetra):
-            assert _expansion_size(c) == weight_enumerator(c).evaluate(2, 1) == len(construct_even(c))
+            assert image_size(c) == weight_enumerator(c).evaluate(2, 1) == len(construct_even(c))
 
     def test_size_counts_zero_trits_only_on_mixed_codes(self):
         c = CodeBook.from_symbols(AlphabetSpec((2, 3, 3, 3)), MIXED_7_SOURCE)
-        assert _expansion_size(c) == len(construct_odd_mixed(c))
+        assert image_size(c) == len(construct_odd_mixed(c))
 
     @pytest.mark.parametrize("which", ["even", "odd_mixed", "extended"])
     def test_cap_checked_before_expanding(self, monkeypatch, which):
@@ -313,7 +320,7 @@ class TestExpansionCap:
         # a singleton bit, two trits: 4 + 2 + 1 words; the bit never doubles
         c = CodeBook.from_symbols(AlphabetSpec((2, 3, 3)), [(0, 0, 0), (1, 0, 2), (1, 1, 2)])
         p = Pairing(((4, 0), (1, 3)), singleton=2)
-        size = _expansion_size(c)
+        size = image_size(c)
         assert size == 7
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", size - 1)
         with pytest.raises(EnumerationCapExceeded, match="7 exceeds"):

@@ -15,9 +15,11 @@ from asymcodes import (
     ProductChannel,
     Word,
     asym_distance,
+    ball_overlap,
     best_cr_group,
     builtin_table_generators,
     canonical_pairing,
+    corrects_t_errors,
     cr_code,
     d_ell_distance,
     decode_asymmetric,
@@ -255,6 +257,27 @@ class TestDistanceProperties:
         x, y = Word(tuple(xs), a), Word(tuple(ys), a)
         d_h = sum(1 for p, r in zip(xs, ys) if p != r)
         assert asym_distance(x, y) >= math.ceil(d_h / 2)
+
+
+# every verifier names an argument that is not a code book or a channel
+# before it reads any attribute of it
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_t_code("x", 1), "c 'x' is not a CodeBook"),
+    (lambda: is_t_code("abc", 1), "c 'abc' is not a CodeBook"),
+    (lambda: is_t_code(None, 1), "c None is not a CodeBook"),
+    (lambda: min_asym_distance("x"), "c 'x' is not a CodeBook"),
+    (lambda: is_lm_code("x", 1, 1), "c 'x' is not a CodeBook"),
+    (lambda: weight_enumerator(None), "c None is not a CodeBook"),
+    (lambda: corrects_t_errors(None, None, 1), "c None is not a CodeBook"),
+    (lambda: corrects_t_errors(vt_code(6), None, 1), "ch None is not a ProductChannel"),
+    (lambda: ball_overlap([(0,) * 6], ProductChannel.power(make_channel("Z", 2), 6), 1),
+     "c list is not a CodeBook"),
+    (lambda: ball_overlap(vt_code(6), make_channel("Z", 2), 1),
+     "ch ChannelGraph is not a ProductChannel"),
+])
+def test_verifiers_name_a_non_code_book(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestEnumerator:
@@ -842,6 +865,11 @@ class TestLimitedMagnitude:
         x, y = w((0, 0), q=2), w((1, 1), q=2)
         with pytest.raises(ValueError):
             d_ell_distance(x, y, 1, wrap=True)
+
+    def test_is_lm_code_wrap_needs_headroom(self):
+        c = book_from_strings(["00", "11"], q=2)
+        with pytest.raises(ValueError, match=r"^wrap-around direction is ambiguous for q=2, ell=1$"):
+            is_lm_code(c, 1, 1, wrap=True)
 
     def test_is_lm_code_examples(self):
         c0 = book_from_strings(["00", "11", "22", "33", "44"], q=5)
