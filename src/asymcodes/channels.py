@@ -376,7 +376,7 @@ def error_ball(
     most `coord_radius` steps.
     """
     radius = _at_least(radius, 0, "radius")
-    alphabet = ch.alphabet
+    alphabet = _typed(ch, ProductChannel, "ch").alphabet
     rows = np.array([_read_word(x, alphabet)], dtype=np.int64)
     _, limbs = _balls(rows, ch, radius, counting, coord_radius)
     found = _symbols_of(limbs, alphabet.sizes).tolist()
@@ -478,7 +478,7 @@ def simulate_channel(
     if force_errors is not None:
         force_errors = _at_least(force_errors, 0, "force_errors")
     trials, seed, t = _at_least(trials, 0, "trials"), _integer(seed, "seed"), _at_least(t, 0, "t")
-    _check_compatible(c.alphabet, ch)
+    _check_compatible(_typed(c, CodeBook, "c").alphabet, _typed(ch, ProductChannel, "ch"))
     if len(c) == 0:
         raise ValueError("cannot simulate an empty code")
     check_cap(trials * c.n, f"{_shown(trials)} trials of {c.n} symbols")

@@ -39,6 +39,7 @@ from .channels import (
 from .cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
+    STRATEGIES,
     SearchConfig,
     builtin_table_generators,
     search_cyclic,
@@ -123,18 +124,19 @@ def _parse_word(text: str, alphabet: AlphabetSpec) -> Word:
     return Word(tuple(parse_symbols(text, _separator(alphabet.sizes))), alphabet)
 
 
-def _default_oracle_channel(c: CodeBook) -> ProductChannel:
-    """The decrement chain on every coordinate, which is Z on a binary one:
-    the channel of `verify --model ball` and of `simulate --channel auto`."""
-    graphs = tuple(make_channel("chain", q) for q in c.alphabet.sizes)
-    return ProductChannel(graphs)
+def _channel(c: CodeBook, kind: str) -> ProductChannel:
+    """The channel `kind` on every coordinate of c.  "auto", the channel of
+    `verify --model ball` and of `simulate`'s default, is the decrement
+    chain, which is Z on a binary coordinate."""
+    kind = "chain" if kind == "auto" else kind
+    return ProductChannel(tuple(make_channel(kind, q) for q in c.alphabet.sizes))
 
 
 def _witness(c: CodeBook, model: str, t: int, ell: int = 1, wrap: bool = False) -> dict | None:
     """Check c under a `verify` model with one oracle or kernel call: None
     on "yes", else the witness, printed and as a report entry."""
     if model == "ball":
-        overlap = ball_overlap(c, _default_oracle_channel(c), t)
+        overlap = ball_overlap(c, _channel(c, "auto"), t)
         if overlap is None:
             return None
         received, x, y = (str(w) for w in overlap)
@@ -213,13 +215,8 @@ def _cmd_construct(args) -> int:
         cc = concat_code(outer, shorten_to_odd=args.shorten, check=not args.unchecked)
         if args.matrix_out:
             Path(args.matrix_out).write_text(cc.generator.to_text())
-        print(
-            f"constructed [{cc.length},{cc.dimension}]_{cc.q} code"
-            " (outer +-1 single-error condition verified)"
-            if not args.unchecked
-            else f"constructed [{cc.length},{cc.dimension}]_{cc.q} code (unchecked)",
-            file=sys.stderr,
-        )
+        checked = "unchecked" if args.unchecked else "outer +-1 single-error condition verified"
+        print(f"constructed [{cc.length},{cc.dimension}]_{cc.q} code ({checked})", file=sys.stderr)
         try:
             book = cc.codebook()
         except EnumerationCapExceeded:
@@ -244,15 +241,13 @@ def _cmd_construct(args) -> int:
         if args.out:
             _emit_code(codewords_of(H), args.out)
         return OK
-    elif which == "double":
+    else:  # double
         inner = _read_code(args.infile)
         code = double_code(inner)
         _emit_code(code, args.out)
         if len(code) >= 2:
             print(f"min asymmetric distance {min_asym_distance(code)}", file=sys.stderr)
         return OK
-    else:
-        raise AssertionError(which)
 
     # vt / cr fall through to shared verify-and-write
     if not args.unchecked and _witness(code, "ball", 1) is not None:
@@ -340,13 +335,9 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = _read_code(args.code)
-    if args.channel == "auto":
-        ch = _default_oracle_channel(code)
-    else:
-        ch = ProductChannel(tuple(make_channel(args.channel, q) for q in code.alphabet.sizes))
     result = simulate_channel(
         code,
-        ch,
+        _channel(code, args.channel),
         trials=args.trials,
         seed=args.seed,
         t=args.t,
@@ -374,35 +365,30 @@ def _cmd_bound(args) -> int:
 
 def _cmd_tables(args) -> int:
     if args.which == "table1":
-        report = table1_report()
-        sys.stdout.write(format_table(report))
-        _emit_json(ReportDocument(command=["tables", "table1"], results=report), args.json)
-        return OK
-    if args.which == "table2":
+        report, ok = table1_report(), True
+    elif args.which == "table2":
         report = table2_report()
-        sys.stdout.write(format_table(report))
-        _emit_json(ReportDocument(command=["tables", "table2"], results=report), args.json)
         ok = all(r["cr_matches_reference"] and r["cyclic_matches_reference"]
                  for r in report["rows"])
-        return OK if ok else VERIFY_FAILED
-    # verify-generators: oracle-check every bundled code on its product
-    # channel (a split code's parts behind their literal bit), then its image
-    codes = [(m, False, builtin_table_generators(m)) for m in sorted(BUILTIN_PLAIN)]
-    codes += [(m, True, prefix_parts(*builtin_table_generators(m, extended=True)))
-              for m in sorted(BUILTIN_EXTENDED)]
-    rows = []
-    for m, extended, code in codes:
-        ok = corrects_t_errors(code, image_channel(code.alphabet.sizes), 1)
-        image = construct_odd_mixed(code, check=False)
-        expected = TABLE2_REFERENCE[2 * m + extended]["cyclic"]
-        good = ok and len(image) == expected and is_t_code(image, 1)
-        rows.append({"m": m, "extended": extended, "oracle": ok, "image_size": len(image),
-                     "expected": expected, "ok": good})
-    report = {"table": "verify-generators", "rows": rows}
+    else:
+        # verify-generators: oracle-check every bundled code on its product
+        # channel (a split code's parts behind their literal bit), then its image
+        codes = [(m, False, builtin_table_generators(m)) for m in sorted(BUILTIN_PLAIN)]
+        codes += [(m, True, prefix_parts(*builtin_table_generators(m, extended=True)))
+                  for m in sorted(BUILTIN_EXTENDED)]
+        rows = []
+        for m, extended, code in codes:
+            ok = corrects_t_errors(code, image_channel(code.alphabet.sizes), 1)
+            image = construct_odd_mixed(code, check=False)
+            expected = TABLE2_REFERENCE[2 * m + extended]["cyclic"]
+            good = ok and len(image) == expected and is_t_code(image, 1)
+            rows.append({"m": m, "extended": extended, "oracle": ok, "image_size": len(image),
+                         "expected": expected, "ok": good})
+        report = {"table": "verify-generators", "rows": rows}
+        ok = all(r["ok"] for r in rows)
     sys.stdout.write(format_table(report))
-    _emit_json(ReportDocument(command=["tables", "verify-generators"], results=report),
-               args.json)
-    return OK if all(r["ok"] for r in rows) else VERIFY_FAILED
+    _emit_json(ReportDocument(command=["tables", args.which], results=report), args.json)
+    return OK if ok else VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,12 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="search for shift-closed ternary codes")
     s.add_argument("what", choices=["cyclic", "extended"])
     s.add_argument("--m", type=integer, required=True)
-    s.add_argument("--seed", type=integer, default=0)
-    s.add_argument("--budget", type=decimal, default=60.0,
+    s.add_argument("--seed", type=integer, default=SearchConfig.seed)
+    s.add_argument("--budget", type=decimal, default=SearchConfig.time_budget,
                    help="node budget: the exact strategy expands at most 50 000 "
-                        "nodes per unit (default 60)")
-    s.add_argument("--strategy", default="exact-clique",
-                   choices=["exact-clique", "greedy", "randomized-restart"])
+                        f"nodes per unit (default {SearchConfig.time_budget:g})")
+    s.add_argument("--strategy", default=SearchConfig.strategy, choices=STRATEGIES)
     s.add_argument("--out", default=None)
     s.add_argument("--out1", default=None, help="search extended: the part-1 code file")
     s.add_argument("--json", default=None)

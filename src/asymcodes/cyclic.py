@@ -30,6 +30,9 @@ from .words import AlphabetSpec, CodeBook, _integer, _lex_words, _shown
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
 
+# the search strategies, the default first
+STRATEGIES = ("exact-clique", "greedy", "randomized-restart")
+
 
 @dataclass(frozen=True)
 class Orbit:
@@ -69,18 +72,21 @@ class SearchConfig:
     the greedy seed, usually the seed itself, with proven_optimal "no";
     meta["dolls"] = "k/V" says how many of the V dolls it finished.
     Split m = 6 is proven at 612 in 166 462 528 nodes (time_budget 3400).
+    Every strategy returns the least clique it finds by `_rank`: the
+    heaviest, then the one with the smallest sorted keys.  `strategy` is
+    one of `STRATEGIES`, the first by default.
     """
 
     seed: int = 0
     time_budget: float = 60.0
-    strategy: str = "exact-clique"
+    strategy: str = STRATEGIES[0]
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         budget = self.time_budget
         if not (isinstance(budget, numbers.Real) and math.isfinite(budget) and budget > 0):
             raise ValueError(f"time budget must be a positive finite number, got {budget!r}")
-        if self.strategy not in ("exact-clique", "greedy", "randomized-restart"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
@@ -242,34 +248,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _members_key(keys: list, mask: int) -> tuple:
-    """The sorted keys of the mask's vertices: among cliques of equal
-    weight, the search keeps the one with the smallest."""
-    return tuple(sorted(keys[i] for i in _bits(mask)))
+def _rank(keys: list, weight: int, mask: int) -> tuple:
+    """The one order of cliques, least first: heavier first, then the
+    smallest sorted keys of the mask's vertices.  Every strategy returns
+    the least clique it finds."""
+    return -weight, sorted(keys[i] for i in _bits(mask))
 
 
-def _relabel(mask: int, label: list[int]) -> int:
-    """Move bit i of mask to bit label[i]; label permutes range(len(label))."""
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << label[i]
-    return out
+def _vertex_order(weights: list[int], keys: list) -> list[int]:
+    """The vertices by the rank of each alone: heaviest first, then by key."""
+    return sorted(range(len(weights)), key=lambda v: _rank(keys, weights[v], 1 << v))
 
 
-def _relabel_rows(masks: list[int], order: list[int]) -> list[int]:
-    """The masks in the order `order` (a permutation of range(V)), each
-    relabelled so that bit q stands for vertex order[q]: bit q of row p is
-    bit order[q] of masks[order[p]].  This is
-    [_relabel(masks[v], rank) for v in order], with rank the inverse of
-    order, in one array pass.  Every mask must lie below 2**V."""
-    V = len(order)
-    if not V:
-        return []
-    width = (V + 7) // 8
+def _permute_bits(masks: list[int], order: list[int]) -> list[int]:
+    """The one relabelling of vertex masks, in one array pass: bit q of
+    each result is bit order[q] of its mask.  `order` permutes range(V);
+    every mask must lie below 2**V."""
+    width = (len(order) + 7) // 8
     raw = np.frombuffer(b"".join(a.to_bytes(width, "little") for a in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(V, width), axis=1, bitorder="little")
-    index = np.asarray(order)
-    packed = np.packbits(bits[np.ix_(index, index)], axis=1, bitorder="little")
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")
+    packed = np.packbits(bits[:, order], axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -282,15 +280,16 @@ def _max_weight_clique(
 ):
     """Russian-doll branch-and-bound over adjacency bitsets (no self-loops).
 
-    Returns (best_weight, best_mask, proven_optimal, nodes, dolls).  Among
-    cliques of equal weight the one with the smallest sorted keys wins, so
-    results do not depend on the vertex order.  Vertices are relabelled by
-    branch order, (-weight, key), so that the first vertex is the highest
-    bit (`_relabel_rows` moves the adjacency there in one pass); weights
-    then never fall as the bit rises.  Doll b is the set of bits <= b.  The
-    dolls are solved from bit 0 (the light end) upward: doll b searches the
-    cliques whose highest bit is b, and c[b] keeps the best weight found
-    once it is done, the heaviest clique inside doll b.
+    Returns (best_weight, best_mask, proven_optimal, nodes, dolls) for the
+    least clique by `_rank`: among cliques of equal weight, the one with
+    the smallest sorted keys, so results do not depend on the vertex
+    order.  Vertices are relabelled by `_vertex_order`, so that the first
+    vertex is the highest bit (`_permute_bits` moves the adjacency, the
+    seed and the answer); weights then never fall as the bit rises.  Doll
+    b is the set of bits <= b.  The dolls are solved from bit 0 (the light
+    end) upward: doll b searches the cliques whose highest bit is b, and
+    c[b] keeps the best weight found once it is done, the heaviest clique
+    inside doll b.
 
     A node walks its candidates from the highest bit p down, and stops once
     cur_w + c[p] < best_w: every clique it can still make lies in doll p.
@@ -306,27 +305,23 @@ def _max_weight_clique(
     Masks go back to the caller's labels only on return.
     """
     V = len(weights)
-    order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))[::-1]
-    rank = [0] * V
-    for b, v in enumerate(order):
-        rank[v] = b
+    order = _vertex_order(weights, keys)[::-1]
     w = [weights[v] for v in order]
-    nbr = _relabel_rows(adj, order)
+    nbr = _permute_bits([adj[v] for v in order], order)
     sorted_keys = [keys[v] for v in order]
     below = [(1 << b) - 1 for b in range(V)]
     c = [0] * V
 
-    best_w, best_mask, best_key = -1, 0, None
+    best_w, best_mask, best_rank = 0, 0, _rank(sorted_keys, 0, 0)  # the empty clique
     nodes = 0
     exhausted = False
 
     def consider(cur_w, mask):
-        nonlocal best_w, best_mask, best_key
-        if cur_w < best_w:
-            return
-        key = _members_key(sorted_keys, mask)
-        if cur_w > best_w or best_key is None or key < best_key:
-            best_w, best_mask, best_key = cur_w, mask, key
+        nonlocal best_w, best_mask, best_rank
+        if cur_w >= best_w:
+            rank = _rank(sorted_keys, cur_w, mask)
+            if rank < best_rank:
+                best_w, best_mask, best_rank = cur_w, mask, rank
 
     def branch(cand, cur_w, cur_mask):
         """Count and settle each child of a node that passed its bound, while
@@ -356,7 +351,6 @@ def _max_weight_clique(
         if cur_w >= best_w:
             consider(cur_w, cur_mask)
 
-    consider(0, 0)
     dolls = 0
     for b in range(V):
         # the doll root {b}, bounded and settled as a child is
@@ -377,8 +371,9 @@ def _max_weight_clique(
         c[b] = best_w
         dolls += 1
     if seed_solution is not None:
-        consider(seed_solution[0], _relabel(seed_solution[1], rank))
-    return best_w, _relabel(best_mask, order), not exhausted, nodes, dolls
+        consider(seed_solution[0], _permute_bits([seed_solution[1]], order)[0])
+    best_mask = _permute_bits([best_mask], np.argsort(order))[0]
+    return best_w, best_mask, not exhausted, nodes, dolls
 
 
 def _greedy(weights, adj, order):
@@ -396,11 +391,10 @@ def _greedy(weights, adj, order):
 
 def _run_search(inst: _Instance, cfg: SearchConfig):
     """Dispatch on strategy; returns the search meta and the chosen mask.
-    Every strategy starts from the greedy clique in (-weight, key) order."""
+    Every strategy starts from the greedy clique in `_vertex_order`."""
     weights, adj, keys = inst.weights, inst.adj, inst.keys
     V = len(weights)
-    base_order = sorted(range(V), key=lambda i: (-weights[i], keys[i]))
-    best_w, best_mask = _greedy(weights, adj, base_order)
+    best_w, best_mask = _greedy(weights, adj, _vertex_order(weights, keys))
     optimal, counted = False, {}
     if cfg.strategy == "exact-clique":
         node_budget = max(10_000, int(cfg.time_budget * 50_000))
@@ -412,14 +406,11 @@ def _run_search(inst: _Instance, cfg: SearchConfig):
         rng = random.Random(cfg.seed)
         restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
         scale = [max(wt, 1) for wt in weights]
-        best_key = _members_key(keys, best_mask)
+        cliques = [(best_w, best_mask)]
         for _ in range(restarts):
             r = [rng.random() / s for s in scale]
-            w, mask = _greedy(weights, adj, sorted(range(V), key=r.__getitem__))
-            if w >= best_w:
-                key = _members_key(keys, mask)
-                if w > best_w or key < best_key:
-                    best_w, best_mask, best_key = w, mask, key
+            cliques.append(_greedy(weights, adj, sorted(range(V), key=r.__getitem__)))
+        best_w, best_mask = min(cliques, key=lambda clique: _rank(keys, *clique))
     meta = {"score": str(best_w), "strategy": cfg.strategy, "seed": str(cfg.seed),
             "proven_optimal": "yes" if optimal else "no"}
     return meta | counted, best_mask

@@ -139,7 +139,7 @@ def _rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(M: MatrixModZq) -> int:
-    if not _is_prime(M.q):
+    if not _is_prime(_typed(M, MatrixModZq, "M").q):
         raise ValueError("rank over Z_q needs q prime")
     return len(_rref([list(r) for r in M.rows], M.q)[0])
 
@@ -160,7 +160,7 @@ def _null_rows(red: list[list[int]], pivots: list[int], n: int, q: int) -> tuple
 
 def nullspace(M: MatrixModZq) -> MatrixModZq:
     """Basis of {x : M x^T = 0} as a generator matrix (q prime)."""
-    if not _is_prime(M.q):
+    if not _is_prime(_typed(M, MatrixModZq, "M").q):
         raise ValueError("nullspace over Z_q needs q prime")
     red, pivots = _rref([list(r) for r in M.rows], M.q)
     return MatrixModZq(M.q, _null_rows(red, pivots, M.ncols, M.q), "generator")
@@ -201,7 +201,7 @@ def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
 def is_single_rq_correcting(H: MatrixModZq) -> bool:
     """True iff every +-1 single-symbol error has a distinct nonzero syndrome:
     no zero column, no column equal to plus or minus another, 2*col != 0."""
-    if H.role != "parity":
+    if _typed(H, MatrixModZq, "H").role != "parity":
         raise ValueError("expected a parity-check matrix")
     if H.nrows == 0:
         return False
@@ -303,7 +303,7 @@ def concat_code(
 
 def double_code(c: CodeBook) -> CodeBook:
     """Repeat every symbol twice in place; doubles the asymmetric distance."""
-    sizes = tuple(q for q in c.alphabet.sizes for _ in (0, 1))
+    sizes = tuple(q for q in _typed(c, CodeBook, "c").alphabet.sizes for _ in (0, 1))
     name = f"double({c.name})" if c.name else ""
     return CodeBook.from_symbols(AlphabetSpec(sizes), np.repeat(c._symbol_array, 2, axis=1), name=name)
 

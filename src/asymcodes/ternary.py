@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import ProductChannel, ball_overlap, make_channel
 from .groups import Pairing
-from .words import AlphabetSpec, CodeBook, check_cap
+from .words import AlphabetSpec, CodeBook, _typed, check_cap
 
 SQUEEZE = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}
 EXPANSIONS = {0: ((0, 0), (1, 1)), 1: ((0, 1),), 2: ((1, 0),)}
@@ -25,7 +25,7 @@ _EXPAND = np.array([[e[j % len(e)] for j in (0, 1)] for e in EXPANSIONS.values()
 
 
 def _require_binary(c: CodeBook):
-    if any(q != 2 for q in c.alphabet.sizes):
+    if any(q != 2 for q in _typed(c, CodeBook, "c").alphabet.sizes):
         raise ValueError("fold input must be a binary code")
 
 
@@ -36,7 +36,7 @@ def fold_to_ternary(c: CodeBook, p: Pairing) -> CodeBook:
     pair in pairing order.
     """
     _require_binary(c)
-    p.check_covers(c.n)
+    _typed(p, Pairing, "p").check_covers(c.n)
     sizes = ((2,) if p.singleton is not None else ()) + (3,) * len(p.pairs)
     bits = c._symbol_array
     a, b = (bits[:, [pair[k] for pair in p.pairs]] for k in (0, 1))
@@ -84,9 +84,9 @@ def expand_to_binary(c: CodeBook, p: Pairing) -> CodeBook:
     Input layout must match fold_to_ternary's output: optional leading bit
     for the singleton, then one trit per pair.
     """
-    has_single = p.singleton is not None
+    has_single = _typed(p, Pairing, "p").singleton is not None
     expected = ((2,) if has_single else ()) + (3,) * len(p.pairs)
-    if c.alphabet.sizes != expected:
+    if _typed(c, CodeBook, "c").alphabet.sizes != expected:
         raise ValueError("code layout does not match the pairing")
     return _expand(c, ([(p.singleton,)] if has_single else []) + list(p.pairs))
 
@@ -115,7 +115,7 @@ def _image(c: CodeBook, check: bool, label: str) -> CodeBook:
 def construct_even(c: CodeBook, check: bool = True) -> CodeBook:
     """Binary length-2m code from a ternary code that corrects one error on
     the 0<->1 / 0<->2 channel.  Size equals the weight enumerator at (2, 1)."""
-    if any(q != 3 for q in c.alphabet.sizes):
+    if any(q != 3 for q in _typed(c, CodeBook, "c").alphabet.sizes):
         raise ValueError("construct_even expects a pure ternary code")
     return _image(c, check, "even")
 
@@ -123,7 +123,7 @@ def construct_even(c: CodeBook, check: bool = True) -> CodeBook:
 def construct_odd_mixed(c: CodeBook, check: bool = True) -> CodeBook:
     """Binary code from a mixed bit/trit code that corrects one error on the
     corresponding product channel; bits copy, trits expand."""
-    if any(q not in (2, 3) for q in c.alphabet.sizes):
+    if any(q not in (2, 3) for q in _typed(c, CodeBook, "c").alphabet.sizes):
         raise ValueError("coordinates must be binary or ternary")
     return _image(c, check, "mixed")
 
@@ -131,9 +131,10 @@ def construct_odd_mixed(c: CodeBook, check: bool = True) -> CodeBook:
 def prefix_parts(c0: CodeBook, c1: CodeBook) -> CodeBook:
     """Two ternary parts behind a literal bit: part 0 prefixed with 0,
     part 1 with 1, one code over bit x trit^m."""
-    if c0.alphabet != c1.alphabet or any(q != 3 for q in c0.alphabet.sizes):
+    sizes = _typed(c0, CodeBook, "c0").alphabet.sizes
+    if _typed(c1, CodeBook, "c1").alphabet.sizes != sizes or any(q != 3 for q in sizes):
         raise ValueError("parts must be ternary codes over the same length")
-    alpha = AlphabetSpec((2,) + c0.alphabet.sizes)
+    alpha = AlphabetSpec((2,) + sizes)
     parts = [np.insert(part._symbol_array, 0, bit, axis=1) for bit, part in enumerate((c0, c1))]
     return CodeBook.from_symbols(alpha, np.vstack(parts))
 
@@ -151,7 +152,7 @@ def construct_extended(c0: CodeBook, c1: CodeBook, check: bool = True) -> CodeBo
 def is_ternary_code(c: CodeBook, p: Pairing) -> bool:
     """True iff squeezing through p and expanding back reproduces c exactly."""
     _require_binary(c)
-    p.check_covers(c.n)
+    _typed(p, Pairing, "p").check_covers(c.n)
     return expand_to_binary(fold_to_ternary(c, p), p) == c
 
 

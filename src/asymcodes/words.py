@@ -661,7 +661,7 @@ def decode_asymmetric(c: CodeBook, received: Word | Sequence[int], t: int):
     received word is read against the code's alphabet by `_read_word`.
     """
     t = _at_least(t, 0, "t")
-    rs = _read_word(received, c.alphabet)
+    rs = _read_word(received, _typed(c, CodeBook, "c").alphabet)
     sizes = c.alphabet.sizes
     gaps = list(map(operator.sub, sizes, rs))  # q - s: one more than the room
     # no word gains more than the rooms' sum, so a larger t lists the same ball

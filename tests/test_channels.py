@@ -133,6 +133,19 @@ class TestErrorBall:
         with pytest.raises(AlphabetMismatch):
             error_ball(x, ch, 1)
 
+    def test_code_and_channel_alphabets_must_match(self):
+        c, ch = vt_code(3), ProductChannel.power(make_channel("T", 3), 3)
+        for call in (lambda: corrects_t_errors(c, ch, 1),
+                     lambda: simulate_channel(c, ch, trials=5, seed=1, p=0.1)):
+            with pytest.raises(AlphabetMismatch,
+                               match="^alphabet profile does not match the channel$"):
+                call()
+
+    def test_simulate_refuses_an_empty_code(self):
+        empty = CodeBook.from_symbols(AlphabetSpec.uniform(2, 3), [])
+        with pytest.raises(ValueError, match="^cannot simulate an empty code$"):
+            simulate_channel(empty, ProductChannel.power(make_channel("Z", 2), 3), 5, 1, p=0.1)
+
 
 def _brute_force_ball(x, ch, radius, counting, coord_radius):
     """Words reached from x by sequences of single steps.

@@ -32,8 +32,7 @@ from asymcodes.cyclic import (
     _greedy,
     _instance,
     _max_weight_clique,
-    _relabel,
-    _relabel_rows,
+    _permute_bits,
     _run_search,
     orbit_of,
 )
@@ -204,6 +203,10 @@ class TestSearch:
         assert type(cfg.seed) is int
         assert search_cyclic(4, cfg) == search_cyclic(4, SearchConfig(
             seed=3, strategy="randomized-restart", time_budget=1))
+
+    def test_rejects_an_unknown_strategy(self):
+        with pytest.raises(ValueError, match=r"^unknown strategy 'bogus'$"):
+            SearchConfig(strategy="bogus")
 
     @pytest.mark.parametrize("budget", [float("inf"), float("nan"), 0.0, -1.0])
     def test_rejects_budgets_that_are_not_positive_and_finite(self, budget):
@@ -421,10 +424,9 @@ class TestCliqueEngine:
     @settings(max_examples=200, deadline=None)
     def test_rows_relabelled_in_one_pass(self, case):
         masks, order = case
-        rank = [0] * len(order)
-        for p, v in enumerate(order):
-            rank[v] = p
-        assert _relabel_rows(masks, order) == [_relabel(masks[v], rank) for v in order]
+        # bit q of each result is bit order[q] of its mask
+        expected = [sum((mask >> v & 1) << q for q, v in enumerate(order)) for mask in masks]
+        assert _permute_bits(masks, order) == expected
 
     @given(weighted_graphs(), st.booleans())
     @settings(max_examples=300, deadline=None)

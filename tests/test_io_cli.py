@@ -643,6 +643,29 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_simulate_refuses_an_empty_code(self, tmp_path, capsys):
+        f = tmp_path / "empty.code"
+        f.write_text("q=2 n=4\n")
+        assert main(["simulate", "--code", str(f), "--seed", "1", "--p", "0.1",
+                     "--trials", "10"]) == 2
+        assert capsys.readouterr().err == "error: cannot simulate an empty code\n"
+
+    @pytest.mark.parametrize("header, message", [
+        ("q=3 n=2 foo", "bad header token 'foo'"),
+        ("n=2", "header needs q= and n="),
+        ("q=3", "header needs q= and n="),
+        ("q=3 n=x", "invalid literal for int() with base 10: 'x'"),
+        ("q=3,a n=2", "invalid literal for int() with base 10: 'a'"),
+        ("q=3,3,3 n=2", "q profile length != n"),
+    ], ids=["token", "no-n", "no-q", "n", "q", "profile"])
+    def test_header_faults_are_usage_errors(self, tmp_path, capsys, header, message):
+        with pytest.raises(CodeFileError, match=f"^line 1: {re.escape(message)}$"):
+            parse_code_file(f"{header}\n01\n")
+        f = tmp_path / "bad.code"
+        f.write_text(f"# a comment\n{header}\n01\n")
+        assert main(["verify", "--in", str(f), "--model", "asym", "--t", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
+
     def test_bound(self, capsys):
         assert main(["bound", "sphere", "--q", "3", "--n", "8", "--t", "1",
                      "--l", "1"]) == 0
@@ -737,6 +760,20 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--model", "asym"])
         assert exc.value.code == 2
+
+    def test_search_strategy_is_one_of_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "cyclic", "--m", "4", "--strategy", "bogus"])
+        assert exc.value.code == 2
+        # newer Pythons print the choices without quotes
+        assert re.fullmatch(r"asymcodes search: error: argument --strategy: invalid choice: "
+                            r"'bogus' \(choose from ('?)exact-clique\1, \1greedy\1, "
+                            r"\1randomized-restart\1\)",
+                            capsys.readouterr().err.splitlines()[-1])
+
+    def test_construct_concat_unchecked_says_so(self, capsys):
+        assert main(["construct", "concat", "--outer-hamming", "3,2", "--unchecked"]) == 0
+        assert capsys.readouterr() == ("", "constructed [8,6]_3 code (unchecked)\n")
 
     def test_search_and_simulate(self, tmp_path, capsys):
         out = tmp_path / "s.code"

@@ -19,15 +19,26 @@ from asymcodes import (
     best_cr_group,
     builtin_table_generators,
     canonical_pairing,
+    construct_even,
+    construct_extended,
+    construct_odd_mixed,
     corrects_t_errors,
     cr_code,
     d_ell_distance,
     decode_asymmetric,
+    double_code,
     error_ball,
+    expand_to_binary,
+    find_pairing,
+    fold_to_ternary,
     is_lm_code,
+    is_single_rq_correcting,
     is_t_code,
+    is_ternary_code,
     make_channel,
     min_asym_distance,
+    nullspace,
+    rank,
     simulate_channel,
     sphere_bound,
     vt_code,
@@ -276,6 +287,39 @@ class TestDistanceProperties:
      "ch ChannelGraph is not a ProductChannel"),
 ])
 def test_verifiers_name_a_non_code_book(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# every other entry point that takes a matrix, a code book, a channel or a
+# pairing names a wrong-type one before it reads any attribute of it
+@pytest.mark.parametrize("call, message", [
+    (lambda: nullspace("x"), "M 'x' is not a MatrixModZq"),
+    (lambda: rank(None), "M None is not a MatrixModZq"),
+    (lambda: is_single_rq_correcting(1.5), "H 1.5 is not a MatrixModZq"),
+    (lambda: construct_even("x"), "c 'x' is not a CodeBook"),
+    (lambda: construct_odd_mixed(None), "c None is not a CodeBook"),
+    (lambda: construct_extended("x", "y"), "c0 'x' is not a CodeBook"),
+    (lambda: construct_extended(vt_code(3), "y"), "c1 'y' is not a CodeBook"),
+    (lambda: decode_asymmetric("x", (0,), 1), "c 'x' is not a CodeBook"),
+    (lambda: simulate_channel("x", None, trials=5, seed=1, p=0.1), "c 'x' is not a CodeBook"),
+    (lambda: simulate_channel(vt_code(3), None, trials=5, seed=1, p=0.1),
+     "ch None is not a ProductChannel"),
+    (lambda: error_ball(w((0, 0)), None, 1), "ch None is not a ProductChannel"),
+    (lambda: fold_to_ternary("x", canonical_pairing(2)), "c 'x' is not a CodeBook"),
+    (lambda: fold_to_ternary(vt_code(2), None), "p None is not a Pairing"),
+    (lambda: expand_to_binary(vt_code(2), None), "p None is not a Pairing"),
+    (lambda: expand_to_binary(None, canonical_pairing(2)), "c None is not a CodeBook"),
+    (lambda: is_ternary_code(None, canonical_pairing(2)), "c None is not a CodeBook"),
+    (lambda: is_ternary_code(vt_code(2), "p"), "p 'p' is not a Pairing"),
+    (lambda: find_pairing(None), "c None is not a CodeBook"),
+    (lambda: double_code(None), "c None is not a CodeBook"),
+], ids=["nullspace", "rank", "is_single_rq_correcting", "construct_even",
+        "construct_odd_mixed", "construct_extended-c0", "construct_extended-c1",
+        "decode_asymmetric", "simulate_channel-c", "simulate_channel-ch", "error_ball",
+        "fold_to_ternary-c", "fold_to_ternary-p", "expand_to_binary-p", "expand_to_binary-c",
+        "is_ternary_code-c", "is_ternary_code-p", "find_pairing", "double_code"])
+def test_entry_points_name_a_wrong_type_object(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
