@@ -39,6 +39,7 @@ from .channels import (
 from .cyclic import (
     BUILTIN_EXTENDED,
     BUILTIN_PLAIN,
+    NODES_PER_UNIT,
     STRATEGIES,
     SearchConfig,
     builtin_table_generators,
@@ -282,11 +283,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = SearchConfig(
-        seed=args.seed,
-        time_budget=args.budget,
-        strategy=args.strategy,
-    )
+    cfg = SearchConfig(seed=args.seed, time_budget=args.budget, strategy=args.strategy)
     if args.what == "cyclic":
         if args.out1:
             raise ValueError("--out1 names the part-1 file of search extended; "
@@ -299,11 +296,8 @@ def _cmd_search(args) -> int:
         _emit_code(part0, args.out)
         if args.out1:
             _emit_code(part1, args.out1)
-        results = {
-            "score": int(part0.meta["score"]),
-            "sizes": [len(part0), len(part1)],
-            "meta": part0.meta,
-        }
+        results = {"score": int(part0.meta["score"]), "sizes": [len(part0), len(part1)],
+                   "meta": part0.meta}
     report = ReportDocument(
         command=["search", args.what],
         parameters={"m": args.m, "strategy": args.strategy, "budget": args.budget},
@@ -460,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("what", choices=["cyclic", "extended"])
     s.add_argument("--m", type=integer, required=True)
     s.add_argument("--seed", type=integer, default=SearchConfig.seed)
+    per_unit = f"{NODES_PER_UNIT:_}".replace("_", " ")
     s.add_argument("--budget", type=decimal, default=SearchConfig.time_budget,
-                   help="node budget: the exact strategy expands at most 50 000 "
+                   help=f"node budget: the exact strategy expands at most {per_unit} "
                         f"nodes per unit (default {SearchConfig.time_budget:g})")
     s.add_argument("--strategy", default=SearchConfig.strategy, choices=STRATEGIES)
     s.add_argument("--out", default=None)

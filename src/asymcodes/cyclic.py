@@ -25,13 +25,17 @@ import numpy as np
 
 from .channels import _balls, _same_word
 from .ternary import image_channel
-from .words import AlphabetSpec, CodeBook, _integer, _lex_words, _shown
+from .words import AlphabetSpec, CodeBook, _integer, _lex_words, _named, _shown
 
 # T-channel one-step moves per symbol
 _T_STEPS = {0: (1, 2), 1: (0,), 2: (0,)}
 
 # the search strategies, the default first
 STRATEGIES = ("exact-clique", "greedy", "randomized-restart")
+
+# the search-budget rule, per unit of `SearchConfig.time_budget`
+NODES_PER_UNIT, NODE_FLOOR = 50_000, 10_000
+RESTARTS_PER_UNIT, RESTART_CEILING = 2_000, 20_000
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,13 @@ class Orbit:
 class SearchConfig:
     """Options of `search_cyclic` and `search_extended`.
 
-    `time_budget` is a node budget, not seconds: the exact strategy counts
-    at most 50 000 nodes per unit (and at least 10 000), and
-    randomized-restart runs int(budget * 2000 / V) greedy restarts on V
-    vertices, clamped to [1, 20 000].  The exact strategy is the
-    Russian-doll search of `_max_weight_clique`: each doll root and each
-    child made counts as one node.  An exhausted budget returns at least
+    `time_budget` is a node budget, not seconds (`_counts`): the exact
+    strategy counts at most NODES_PER_UNIT nodes per unit (at least
+    NODE_FLOOR), and randomized-restart runs budget * RESTARTS_PER_UNIT / V
+    restarts on V vertices, rounded down and clamped to [1, RESTART_CEILING].
+    A budget whose counts overflow (1e308) is refused.  The exact strategy
+    is the Russian-doll search of `_max_weight_clique`: each doll root and
+    each child made counts as one node.  An exhausted budget returns at least
     the greedy seed, usually the seed itself, with proven_optimal "no";
     meta["dolls"] = "k/V" says how many of the V dolls it finished.
     Split m = 6 is proven at 612 in 166 462 528 nodes (time_budget 3400).
@@ -84,10 +89,22 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         budget = self.time_budget
-        if not (isinstance(budget, numbers.Real) and math.isfinite(budget) and budget > 0):
-            raise ValueError(f"time budget must be a positive finite number, got {budget!r}")
+        # compared, not math.isfinite: an int past float range is finite
+        if not (isinstance(budget, numbers.Real) and 0 < budget < math.inf):
+            raise ValueError(f"time budget must be a positive finite number, got {_named(budget)}")
+        try:
+            self._counts(1)
+        except OverflowError:
+            raise ValueError(
+                f"time budget {_named(budget)} overflows its node or restart count") from None
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    def _counts(self, V: int) -> tuple[int, int]:
+        """The one budget rule: the node count, and the restart count on V vertices."""
+        budget = self.time_budget
+        return (max(NODE_FLOOR, int(budget * NODES_PER_UNIT)),
+                max(1, min(RESTART_CEILING, int(budget * RESTARTS_PER_UNIT / max(1, V)))))
 
 
 def _rotations(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -396,15 +413,13 @@ def _run_search(inst: _Instance, cfg: SearchConfig):
     V = len(weights)
     best_w, best_mask = _greedy(weights, adj, _vertex_order(weights, keys))
     optimal, counted = False, {}
+    node_budget, restarts = cfg._counts(V)
     if cfg.strategy == "exact-clique":
-        node_budget = max(10_000, int(cfg.time_budget * 50_000))
         best_w, best_mask, optimal, nodes, dolls = _max_weight_clique(
             weights, adj, keys, node_budget, (best_w, best_mask))
         counted = {"nodes": str(nodes), "dolls": f"{dolls}/{V}"}
     elif cfg.strategy == "randomized-restart":
-        # deterministic restart count derived from budget
         rng = random.Random(cfg.seed)
-        restarts = max(1, min(20_000, int(cfg.time_budget * 2_000 / max(1, V))))
         scale = [max(wt, 1) for wt in weights]
         cliques = [(best_w, best_mask)]
         for _ in range(restarts):
@@ -523,12 +538,7 @@ BUILTIN_EXTENDED: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def _closure(gens: tuple[str, ...], m: int, name: str) -> CodeBook:
     """Every rotation of every generator; generators that share an orbit
     give each word once."""
-    rows = set()
-    for g in gens:
-        word = tuple(int(ch) for ch in g)
-        if len(word) != m:
-            raise ValueError(f"generator {g} has wrong length for m={m}")
-        rows.update(_rotations(word))
+    rows = {w for g in gens for w in _rotations(tuple(map(int, g)))}
     return CodeBook.from_symbols(AlphabetSpec.uniform(3, m), rows, name=name)
 
 

@@ -18,9 +18,8 @@ from math import gcd, prod
 
 import numpy as np
 
-from .linearq import _is_prime
-from .words import (AlphabetSpec, CodeBook, _at_least, _integer, _lex_words, _named, _shown,
-                    _typed, check_cap)
+from .words import (AlphabetSpec, CodeBook, _at_least, _integer, _is_prime, _least_factor,
+                    _lex_words, _named, _shown, _typed, check_cap)
 
 GroupElement = tuple[int, ...]
 
@@ -93,17 +92,11 @@ def best_cr_group(n: int) -> AbelianGroup:
     n = _integer(n, "length")
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = n + 1
-    factors = []
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            factors.append(p)
-            m //= p
-        p += 1
-    if m > 1:
-        factors.append(m)
-    return AbelianGroup(tuple(sorted(factors)))
+    m, factors = n + 1, []
+    while m > 1:  # least factors come out in ascending order
+        factors.append(_least_factor(m))
+        m //= factors[-1]
+    return AbelianGroup(tuple(factors))
 
 
 def cr_code(
@@ -221,7 +214,7 @@ class Pairing:
         return frozenset(out)
 
     def check_covers(self, n: int):
-        if self.covered() != frozenset(range(n)) or self.n != n:
+        if self.covered() != frozenset(range(n)):
             raise ValueError(f"pairing does not cover coordinates 0..{n - 1} exactly")
 
 

@@ -22,22 +22,12 @@ from .words import (
     DecodeFailure,
     _at_least,
     _integer,
+    _is_prime,
     _lex_words,
     _read_word,
     _typed,
     weight_enumerator,
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,9 @@ class MatrixModZq:
         return cls(q, tuple(rows), role)
 
 
-def _rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the field Z_q (q prime)."""
-    mat = [r[:] for r in rows]
+def _rref(rows, q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the field Z_q (q prime); rows are read only."""
+    mat = [list(r) for r in rows]
     pivots = []
     lead = 0
     ncols = len(mat[0]) if mat else 0
@@ -141,7 +131,7 @@ def _rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
 def rank(M: MatrixModZq) -> int:
     if not _is_prime(_typed(M, MatrixModZq, "M").q):
         raise ValueError("rank over Z_q needs q prime")
-    return len(_rref([list(r) for r in M.rows], M.q)[0])
+    return len(_rref(M.rows, M.q)[0])
 
 
 def _null_rows(red: list[list[int]], pivots: list[int], n: int, q: int) -> tuple:
@@ -162,7 +152,7 @@ def nullspace(M: MatrixModZq) -> MatrixModZq:
     """Basis of {x : M x^T = 0} as a generator matrix (q prime)."""
     if not _is_prime(_typed(M, MatrixModZq, "M").q):
         raise ValueError("nullspace over Z_q needs q prime")
-    red, pivots = _rref([list(r) for r in M.rows], M.q)
+    red, pivots = _rref(M.rows, M.q)
     return MatrixModZq(M.q, _null_rows(red, pivots, M.ncols, M.q), "generator")
 
 
@@ -200,7 +190,7 @@ def lee_parity_check(q: int, r: int, full: bool = True) -> MatrixModZq:
 
 def is_single_rq_correcting(H: MatrixModZq) -> bool:
     """True iff every +-1 single-symbol error has a distinct nonzero syndrome:
-    no zero column, no column equal to plus or minus another, 2*col != 0."""
+    no column equal to plus or minus another, 2*col != 0 (none is zero)."""
     if _typed(H, MatrixModZq, "H").role != "parity":
         raise ValueError("expected a parity-check matrix")
     if H.nrows == 0:
@@ -209,8 +199,6 @@ def is_single_rq_correcting(H: MatrixModZq) -> bool:
     seen = set()
     for j in range(H.ncols):
         col = H.column(j)
-        if not any(col):
-            return False
         neg = tuple((-x) % q for x in col)
         if col == neg:
             return False
@@ -283,7 +271,7 @@ def concat_code(
     q, m = outer_gen.q, outer_gen.ncols
     if not _is_prime(q):
         raise ValueError("q must be prime")
-    basis, pivots = _rref([list(r) for r in outer_gen.rows], q)
+    basis, pivots = _rref(outer_gen.rows, q)
     k = len(basis)
     if k == m:
         raise ValueError("outer code is the full space; it corrects nothing")

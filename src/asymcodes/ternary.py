@@ -151,8 +151,6 @@ def construct_extended(c0: CodeBook, c1: CodeBook, check: bool = True) -> CodeBo
 
 def is_ternary_code(c: CodeBook, p: Pairing) -> bool:
     """True iff squeezing through p and expanding back reproduces c exactly."""
-    _require_binary(c)
-    _typed(p, Pairing, "p").check_covers(c.n)
     return expand_to_binary(fold_to_ternary(c, p), p) == c
 
 

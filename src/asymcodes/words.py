@@ -56,6 +56,20 @@ def check_cap(size: int, what: str) -> None:
         _refuse(what, _shown(size, 2**64))
 
 
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division, an exhaustive
+    search that the cap bounds: no divisor past it is tried."""
+    root = math.isqrt(n)
+    p = next((p for p in range(2, min(root, DEFAULT_ENUM_CAP) + 1) if n % p == 0), n)
+    if p == n and root > DEFAULT_ENUM_CAP:
+        _refuse(f"trial division of {_shown(n)}", f"divisor {_shown(root, 2**64)}")
+    return p
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
+
+
 def _shown(value: int, exact_below: int = 2**14_000) -> str:
     """An integer as a message prints it: in full below `exact_below` (the
     default keeps inside str()'s 4300-digit limit), else by its bit length;

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,25 @@ class TestSearch:
     def test_rejects_budgets_that_are_not_positive_and_finite(self, budget):
         with pytest.raises(ValueError, match="positive finite"):
             SearchConfig(time_budget=budget)
+
+    @pytest.mark.parametrize("budget, shown", [
+        (1e308, "1e+308"),  # its node count, 5e312, overflows a float
+        (10**400, str(10**400)),  # its restart count overflows a float
+        (10**5000, "at least 2^16609"),  # past str()'s 4300-digit limit
+    ], ids=["float", "int", "huge-int"])
+    def test_rejects_budgets_whose_counts_overflow(self, budget, shown):
+        with pytest.raises(ValueError, match=(
+                f"^time budget {re.escape(shown)} overflows its node or restart count$")):
+            SearchConfig(time_budget=budget)
+
+    @pytest.mark.parametrize("budget", [0.001, 0.2, 0.3, 1, 5, 20, 60.0, 3400,
+                                        Fraction(7, 3), True, 3.5e303, 10**300])
+    def test_budgets_keep_their_node_and_restart_counts(self, budget):
+        cfg = SearchConfig(time_budget=budget)
+        for V in (0, 1, 7, 754, 10**6):
+            assert cfg._counts(V) == (
+                max(10_000, int(budget * 50_000)),
+                max(1, min(20_000, int(budget * 2_000 / max(1, V)))))
 
 
 @st.composite

@@ -75,6 +75,31 @@ class TestBestGroup:
         for n in range(1, 40):
             assert best_cr_group(n).order == n + 1
 
+    def test_equals_the_factorisation_of_the_order(self):
+        # each prime dividing n + 1, ascending, once per power of it that divides
+        for n in range(1, 201):
+            m = n + 1
+            primes = [p for p in range(2, m + 1) if all(p % d for d in range(2, p))]
+            factors = [p for p in primes for e in range(1, m.bit_length()) if m % p**e == 0]
+            assert best_cr_group(n).factors == tuple(factors), n
+
+    def test_an_order_with_no_factor_under_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
+        # 2^61 - 2 + 1 is the Mersenne prime 2^61 - 1, which trial division
+        # would take seconds to hours to reach
+        for call in (lambda: best_cr_group(2**61 - 2), lambda: canonical_pairing(2**61 - 2)):
+            t0 = time.monotonic()
+            with pytest.raises(EnumerationCapExceeded, match=(
+                    r"^trial division of 2305843009213693951: divisor 1518500249 exceeds")):
+                call()
+            assert time.monotonic() - t0 < 10
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10)
+        # 113 is prime and isqrt(113) = 10: the divisors up to the cap settle it
+        assert best_cr_group(2 * 113 - 1).factors == (2, 113)
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^trial division of 121: divisor 11 exceeds enumeration cap 10$"):
+            best_cr_group(2 * 121 - 1)
+
     def test_length_follows_the_integer_rule(self):
         # the error names the length given, not the group order n + 1
         with pytest.raises(ValueError, match=r"^length 6\.0 is not an integer$"):

@@ -436,6 +436,20 @@ class TestCliExitCodes:
         assert main(["verify", "--in", str(out), "--model", "asym", "--t", "1"]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
+    def test_construct_without_out_writes_the_code_to_stdout(self, capsys):
+        assert main(["construct", "vt", "--n", "4"]) == 0
+        code = vt_code(4)
+        assert capsys.readouterr() == (write_code_file(code),
+                                       f"constructed (4,{len(code)}) code over q=2\n")
+
+    def test_search_help_states_the_node_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit) as exit_:
+            main(["search", "--help"])
+        assert exit_.value.code == 0
+        assert ("  --budget BUDGET       node budget: the exact strategy expands at most 50 000 "
+                "nodes per unit (default 60)\n") in capsys.readouterr().out
+
     def test_verify_failure_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.code"
         bad.write_text("q=2 n=2\n00\n01\n")
@@ -958,6 +972,33 @@ class TestCliExitCodes:
         assert main(["construct", "double", "--in", str(base), "--out", str(out)]) == 0
         assert parse_code_file(out.read_text()).symbol_rows == ((0, 0), (1, 1), (2, 2))
         capsys.readouterr()
+
+
+class TestBoundedRefusals:
+    """Inputs that ran for hours or ended in a traceback exit 2 at once with
+    one line."""
+
+    PRIME = 2**61 - 1
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "hamming", "--q", str(PRIME), "--r", "2"],
+        ["construct", "lee", "--q", str(PRIME), "--r", "1"],
+        ["construct", "concat", "--outer-lee", f"{PRIME},1"],
+        ["construct", "concat", "--outer-hamming", f"{PRIME},2"],
+    ])
+    def test_a_prime_past_the_cap_is_refused(self, monkeypatch, capsys, argv):
+        monkeypatch.delenv("ASYMCODES_ENUM_CAP", raising=False)
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 10
+        assert capsys.readouterr() == ("", "error: trial division of 2305843009213693951: "
+                                           "divisor 1518500249 exceeds enumeration cap 1000000\n")
+
+    def test_a_budget_whose_counts_overflow_is_refused(self, capsys):
+        assert main(["search", "cyclic", "--m", "3", "--budget", "1e308"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: time budget 1e+308 overflows its node or restart count\n")
 
 
 class TestBallModel:

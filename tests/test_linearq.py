@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +141,32 @@ class TestParityChecks:
         if q > 2:
             for full in (True, False):
                 assert lee_parity_check(q, r, full=full).rows == leading((q - 1) // 2, full)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hamming_parity_check(4, 2), "q must be prime"),
+        (lambda: lee_parity_check(9, 1), "q must be an odd prime"),
+        (lambda: rank(MatrixModZq(4, ((1, 2),))), "rank over Z_q needs q prime"),
+        (lambda: nullspace(MatrixModZq(4, ((1, 2),))), "nullspace over Z_q needs q prime"),
+        (lambda: concat_code(MatrixModZq(4, ((1, 0, 1),))), "q must be prime"),
+    ])
+    def test_a_composite_modulus_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda q: hamming_parity_check(q, 2),
+        lambda q: lee_parity_check(q, 1),
+        lambda q: nullspace(MatrixModZq(q, ((1, 2),))),
+        lambda q: concat_code(MatrixModZq(q, ((1, 0, 1),))),
+    ])
+    def test_a_modulus_with_no_factor_under_the_cap_is_refused(self, monkeypatch, call):
+        monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 10**6)
+        t0 = time.monotonic()
+        with pytest.raises(EnumerationCapExceeded, match=(
+                r"^trial division of 2305843009213693951: divisor 1518500249 "
+                r"exceeds enumeration cap 1000000$")):
+            call(2**61 - 1)
+        assert time.monotonic() - t0 < 10
 
     def test_cap_bounds_the_column_listing(self, monkeypatch):
         monkeypatch.setattr(words, "DEFAULT_ENUM_CAP", 100)

@@ -175,6 +175,13 @@ BLOCKS = pytest.mark.parametrize("block", [words_mod._PAIR_BLOCK, 5])
 
 
 class TestMinDistanceKernel:
+    @pytest.mark.parametrize("rows", [[], [(0, 1, 1)]])
+    def test_codes_of_fewer_than_two_words(self, rows):
+        c = CodeBook.from_symbols(AlphabetSpec.uniform(2, 3), rows)
+        assert is_t_code(c, 1) and is_t_code(c, 3)
+        with pytest.raises(ValueError, match="^need at least two codewords$"):
+            min_asym_distance(c)
+
     @BLOCKS
     @settings(max_examples=400)
     @given(codebooks())
@@ -884,6 +891,45 @@ class TestLexWords:
                      lambda: enumerate_orbits(1)):
             with pytest.raises(EnumerationCapExceeded):
                 call()
+
+
+class TestLeastFactor:
+    """The one trial-division loop, bounded by the cap like every other
+    exhaustive search."""
+
+    @staticmethod
+    def first_divisor(n):
+        return next(d for d in range(2, n + 1) if n % d == 0)
+
+    def test_equals_the_first_divisor(self):
+        assert [words_mod._least_factor(n) for n in range(2, 3000)] == \
+            [self.first_divisor(n) for n in range(2, 3000)]
+        assert [n for n in range(-3, 3000) if words_mod._is_prime(n)] == \
+            [n for n in range(2, 3000) if self.first_divisor(n) == n]
+
+    def test_the_cap_bounds_the_divisors(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 100)
+        # isqrt(10007) = 100: the divisors up to the cap settle it
+        assert words_mod._is_prime(10007)
+        # a factor under the cap answers whatever the cofactor
+        assert words_mod._least_factor(2 * 10007**2) == 2
+        for n, root in ((101**2, 101), (101 * 103, 101), (10007**2, 10007)):
+            with pytest.raises(EnumerationCapExceeded, match=(
+                    f"^trial division of {n}: divisor {root} exceeds enumeration cap 100$")):
+                words_mod._is_prime(n)
+
+    def test_a_huge_number_is_named_by_its_bit_length(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 10)
+        # str() refuses integers past 4300 digits; 11^5000 has 5207
+        with pytest.raises(EnumerationCapExceeded, match=(
+                r"^trial division of at least 2\^17297: divisor at least 2\^8648 exceeds")):
+            words_mod._least_factor(11**5000)
+
+    def test_a_bad_cap_setting_is_named_first(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "DEFAULT_ENUM_CAP", 0)
+        monkeypatch.setenv("ASYMCODES_ENUM_CAP", "abc")
+        with pytest.raises(ValueError, match="ASYMCODES_ENUM_CAP must be a positive integer"):
+            words_mod._is_prime(7)
 
 
 class TestLimitedMagnitude:
